@@ -19,6 +19,7 @@ from .constitutive import (GasModel, HProfile, adaptive_simpson,
                            kanel_potential, phi, transport)
 from .errors import ArgumentError, PositivityError
 from .grid import Grid, State
+from .solver import make_stage
 
 __all__ = [
     "DiagnosticsRecord", "InitialDataReport", "DecayReport", "DiagnosticsCollector",
@@ -119,17 +120,14 @@ def conserved_totals(state: State, grid: Grid, model: GasModel):
 def dissipation_rate(state: State, model: GasModel, grid: Grid) -> float:
     """Sum over interior cells of [mu*u_x^2/(v*theta) + kappa*theta_x^2/(v*theta^2)]*dx.
 
-    u_x is the same cell difference the solver's heating term uses.
+    Read off the stage of state: u_x is the same cell difference the
+    solver's heating term uses.
     """
-    if not (np.all(state.v > 0) and np.all(state.theta > 0)):
-        raise PositivityError("dissipation_rate requires positive v and theta")
-    ci = grid.cell_interior
-    v, theta = state.v, state.theta
-    ux = grid.cell_diff(state.u)
-    thx = _cell_gradient(grid, theta)
-    mu, kappa = transport(model, v, theta)
-    integrand = mu * ux * ux / (v * theta) + kappa * thx * thx / (v * theta * theta)
-    return float(np.sum(integrand[ci]) * grid.dx)
+    s = make_stage(state, model, grid)
+    v, theta, ux = s.v, s.theta, s.ux
+    thx = grid.cell_average_of_nodes(s.theta_x)
+    integrand = s.mu * ux * ux / (v * theta) + s.kappa * thx * thx / (v * theta * theta)
+    return float(np.sum(integrand[grid.cell_interior]) * grid.dx)
 
 
 def eta_total(state: State, model: GasModel, grid: Grid) -> float:
@@ -225,21 +223,26 @@ def kanel_bound_pair(state: State, model: GasModel, grid: Grid,
 def theta_floor_fit(records: List[DiagnosticsRecord]) -> float:
     """Smallest C with 1/min_theta(t) - 1/min_theta(s) <= C*(t-s) over all pairs.
 
-    Equals the max difference quotient of 1/min_theta, clamped at 0.
+    Equals the max difference quotient of 1/min_theta, clamped at 0.  The
+    quotient of any pair is a convex combination of the quotients between
+    consecutive times in between, so only those are formed.  Of records
+    sharing a time, the largest 1/min_theta ends a pair and the smallest
+    starts one.
     """
     if len(records) < 3:
         raise ArgumentError("theta_floor_fit needs at least 3 records")
     t = np.array([r.t for r in records])
     inv = np.array([1.0 / r.min_theta for r in records])
-    best = 0.0
-    for i in range(len(records)):
-        dt = t[i + 1:] - t[i]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = (inv[i + 1:] - inv[i]) / dt
-        q = q[dt > 0]
-        if q.size:
-            best = max(best, float(q.max()))
-    return max(best, 0.0)
+    dt = np.diff(t)
+    if np.any(dt < 0):
+        raise ArgumentError("theta_floor_fit needs records in time order")
+    first = np.flatnonzero(np.r_[True, dt > 0])     # first record at each time
+    if first.size < 2:
+        return 0.0
+    hi = np.maximum.reduceat(inv, first)
+    lo = np.minimum.reduceat(inv, first)
+    q = (hi[1:] - lo[:-1]) / np.diff(t[first])
+    return max(float(q.max()), 0.0)
 
 
 def decay_metrics(records: List[DiagnosticsRecord]) -> DecayReport:

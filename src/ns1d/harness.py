@@ -154,6 +154,10 @@ def parse_value(attr: str, raw: str):
 
 
 def validate_config(config: RunConfig) -> RunConfig:
+    non_finite = [key for key, attr in KEYMAP.items()
+                  if _FIELD_TYPES[attr] == "float" and not math.isfinite(getattr(config, attr))]
+    if non_finite:
+        raise ConfigError(f"non-finite value for {', '.join(non_finite)}")
     if config.preset not in PRESETS:
         raise ConfigError(f"unknown preset {config.preset!r}; choose from {PRESETS}")
     if not config.gas_gamma > 1.0:
@@ -416,7 +420,7 @@ def run(config: RunConfig, out_dir: Optional[Path] = None) -> RunSummary:
                                observer=observer, output_every=config.output_every,
                                on_step=collector.on_step)
     except Ns1dError as exc:
-        error = f"{type(exc).__name__}: {exc}"
+        error = exc
 
     records = collector.records
     if "csv" in formats and records:
@@ -426,7 +430,7 @@ def run(config: RunConfig, out_dir: Optional[Path] = None) -> RunSummary:
 
     summary = RunSummary(config=config_to_flat(config),
                          exit_status="ok" if error is None else "error",
-                         error=error,
+                         error=None if error is None else f"{type(error).__name__}: {error}",
                          initial_report=init_report.to_dict(),
                          steps=stats.steps if stats else 0,
                          wall_time=_time.perf_counter() - t_start)
@@ -446,10 +450,8 @@ def run(config: RunConfig, out_dir: Optional[Path] = None) -> RunSummary:
             summary.decay = decay_metrics(records).to_dict()
     if "json" in formats:
         _json_dump(summary.to_dict(), out / "summary.json")
-    if error is not None:
-        kind = error.split(":", 1)[0]
-        if kind in ("PositivityError", "PositivityExhaustedError", "NewtonDivergenceError"):
-            raise PositivityError(error) if "Positivity" in kind else NewtonDivergenceError(error)
+    if isinstance(error, (PositivityError, NewtonDivergenceError)):
+        raise error
     return summary
 
 

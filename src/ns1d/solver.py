@@ -25,7 +25,7 @@ from .errors import ArgumentError, NewtonDivergenceError, PositivityError, Posit
 from .grid import Grid, State, apply_farfield
 
 __all__ = [
-    "SolverConfig", "StepStats", "AdvanceStats",
+    "SolverConfig", "StepStats", "AdvanceStats", "Stage", "make_stage",
     "rhs", "stable_dt", "advective_dt", "step_explicit", "step_imex", "advance",
     "backward_euler_velocity", "backward_euler_theta",
 ]
@@ -77,89 +77,122 @@ def _check_state_positive(state: State, floor: float = 0.0):
             f"min theta={state.theta.min():.3e} (floor {floor:.1e})")
 
 
+@dataclass
+class Stage(State):
+    """A state plus what the rates, the step size and the dissipation rate
+    need of it, computed once: ux = cell_diff(u), (mu, kappa) and
+    theta_x = node_diff(theta).
+
+    The cached fields describe the arrays as they were when the stage was
+    built, so a stage's arrays are never written to.
+    """
+
+    ux: np.ndarray
+    mu: np.ndarray
+    kappa: np.ndarray
+    theta_x: np.ndarray
+    model: GasModel
+    grid: Grid
+
+
+def make_stage(state: State, model: GasModel, grid: Grid, floor: float = 0.0) -> Stage:
+    """The stage of state: its one positivity check (v, theta > floor) and
+    its one transport call.  A stage built for the same model and grid is
+    returned as it is."""
+    if isinstance(state, Stage) and state.model is model and state.grid is grid:
+        return state
+    _check_state_positive(state, floor)
+    mu, kappa = transport(model, state.v, state.theta)
+    return Stage(state.t, state.v, state.u, state.theta, grid.cell_diff(state.u),
+                 mu, kappa, grid.node_diff(state.theta), model, grid)
+
+
+def _candidate(t: float, v, u, theta, model: GasModel, grid: Grid,
+               config: SolverConfig) -> Stage:
+    """Stage of a trial state, ghosts pinned; PositivityError below the floor."""
+    state = apply_farfield(State(t, v, u, theta), grid)
+    return make_stage(state, model, grid, config.positivity_floor)
+
+
 def rhs(state: State, model: GasModel, grid: Grid, sources: Sources = None):
     """Semidiscrete rates (dv_dt cells, du_dt nodes, dtheta_dt cells)."""
-    _check_state_positive(state)
-    v, u, theta = state.v, state.u, state.theta
-    ux = grid.cell_diff(u)                      # cells
-    mu, kappa = transport(model, v, theta)
+    s = make_stage(state, model, grid)
+    v, theta, ux, mu = s.v, s.theta, s.ux, s.mu
     P = theta / v
 
     dv_dt = ux.copy()
     stress = -P + mu * ux / v
     du_dt = grid.node_diff(stress)
-    heat_flux = grid.face_average(kappa / v) * grid.node_diff(theta)
+    heat_flux = grid.face_average(s.kappa / v) * s.theta_x
     dtheta_dt = (-theta * ux / v + grid.cell_diff(heat_flux) + mu * ux * ux / v) / model.cv
 
     if sources is not None:
-        sv, su, sth = sources(state.t)
+        sv, su, sth = sources(s.t)
         dv_dt = dv_dt + sv
         du_dt = du_dt + su
         dtheta_dt = dtheta_dt + sth / model.cv
     return dv_dt, du_dt, dtheta_dt
 
 
-def stable_dt(state: State, model: GasModel, grid: Grid, config: SolverConfig) -> float:
-    """min(cfl_a*dx/max(c), cfl_p*dx^2/(2*max(D))) with c = sqrt(gamma*theta)/v
-    and D = max(mu/v, kappa/(cv*v)) per cell."""
-    _check_state_positive(state)
-    v, theta = state.v, state.theta
-    mu, kappa = transport(model, v, theta)
-    c = np.sqrt(model.gamma * theta) / v
-    diff_rate = np.maximum(mu / v, kappa / (model.cv * v))
-    dt_adv = config.cfl_advective * grid.dx / float(c.max())
-    dt_par = config.cfl_parabolic * grid.dx ** 2 / (2.0 * float(diff_rate.max()))
-    dt = min(dt_adv, dt_par)
+def _dt(state: State, model: GasModel, grid: Grid, config: SolverConfig,
+        parabolic: bool) -> float:
+    s = make_stage(state, model, grid)
+    c = np.sqrt(model.gamma * s.theta) / s.v
+    dt = config.cfl_advective * grid.dx / float(c.max())
+    if parabolic:
+        diff_rate = np.maximum(s.mu / s.v, s.kappa / (model.cv * s.v))
+        dt = min(dt, config.cfl_parabolic * grid.dx ** 2 / (2.0 * float(diff_rate.max())))
     if config.dt_max > 0.0:
         dt = min(dt, config.dt_max)
     return dt
+
+
+def stable_dt(state: State, model: GasModel, grid: Grid, config: SolverConfig) -> float:
+    """min(cfl_a*dx/max(c), cfl_p*dx^2/(2*max(D))) with c = sqrt(gamma*theta)/v
+    and D = max(mu/v, kappa/(cv*v)) per cell."""
+    return _dt(state, model, grid, config, parabolic=True)
 
 
 def advective_dt(state: State, model: GasModel, grid: Grid, config: SolverConfig) -> float:
     """Advective CFL limit only; the IMEX integrator is free of the parabolic one."""
-    _check_state_positive(state)
-    c = np.sqrt(model.gamma * state.theta) / state.v
-    dt = config.cfl_advective * grid.dx / float(c.max())
-    if config.dt_max > 0.0:
-        dt = min(dt, config.dt_max)
-    return dt
+    return _dt(state, model, grid, config, parabolic=False)
 
 
-def _attempt_heun(state: State, model: GasModel, grid: Grid, config: SolverConfig,
-                  dt: float, sources: Sources) -> State:
-    floor = config.positivity_floor
-    k1 = rhs(state, model, grid, sources)
-    s1 = State(state.t + dt,
-               state.v + dt * k1[0], state.u + dt * k1[1], state.theta + dt * k1[2])
-    apply_farfield(s1, grid)
-    _check_state_positive(s1, floor)
-    k2 = rhs(s1, model, grid, sources)
-    out = State(state.t + dt,
-                state.v + 0.5 * dt * (k1[0] + k2[0]),
-                state.u + 0.5 * dt * (k1[1] + k2[1]),
-                state.theta + 0.5 * dt * (k1[2] + k2[2]))
-    apply_farfield(out, grid)
-    _check_state_positive(out, floor)
-    return out
+def _with_halving(attempt, t: float, config: SolverConfig, dt: float):
+    """attempt(dt) -> (Stage, StepStats), retried with dt/2 on PositivityError."""
+    for rejected in range(config.max_dt_halvings + 1):
+        try:
+            out, stats = attempt(dt)
+        except PositivityError:
+            dt *= 0.5
+            continue
+        stats.rejected_substeps = rejected
+        return out, stats
+    raise PositivityExhaustedError(
+        f"positivity still violated after {config.max_dt_halvings} dt halvings at t={t}")
 
 
 def step_explicit(state: State, model: GasModel, grid: Grid, config: SolverConfig,
                   dt: float, sources: Sources = None):
     """One SSP-RK2 step; on positivity violation retries with dt/2.
 
-    Returns (new_state, StepStats); stats.dt_used is the step actually taken.
+    Returns (new_state, StepStats); new_state is the Stage of the accepted
+    state and stats.dt_used is the step actually taken.
     """
-    rejected = 0
-    dt_try = dt
-    for _ in range(config.max_dt_halvings + 1):
-        try:
-            out = _attempt_heun(state, model, grid, config, dt_try, sources)
-            return out, StepStats(dt_used=dt_try, rejected_substeps=rejected)
-        except PositivityError:
-            rejected += 1
-            dt_try *= 0.5
-    raise PositivityExhaustedError(
-        f"positivity still violated after {config.max_dt_halvings} dt halvings at t={state.t}")
+    s0 = make_stage(state, model, grid)
+    k1 = rhs(s0, model, grid, sources)
+
+    def attempt(h):
+        s1 = _candidate(s0.t + h, s0.v + h * k1[0], s0.u + h * k1[1],
+                        s0.theta + h * k1[2], model, grid, config)
+        k2 = rhs(s1, model, grid, sources)
+        out = _candidate(s0.t + h,
+                         s0.v + 0.5 * h * (k1[0] + k2[0]),
+                         s0.u + 0.5 * h * (k1[1] + k2[1]),
+                         s0.theta + 0.5 * h * (k1[2] + k2[2]), model, grid, config)
+        return out, StepStats(dt_used=h)
+
+    return _with_halving(attempt, s0.t, config, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -252,53 +285,39 @@ def backward_euler_theta(theta_exp: np.ndarray, v: np.ndarray, model: GasModel,
         f"after {config.newton_max_iter} iterations")
 
 
-def _attempt_imex(state: State, model: GasModel, grid: Grid, config: SolverConfig,
-                  dt: float, sources: Sources):
-    floor = config.positivity_floor
-    v, u, theta = state.v, state.u, state.theta
-    ux = grid.cell_diff(u)
-    mu, _ = transport(model, v, theta)
-    P = theta / v
-
-    v_new = v + dt * ux
-    u_exp = u + dt * grid.node_diff(-P)
-    theta_exp = theta + dt / model.cv * (-theta * ux / v + mu * ux * ux / v)
-    if sources is not None:
-        sv, su, sth = sources(state.t)
-        v_new = v_new + dt * sv
-        u_exp = u_exp + dt * su
-        theta_exp = theta_exp + dt * sth / model.cv
-
-    half = State(state.t + dt, v_new, u_exp, theta_exp)
-    apply_farfield(half, grid)
-    _check_state_positive(half, floor)
-
-    u_new, it_u, res_u = backward_euler_velocity(
-        half.u, half.v, half.theta, model, grid, config, dt)
-    theta_new, it_th, res_th = backward_euler_theta(
-        half.theta, half.v, model, grid, config, dt)
-
-    out = State(state.t + dt, half.v, u_new, theta_new)
-    apply_farfield(out, grid)
-    _check_state_positive(out, floor)
-    return out, max(it_u, it_th), max(res_u, res_th)
-
-
 def step_imex(state: State, model: GasModel, grid: Grid, config: SolverConfig,
               dt: float, sources: Sources = None):
-    """One IMEX step: explicit transport/pressure/heating, implicit diffusion."""
-    rejected = 0
-    dt_try = dt
-    for _ in range(config.max_dt_halvings + 1):
-        try:
-            out, iters, res = _attempt_imex(state, model, grid, config, dt_try, sources)
-            return out, StepStats(dt_used=dt_try, newton_iters=iters,
-                                  rejected_substeps=rejected, max_residual=res)
-        except PositivityError:
-            rejected += 1
-            dt_try *= 0.5
-    raise PositivityExhaustedError(
-        f"positivity still violated after {config.max_dt_halvings} dt halvings at t={state.t}")
+    """One IMEX step: explicit transport/pressure/heating, implicit diffusion.
+
+    Returns (new_state, StepStats) like step_explicit.
+    """
+    s0 = make_stage(state, model, grid)
+    v, u, theta, ux, mu = s0.v, s0.u, s0.theta, s0.ux, s0.mu
+    P = theta / v
+
+    def attempt(h):
+        v_new = v + h * ux
+        u_exp = u + h * grid.node_diff(-P)
+        theta_exp = theta + h / model.cv * (-theta * ux / v + mu * ux * ux / v)
+        if sources is not None:
+            sv, su, sth = sources(s0.t)
+            v_new = v_new + h * sv
+            u_exp = u_exp + h * su
+            theta_exp = theta_exp + h * sth / model.cv
+
+        half = apply_farfield(State(s0.t + h, v_new, u_exp, theta_exp), grid)
+        _check_state_positive(half, config.positivity_floor)
+
+        u_new, it_u, res_u = backward_euler_velocity(
+            half.u, half.v, half.theta, model, grid, config, h)
+        theta_new, it_th, res_th = backward_euler_theta(
+            half.theta, half.v, model, grid, config, h)
+
+        out = _candidate(s0.t + h, half.v, u_new, theta_new, model, grid, config)
+        return out, StepStats(dt_used=h, newton_iters=max(it_u, it_th),
+                              max_residual=max(res_u, res_th))
+
+    return _with_halving(attempt, s0.t, config, dt)
 
 
 def advance(state: State, model: GasModel, grid: Grid, config: SolverConfig,
@@ -307,8 +326,9 @@ def advance(state: State, model: GasModel, grid: Grid, config: SolverConfig,
     """March state to t_end, landing exactly on output times and on t_end.
 
     observer(state_copy) fires at the start time and at each output time;
-    on_step(state, StepStats) fires after every accepted step.  Deterministic:
-    identical inputs give bitwise identical trajectories.
+    on_step(state, StepStats) fires after every accepted step.  The stage of
+    each accepted state feeds the next step size, the next step and on_step.
+    Deterministic: identical inputs give bitwise identical trajectories.
     """
     if t_end < state.t:
         raise ArgumentError(f"t_end {t_end} precedes state time {state.t}")
@@ -316,6 +336,7 @@ def advance(state: State, model: GasModel, grid: Grid, config: SolverConfig,
         step, dt_fn = step_imex, advective_dt
     else:
         step, dt_fn = step_explicit, stable_dt
+    state = make_stage(state, model, grid)
     stats = AdvanceStats()
     t0 = state.t
     eps = 1e-12 * max(1.0, abs(t_end))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ns1d.cli import EXIT_CONFIG, EXIT_OK, main
+from ns1d.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 
 
 @pytest.fixture(autouse=True)
@@ -74,3 +74,17 @@ def test_validate_h(out_dir, capsys):
 def test_sweep_requires_param():
     with pytest.raises(SystemExit):
         main(["sweep", "--values", "0,1"])
+
+
+@pytest.mark.parametrize("setting", ["time.t_end=nan", "gas.mu_tilde=nan",
+                                     "gas.alpha=nan", "grid.L=inf"])
+def test_non_finite_value_is_config_error(setting, capsys):
+    assert main(["run"] + FAST + ["--set", setting]) == EXIT_CONFIG
+    assert "non-finite value for " + setting.split("=")[0] in capsys.readouterr().err
+
+
+def test_positivity_exhaustion_exit_code(capsys):
+    argv = ["run", "--preset", "two-bump", "--set", "solver.positivity_floor=0.9",
+            "--set", "solver.max_dt_halvings=2"]
+    assert main(argv + FAST) == EXIT_NUMERICAL
+    assert "dt halvings" in capsys.readouterr().err

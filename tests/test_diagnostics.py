@@ -163,6 +163,30 @@ class TestThetaFloorFit:
         with pytest.raises(ArgumentError):
             theta_floor_fit([make_record(), make_record(t=1.0)])
 
+    def test_needs_time_order(self):
+        recs = [make_record(t=t) for t in (0.0, 2.0, 1.0)]
+        with pytest.raises(ArgumentError):
+            theta_floor_fit(recs)
+
+    def test_equals_pair_brute_force(self):
+        rng = np.random.default_rng(5)
+        for n in (3, 4, 7, 20, 60):
+            for _ in range(20):
+                # times drawn from a coarse set, so that many repeat
+                t = np.sort(rng.choice(np.linspace(0.0, 4.0, 9), size=n))
+                min_theta = rng.uniform(0.2, 2.0, size=n)
+                inv = 1.0 / min_theta
+                brute = max([0.0] + [(inv[j] - inv[i]) / (t[j] - t[i])
+                                     for i in range(n) for j in range(i + 1, n)
+                                     if t[j] > t[i]])
+                recs = [make_record(t=float(a), min_theta=float(b))
+                        for a, b in zip(t, min_theta)]
+                assert theta_floor_fit(recs) == pytest.approx(brute, rel=1e-12)
+
+    def test_single_time_gives_zero(self):
+        recs = [make_record(t=1.0, min_theta=m) for m in (1.0, 0.5, 2.0)]
+        assert theta_floor_fit(recs) == 0.0
+
 
 class TestDecayMetrics:
     def test_halving_series(self):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from ns1d.errors import ConfigError
+from ns1d.errors import ConfigError, PositivityExhaustedError
 from ns1d.grid import build_grid
 from ns1d.harness import (
     KEYMAP,
@@ -193,6 +193,15 @@ class TestRun:
         run(fast_config(t_end=0.5, output_every=0.1), out_dir=tmp_path)
         rows = (tmp_path / "timeseries.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + 6  # header + floor(t_end/output_every) + 1
+
+    def test_exhaustion_reraised_with_its_class(self, tmp_path):
+        # two-bump dips theta to 0.88, below the floor, for every trial dt
+        cfg = fast_config(preset="two-bump", positivity_floor=0.9, max_dt_halvings=2)
+        with pytest.raises(PositivityExhaustedError):
+            run(cfg, out_dir=tmp_path)
+        data = json.loads((tmp_path / "summary.json").read_text())
+        assert data["exit_status"] == "error"
+        assert data["error"].startswith("PositivityExhaustedError: ")
 
     def test_determinism_byte_identical(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"

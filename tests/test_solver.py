@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+import ns1d.solver
 from ns1d.constitutive import GasModel, HProfile
+from ns1d.diagnostics import DiagnosticsCollector, dissipation_rate
 from ns1d.errors import PositivityError
 from ns1d.grid import State, apply_farfield, build_grid
 from ns1d.solver import (
@@ -266,3 +268,69 @@ class TestConservationAndStructure:
             vals.append(eta_total(s, m, g))
         slack = 1e-8  # O(dt^2 + dx^2) identity residual
         assert all(b <= a + slack for a, b in zip(vals, vals[1:]))
+
+
+class TestStage:
+    """One stage per state: advance reuses it for dt, k1 and the dissipation."""
+
+    MODEL = GasModel(5 / 3, alpha=0.05, h=HProfile.power_sum(1, 1))
+
+    def test_advance_equals_hand_loop_of_public_calls(self):
+        g, m = build_grid(8.0, 64), self.MODEL
+        s0, t_end = gauss_state(g, with_u=True), 0.1
+        coll = DiagnosticsCollector(m, g)
+        got, stats = advance(s0.copy(), m, g, CFG, t_end,
+                             observer=coll.observe, on_step=coll.on_step)
+
+        # plain States, so that every public call builds its own stage
+        s = s0.copy()
+        rate, accum = dissipation_rate(s, m, g), 0.0
+        while s.t < t_end - 1e-12:
+            dt = min(stable_dt(s, m, g, CFG), t_end - s.t)
+            t_prev = s.t
+            out, _ = step_explicit(s, m, g, CFG, dt)
+            s = State(out.t, out.v, out.u, out.theta)
+            new_rate = dissipation_rate(s, m, g)
+            accum += 0.5 * (new_rate + rate) * (s.t - t_prev)
+            rate = new_rate
+        s.t = t_end
+
+        assert stats.steps > 10
+        assert got.t == s.t
+        assert np.array_equal(got.v, s.v)
+        assert np.array_equal(got.u, s.u)
+        assert np.array_equal(got.theta, s.theta)
+        assert coll.records[-1].dissipation_accum == accum
+
+    def test_two_transport_calls_per_accepted_step(self, monkeypatch):
+        g, m = build_grid(8.0, 64), self.MODEL
+        real, calls = ns1d.solver.transport, []
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(ns1d.solver, "transport", counted)
+        coll = DiagnosticsCollector(m, g)
+        _, stats = advance(gauss_state(g), m, g, CFG, 0.1, on_step=coll.on_step)
+        assert stats.steps > 10 and stats.rejected_substeps == 0
+        assert len(calls) == 2 * stats.steps + 1
+
+    def test_nan_predictor_rejected_and_dt_halved(self, monkeypatch):
+        g, m = build_grid(8.0, 64), self.MODEL
+        s0 = gauss_state(g)
+        dt = stable_dt(s0, m, g, CFG)
+        real, seen = ns1d.solver.apply_farfield, []
+
+        def poison_first_candidate(state, grid):
+            if not seen:                    # the first candidate is the predictor
+                state.theta[grid.cell_interior][3] = np.nan
+            seen.append(state.t)
+            return real(state, grid)
+
+        monkeypatch.setattr(ns1d.solver, "apply_farfield", poison_first_candidate)
+        out, stats = step_explicit(s0, m, g, CFG, dt)
+        assert stats.rejected_substeps == 1 and stats.dt_used == 0.5 * dt
+        monkeypatch.undo()
+        ref, _ = step_explicit(s0, m, g, CFG, 0.5 * dt)
+        assert np.array_equal(out.theta, ref.theta)
