@@ -10,8 +10,8 @@ import json
 import sys
 
 from .errors import ConfigError, NewtonDivergenceError, PositivityError
-from .harness import (apply_overrides, default_config, load_config, run, sweep,
-                      validate_h_config)
+from .harness import (apply_overrides, default_config, load_config, parse_list, run,
+                      sweep, validate_h_config)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -57,7 +57,9 @@ def _load(args):
         config = load_config(args.config)
     else:
         config = default_config(args.preset)
-    return apply_overrides(config, args.overrides)
+    # the mms command runs the mms preset, so its keys are the ones checked
+    mms = ["preset=mms"] if args.command == "mms" else []
+    return apply_overrides(config, args.overrides + mms)
 
 
 def main(argv=None) -> int:
@@ -69,13 +71,11 @@ def main(argv=None) -> int:
             print(f"run finished: status={summary.exit_status} steps={summary.steps}")
             return EXIT_OK if summary.exit_status == "ok" else EXIT_NUMERICAL
         if args.command == "sweep":
-            values = [float(v) for v in args.values.split(",") if v.strip()]
-            summaries = sweep(config, args.param, values)
+            summaries = sweep(config, args.param, parse_list(args.values, float))
             bad = [s for s in summaries if s.exit_status != "ok"]
             print(f"sweep finished: {len(summaries) - len(bad)}/{len(summaries)} runs ok")
             return EXIT_OK
         if args.command == "mms":
-            config.preset = "mms"
             summary = run(config)
             print(json.dumps(summary.order_report, sort_keys=True, indent=2))
             return EXIT_OK

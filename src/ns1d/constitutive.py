@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import ArgumentError, DomainError, QuadratureError
 
 __all__ = [
-    "HProfile", "GasModel", "AdmissibilityReport",
+    "HProfile", "GasModel", "AdmissibilityReport", "check_sample_range",
     "pressure", "internal_energy", "entropy", "transport", "transport_derivatives",
     "phi", "eta", "kanel_potential", "h_envelope", "validate_h", "adaptive_simpson",
 ]
@@ -30,10 +30,8 @@ __all__ = [
 class HProfile:
     """Volume dependence of the transport coefficients, with derivatives.
 
-    ``kind`` is one of "power-sum" (h = v**ell1 + v**-ell2), "constant", or
-    "custom".  The callables accept scalars or numpy arrays of positive v.
-    ``c_admissible`` is the smallest sampled constant found by
-    :func:`validate_h`, or None while unverified.
+    ``kind`` is "power-sum" (h = v**ell1 + v**-ell2) or "constant".  The
+    callables accept scalars or numpy arrays of positive v.
     """
 
     kind: str
@@ -43,7 +41,6 @@ class HProfile:
     dh: Callable
     d2h: Callable
     d3h: Callable
-    c_admissible: Optional[float] = None
 
     @staticmethod
     def power_sum(ell1: float, ell2: float) -> "HProfile":
@@ -66,10 +63,6 @@ class HProfile:
         return HProfile("constant", 0.0, 0.0,
                         lambda v: np.full_like(np.asarray(v, dtype=float), c) if np.ndim(v) else c,
                         zero, zero, zero)
-
-    @staticmethod
-    def custom(h, dh, d2h, d3h, ell1: float = 0.0, ell2: float = 0.0) -> "HProfile":
-        return HProfile("custom", ell1, ell2, h, dh, d2h, d3h)
 
     def __call__(self, v):
         return self.h(v)
@@ -300,6 +293,14 @@ class AdmissibilityReport:
         }
 
 
+def check_sample_range(v_range, samples: int):
+    """(lo, hi) of a validation range; DomainError unless 0 < lo < hi and samples >= 2."""
+    lo, hi = float(v_range[0]), float(v_range[1])
+    if not (0.0 < lo < hi) or samples < 2:
+        raise DomainError(f"invalid range {v_range} or samples {samples}")
+    return lo, hi
+
+
 def validate_h(h: HProfile, v_range=(0.01, 100.0), samples: int = 100_000,
                boundary_growth_factor: float = 1.5) -> AdmissibilityReport:
     """Smallest empirical C satisfying both growth conditions on a log grid.
@@ -311,9 +312,7 @@ def validate_h(h: HProfile, v_range=(0.01, 100.0), samples: int = 100_000,
     the signature of an unbounded requirement (approach to a finite
     asymptote stays below the factor).
     """
-    lo, hi = float(v_range[0]), float(v_range[1])
-    if not (0.0 < lo < hi) or samples < 2:
-        raise DomainError(f"invalid range {v_range} or samples {samples}")
+    lo, hi = check_sample_range(v_range, samples)
     v = np.exp(np.linspace(math.log(lo), math.log(hi), samples))
     hv = np.asarray(h.h(v), dtype=float)
     if np.any(hv <= 0):

@@ -121,6 +121,8 @@ def build_grid(L: float, N: int, ghost_depth: int = 2) -> Grid:
     if ghost_depth < 2:
         raise ArgumentError(f"ghost_depth must be at least 2, got {ghost_depth}")
     dx = 2.0 * L / N
+    if not np.isfinite(dx * dx):   # the parabolic limit and the H2 norm divide by dx**2
+        raise ArgumentError(f"L = {L} is too large for N = {N}: dx**2 overflows")
     cell_centers = -L + (np.arange(N) + 0.5) * dx
     node_positions = -L + np.arange(N + 1) * dx
     return Grid(L=L, N=N, ghost_depth=ghost_depth, dx=dx,

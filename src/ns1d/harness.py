@@ -15,122 +15,91 @@ import math
 import os
 import time as _time
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from .constitutive import GasModel, HProfile, AdmissibilityReport, validate_h
+from .constitutive import (GasModel, HProfile, AdmissibilityReport, check_sample_range,
+                           validate_h)
 from .diagnostics import (DiagnosticsCollector, DiagnosticsRecord,
                           decay_metrics, initial_data_report, theta_floor_fit)
-from .errors import ConfigError, Ns1dError, NewtonDivergenceError, PositivityError
+from .errors import (ArgumentError, ConfigError, DomainError, Ns1dError,
+                     NewtonDivergenceError, PositivityError)
 from .grid import Grid, State, apply_farfield, build_grid
 from .solver import SolverConfig, advance
-from .verification import convergence_study, default_case
+from .verification import check_levels, convergence_study, default_case
 
 __all__ = [
     "RunConfig", "RunSummary", "PRESETS", "load_config", "parse_value",
     "apply_overrides", "config_to_flat", "config_from_flat", "default_config",
+    "parse_list", "output_formats",
     "make_model", "make_initial_data", "run", "sweep", "validate_h_config",
 ]
 
 PRESETS = ("constant", "gauss-pulse", "two-bump", "mms", "alpha-sweep", "gamma-sweep")
+OUTPUT_FORMATS = ("csv", "json")
+
+
+def _key(name: str, default):
+    """A RunConfig field whose flat config key is name."""
+    return field(default=default, metadata={"key": name})
 
 
 @dataclass
 class RunConfig:
-    preset: str = "gauss-pulse"
-    strict: bool = True
+    preset: str = _key("preset", "gauss-pulse")
+    strict: bool = _key("strict", True)
     # grid
-    grid_L: float = 16.0
-    grid_N: int = 512
-    grid_ghost_depth: int = 2
+    grid_L: float = _key("grid.L", 16.0)
+    grid_N: int = _key("grid.N", 512)
+    grid_ghost_depth: int = _key("grid.ghost_depth", 2)
     # gas
-    gas_gamma: float = 5.0 / 3.0
-    gas_mu_tilde: float = 1.0
-    gas_kappa_tilde: float = 1.0
-    gas_alpha: float = 0.0
-    h_kind: str = "power-sum"
-    h_ell1: float = 1.0
-    h_ell2: float = 1.0
-    h_c: float = 1.0
+    gas_gamma: float = _key("gas.gamma", 5.0 / 3.0)
+    gas_mu_tilde: float = _key("gas.mu_tilde", 1.0)
+    gas_kappa_tilde: float = _key("gas.kappa_tilde", 1.0)
+    gas_alpha: float = _key("gas.alpha", 0.0)
+    h_kind: str = _key("gas.h.kind", "power-sum")
+    h_ell1: float = _key("gas.h.ell1", 1.0)
+    h_ell2: float = _key("gas.h.ell2", 1.0)
+    h_c: float = _key("gas.h.c", 1.0)
     # solver
-    integrator: str = "explicit"
-    cfl_advective: float = 0.4
-    cfl_parabolic: float = 0.4
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 25
-    positivity_floor: float = 1e-8
-    max_dt_halvings: int = 20
-    dt_max: float = 0.0
+    integrator: str = _key("solver.integrator", "explicit")
+    cfl_advective: float = _key("solver.cfl_advective", 0.4)
+    cfl_parabolic: float = _key("solver.cfl_parabolic", 0.4)
+    newton_tol: float = _key("solver.newton_tol", 1e-10)
+    newton_max_iter: int = _key("solver.newton_max_iter", 25)
+    positivity_floor: float = _key("solver.positivity_floor", 1e-8)
+    max_dt_halvings: int = _key("solver.max_dt_halvings", 20)
+    dt_max: float = _key("solver.dt_max", 0.0)
     # time
-    t_end: float = 5.0
-    output_every: float = 0.1
+    t_end: float = _key("time.t_end", 5.0)
+    output_every: float = _key("time.output_every", 0.1)
     # initial data
-    amplitude: float = 0.3
-    width: float = 1.0
-    perturb: str = "v,theta"
+    amplitude: float = _key("init.amplitude", 0.3)
+    width: float = _key("init.width", 1.0)
+    perturb: str = _key("init.perturb", "v,theta")
     # mms
-    mms_levels: str = "64,128,256"
-    mms_t_end: float = 0.25
-    mms_L: float = 12.0
-    mms_amplitude: float = 0.1
+    mms_levels: str = _key("mms.levels", "64,128,256")
+    mms_t_end: float = _key("mms.t_end", 0.25)
+    mms_L: float = _key("mms.L", 12.0)
+    mms_amplitude: float = _key("mms.amplitude", 0.1)
     # sweep
-    sweep_param: str = "alpha"
-    sweep_values: str = "-0.1,-0.05,0,0.05,0.1"
+    sweep_param: str = _key("sweep.param", "alpha")
+    sweep_values: str = _key("sweep.values", "-0.1,-0.05,0,0.05,0.1")
     # h validation range
-    validate_v_min: float = 0.01
-    validate_v_max: float = 100.0
-    validate_samples: int = 100000
+    validate_v_min: float = _key("validate.v_min", 0.01)
+    validate_v_max: float = _key("validate.v_max", 100.0)
+    validate_samples: int = _key("validate.samples", 100000)
     # output
-    out_dir: str = "out"
-    out_formats: str = "csv,json"
-    profile_every: float = 0.0     # 0: snapshots at t0 and t_end only
+    out_dir: str = _key("output.directory", "out")
+    out_formats: str = _key("output.formats", "csv,json")
+    profile_every: float = _key("output.profile_every", 0.0)  # 0: snapshots at t0 and t_end only
 
 
 # flat config key -> RunConfig attribute, in canonical emission order
-KEYMAP: Dict[str, str] = {
-    "preset": "preset",
-    "strict": "strict",
-    "grid.L": "grid_L",
-    "grid.N": "grid_N",
-    "grid.ghost_depth": "grid_ghost_depth",
-    "gas.gamma": "gas_gamma",
-    "gas.mu_tilde": "gas_mu_tilde",
-    "gas.kappa_tilde": "gas_kappa_tilde",
-    "gas.alpha": "gas_alpha",
-    "gas.h.kind": "h_kind",
-    "gas.h.ell1": "h_ell1",
-    "gas.h.ell2": "h_ell2",
-    "gas.h.c": "h_c",
-    "solver.integrator": "integrator",
-    "solver.cfl_advective": "cfl_advective",
-    "solver.cfl_parabolic": "cfl_parabolic",
-    "solver.newton_tol": "newton_tol",
-    "solver.newton_max_iter": "newton_max_iter",
-    "solver.positivity_floor": "positivity_floor",
-    "solver.max_dt_halvings": "max_dt_halvings",
-    "solver.dt_max": "dt_max",
-    "time.t_end": "t_end",
-    "time.output_every": "output_every",
-    "init.amplitude": "amplitude",
-    "init.width": "width",
-    "init.perturb": "perturb",
-    "mms.levels": "mms_levels",
-    "mms.t_end": "mms_t_end",
-    "mms.L": "mms_L",
-    "mms.amplitude": "mms_amplitude",
-    "sweep.param": "sweep_param",
-    "sweep.values": "sweep_values",
-    "validate.v_min": "validate_v_min",
-    "validate.v_max": "validate_v_max",
-    "validate.samples": "validate_samples",
-    "output.directory": "out_dir",
-    "output.formats": "out_formats",
-    "output.profile_every": "profile_every",
-}
-
+KEYMAP: Dict[str, str] = {f.metadata["key"]: f.name for f in fields(RunConfig)}
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
@@ -153,76 +122,100 @@ def parse_value(attr: str, raw: str):
         raise ConfigError(f"cannot parse {raw!r} for key of type {ftype}: {exc}") from exc
 
 
+def parse_list(raw: str, kind=str) -> list:
+    """Items of a comma list, stripped, empty ones dropped, each made by kind."""
+    items = [item.strip() for item in raw.split(",") if item.strip()]
+    try:
+        return [kind(item) for item in items]
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse {raw!r} as a list of {kind.__name__}: {exc}") from exc
+
+
+def output_formats(config: RunConfig) -> set:
+    formats = set(parse_list(config.out_formats))
+    unknown = formats - set(OUTPUT_FORMATS)
+    if unknown:
+        raise ConfigError(f"unknown output formats {sorted(unknown)}; choose from {OUTPUT_FORMATS}")
+    return formats
+
+
 def validate_config(config: RunConfig) -> RunConfig:
+    """Refuse, with ConfigError, every value a run could not use.
+
+    Builds what the configured run builds, through the same builders, so each
+    rule lives in the one constructor that owns it; their ArgumentError and
+    DomainError become ConfigError.  The preset picks the data: the MMS case
+    and its levels for "mms", the grid and the initial data otherwise.
+    """
     non_finite = [key for key, attr in KEYMAP.items()
                   if _FIELD_TYPES[attr] == "float" and not math.isfinite(getattr(config, attr))]
     if non_finite:
         raise ConfigError(f"non-finite value for {', '.join(non_finite)}")
-    if config.preset not in PRESETS:
-        raise ConfigError(f"unknown preset {config.preset!r}; choose from {PRESETS}")
-    if not config.gas_gamma > 1.0:
-        raise ConfigError("gamma must exceed 1")
-    if config.gas_mu_tilde <= 0 or config.gas_kappa_tilde <= 0:
-        raise ConfigError("mu_tilde and kappa_tilde must be positive")
-    if config.h_kind not in ("power-sum", "constant"):
-        raise ConfigError(f"unknown h kind {config.h_kind!r}")
-    if config.h_kind == "constant" and config.h_c <= 0:
-        raise ConfigError("constant h requires c > 0")
-    if config.integrator not in ("explicit", "imex"):
-        raise ConfigError(f"unknown integrator {config.integrator!r}")
     if config.output_every <= 0:
         raise ConfigError("output_every must be positive")
-    if config.t_end < 0:
+    if config.profile_every < 0:
+        raise ConfigError("profile_every must be nonnegative (0: first and last snapshots)")
+    if config.t_end < 0 or config.mms_t_end < 0:
         raise ConfigError("t_end must be nonnegative")
+    output_formats(config)
+    parse_list(config.sweep_values, float)
+    try:
+        make_model(config)
+        make_solver_config(config)
+        check_sample_range((config.validate_v_min, config.validate_v_max),
+                           config.validate_samples)
+        if config.preset == "mms":
+            levels = parse_list(config.mms_levels, int)
+            check_levels(levels)
+            build_grid(config.mms_L, levels[0])
+            default_case(amplitude=config.mms_amplitude)
+        else:
+            make_initial_data(config, build_grid(config.grid_L, config.grid_N,
+                                                 config.grid_ghost_depth))
+    except (ArgumentError, DomainError) as exc:
+        raise ConfigError(str(exc)) from exc
     if config.strict and config.h_kind == "power-sum" and \
             (config.h_ell1 < 1.0 or config.h_ell2 < 1.0):
         warnings.warn(
             "the global-existence regime assumes ell1 >= 1 and ell2 >= 1; "
             f"got ell1={config.h_ell1}, ell2={config.h_ell2}; run proceeds",
             stacklevel=2)
-    # structural invariants delegated to the component constructors
-    SolverConfig(integrator=config.integrator, cfl_advective=config.cfl_advective,
-                 cfl_parabolic=config.cfl_parabolic, newton_tol=config.newton_tol,
-                 newton_max_iter=config.newton_max_iter,
-                 positivity_floor=config.positivity_floor,
-                 max_dt_halvings=config.max_dt_halvings, dt_max=config.dt_max)
     return config
 
 
-def config_from_flat(raw: Dict[str, str], source: str = "<dict>") -> RunConfig:
-    config = RunConfig()
-    for key, value in raw.items():
+def _assign(config: RunConfig, entries, noun: str = "key") -> RunConfig:
+    """Parse each (where, "key = value") entry onto config, then validate it.
+
+    `where` starts every error message about its entry (a file's `path:line: `).
+    """
+    for where, text in entries:
+        key, eq, raw = text.partition("=")
+        key = key.strip()
+        if not eq:
+            raise ConfigError(f"{where}expected 'key = value', got {text!r}")
         if key not in KEYMAP:
-            raise ConfigError(f"{source}: unknown key {key!r}")
-        setattr(config, KEYMAP[key], parse_value(KEYMAP[key], str(value)))
+            raise ConfigError(f"{where}unknown {noun} {key!r}")
+        try:
+            setattr(config, KEYMAP[key], parse_value(KEYMAP[key], raw))
+        except ConfigError as exc:
+            raise ConfigError(f"{where}{exc}") from exc
     return validate_config(config)
+
+
+def config_from_flat(raw: Dict[str, str], source: str = "<dict>") -> RunConfig:
+    return _assign(RunConfig(), ((f"{source}: ", f"{key}={value}")
+                                 for key, value in raw.items()))
 
 
 def load_config(path) -> RunConfig:
     path = Path(path)
-    raw: Dict[str, str] = {}
     try:
         lines = path.read_text().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        if key not in KEYMAP:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            raw[key] = parse_value(KEYMAP[key], value)
-        except ConfigError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-    config = RunConfig()
-    for key, value in raw.items():
-        setattr(config, KEYMAP[key], value)
-    return validate_config(config)
+    entries = ((f"{path}:{lineno}: ", line.split("#", 1)[0].strip())
+               for lineno, line in enumerate(lines, start=1))
+    return _assign(RunConfig(), ((where, text) for where, text in entries if text))
 
 
 def default_config(preset: str = "gauss-pulse") -> RunConfig:
@@ -234,15 +227,7 @@ def default_config(preset: str = "gauss-pulse") -> RunConfig:
 
 def apply_overrides(config: RunConfig, overrides: List[str]) -> RunConfig:
     """Apply `--set key=value` pairs on top of a loaded config."""
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override must be key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        key = key.strip()
-        if key not in KEYMAP:
-            raise ConfigError(f"unknown override key {key!r}")
-        setattr(config, KEYMAP[key], parse_value(KEYMAP[key], value))
-    return validate_config(config)
+    return _assign(config, (("", item) for item in overrides), noun="override key")
 
 
 def config_to_flat(config: RunConfig) -> Dict[str, object]:
@@ -257,8 +242,10 @@ def config_to_flat(config: RunConfig) -> Dict[str, object]:
 def make_model(config: RunConfig) -> GasModel:
     if config.h_kind == "constant":
         h = HProfile.constant(config.h_c)
-    else:
+    elif config.h_kind == "power-sum":
         h = HProfile.power_sum(config.h_ell1, config.h_ell2)
+    else:
+        raise ConfigError(f"unknown h kind {config.h_kind!r}")
     return GasModel(gamma=config.gas_gamma, mu_tilde=config.gas_mu_tilde,
                     kappa_tilde=config.gas_kappa_tilde, alpha=config.gas_alpha, h=h)
 
@@ -273,10 +260,11 @@ def make_solver_config(config: RunConfig) -> SolverConfig:
 
 
 def _check_support(config: RunConfig, offset: float = 0.0):
-    # perturbation must be negligible outside |x| <= L/2
-    w = config.width
+    # perturbation must be negligible outside |x| <= L/2:
+    # amplitude * exp(-reach**2) <= 1e-8, solved for reach so nothing squares it
+    a, w = config.amplitude, config.width
     reach = (config.grid_L / 2.0 - offset) / w
-    if reach <= 0 or config.amplitude * math.exp(-reach ** 2) > 1e-8:
+    if reach <= 0 or (a > 1e-8 and reach < math.sqrt(math.log(a / 1e-8))):
         raise ConfigError(
             f"initial perturbation (amplitude={config.amplitude}, width={w}) "
             f"is not supported inside |x| <= L/2 = {config.grid_L / 2}")
@@ -285,34 +273,36 @@ def _check_support(config: RunConfig, offset: float = 0.0):
 def make_initial_data(config: RunConfig, grid: Grid) -> State:
     """Preset initial data with far-field ghosts; positivity validated."""
     a, w = config.amplitude, config.width
+    if config.preset not in PRESETS:
+        raise ConfigError(f"unknown preset {config.preset!r}; choose from {PRESETS}")
     if a < 0 or (a >= 1.0 and config.preset != "constant"):
         raise ConfigError(f"amplitude must lie in [0, 1), got {a}")
+    if not w > 0:
+        raise ConfigError(f"width must be positive, got {w}")
+    parts = set(parse_list(config.perturb))
+    unknown = parts - {"v", "u", "theta"}
+    if unknown:
+        raise ConfigError(f"unknown perturb fields {sorted(unknown)}")
     state = State.equilibrium(grid)
     if config.preset == "constant" or a == 0.0:
         return state
     x = grid.all_cell_centers()
     xn = grid.all_node_positions()
-    if config.preset in ("gauss-pulse", "alpha-sweep", "gamma-sweep", "mms"):
+    if config.preset == "two-bump":
+        x0 = 2.0 * w
+        _check_support(config, offset=x0)
+        state.v = state.v + a * np.exp(-(((x + x0) / w) ** 2))
+        state.theta = state.theta - 0.6 * a * np.exp(-(((x - x0) / w) ** 2))
+        state.u = state.u + a * (xn / w) * np.exp(-((xn / w) ** 2))
+    else:  # gauss-pulse; the sweeps and mms start from it too
         _check_support(config)
         bump = a * np.exp(-((x / w) ** 2))
-        parts = {p.strip() for p in config.perturb.split(",") if p.strip()}
-        unknown = parts - {"v", "u", "theta"}
-        if unknown:
-            raise ConfigError(f"unknown perturb fields {sorted(unknown)}")
         if "v" in parts:
             state.v = state.v + bump
         if "theta" in parts:
             state.theta = state.theta + bump
         if "u" in parts:
             state.u = state.u + a * (xn / w) * np.exp(-((xn / w) ** 2))
-    elif config.preset == "two-bump":
-        x0 = 2.0 * w
-        _check_support(config, offset=x0)
-        state.v = state.v + a * np.exp(-(((x + x0) / w) ** 2))
-        state.theta = state.theta - 0.6 * a * np.exp(-(((x - x0) / w) ** 2))
-        state.u = state.u + a * (xn / w) * np.exp(-((xn / w) ** 2))
-    else:
-        raise ConfigError(f"preset {config.preset!r} has no initial-data rule")
     apply_farfield(state, grid)
     if np.any(state.v <= 0) or np.any(state.theta <= 0):
         raise ConfigError("initial data violate positivity")
@@ -384,14 +374,14 @@ def run(config: RunConfig, out_dir: Optional[Path] = None) -> RunSummary:
         return _run_mms(config, out_dir)
     if config.preset in ("alpha-sweep", "gamma-sweep"):
         param = "alpha" if config.preset == "alpha-sweep" else "gamma"
-        values = [float(v) for v in config.sweep_values.split(",") if v.strip()]
-        summaries = sweep(config, param, values, out_dir=out_dir)
+        summaries = sweep(config, param, parse_list(config.sweep_values, float),
+                          out_dir=out_dir)
         return summaries[0] if summaries else RunSummary(config_to_flat(config), "ok")
 
     t_start = _time.perf_counter()
     out = out_dir if out_dir is not None else _resolve_out_dir(config)
     out.mkdir(parents=True, exist_ok=True)
-    formats = {f.strip() for f in config.out_formats.split(",") if f.strip()}
+    formats = output_formats(config)
 
     model = make_model(config)
     grid = build_grid(config.grid_L, config.grid_N, config.grid_ghost_depth)
@@ -461,13 +451,13 @@ def _run_mms(config: RunConfig, out_dir: Optional[Path]) -> RunSummary:
     out.mkdir(parents=True, exist_ok=True)
     model = make_model(config)
     case = default_case(amplitude=config.mms_amplitude)
-    levels = [int(n) for n in config.mms_levels.split(",") if n.strip()]
-    report = convergence_study(case, model, levels, config.mms_t_end,
-                               L=config.mms_L, config=make_solver_config(config))
+    report = convergence_study(case, model, parse_list(config.mms_levels, int),
+                               config.mms_t_end, L=config.mms_L,
+                               config=make_solver_config(config))
     summary = RunSummary(config=config_to_flat(config), exit_status="ok",
                          order_report=report.to_dict(),
                          wall_time=_time.perf_counter() - t_start)
-    if "json" in config.out_formats:
+    if "json" in output_formats(config):
         _json_dump(summary.to_dict(), out / "summary.json")
     return summary
 

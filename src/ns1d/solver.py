@@ -46,10 +46,18 @@ class SolverConfig:
     dt_max: float = 0.0                   # 0 disables the cap
 
     def __post_init__(self):
+        if self.integrator not in ("explicit", "imex"):
+            raise ArgumentError(f"unknown integrator {self.integrator!r}")
         if not (0.0 < self.cfl_advective <= 1.0 and 0.0 < self.cfl_parabolic <= 1.0):
             raise ArgumentError("CFL factors must lie in (0, 1]")
         if self.newton_tol <= 0:
             raise ArgumentError("newton_tol must be positive")
+        if self.newton_max_iter < 1:
+            raise ArgumentError("newton_max_iter must be at least 1")
+        if self.max_dt_halvings < 0:
+            raise ArgumentError("max_dt_halvings must be nonnegative")
+        if self.dt_max < 0:
+            raise ArgumentError("dt_max must be nonnegative (0 disables the cap)")
         if not (0.0 < self.positivity_floor < 1.0):
             raise ArgumentError("positivity_floor must lie in (0, 1)")
 

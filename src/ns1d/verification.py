@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -15,7 +15,7 @@ from .solver import SolverConfig, advance
 
 __all__ = [
     "ManufacturedCase", "OrderReport", "default_case", "mms_sources",
-    "make_source_fn", "exact_state", "convergence_study",
+    "make_source_fn", "exact_state", "check_levels", "convergence_study",
     "fine_grid_reference", "restrict_cells", "restrict_nodes",
 ]
 
@@ -159,6 +159,15 @@ def _fit_orders(errors: List[float]) -> List:
     return out
 
 
+def check_levels(levels: List[int]):
+    """A convergence study needs at least 3 levels, each double the last."""
+    if len(levels) < 3:
+        raise ArgumentError("convergence_study needs at least 3 levels")
+    for n0, n1 in zip(levels, levels[1:]):
+        if n1 != 2 * n0:
+            raise ArgumentError("levels must double")
+
+
 def convergence_study(case: ManufacturedCase, model: GasModel, levels: List[int],
                       t_end: float, L: float = 12.0,
                       config: Optional[SolverConfig] = None) -> OrderReport:
@@ -167,11 +176,7 @@ def convergence_study(case: ManufacturedCase, model: GasModel, levels: List[int]
     dt is tied to dx^2 for the explicit integrator (through the parabolic CFL)
     and to dx for IMEX, so a single error order dominates.
     """
-    if len(levels) < 3:
-        raise ArgumentError("convergence_study needs at least 3 levels")
-    for n0, n1 in zip(levels, levels[1:]):
-        if n1 != 2 * n0:
-            raise ArgumentError("levels must double")
+    check_levels(levels)
     config = config or SolverConfig()
     errors_l2 = {"v": [], "u": [], "theta": []}
     errors_linf = {"v": [], "u": [], "theta": []}
@@ -223,12 +228,7 @@ def fine_grid_reference(init_fn, grid: Grid, model: GasModel, config: SolverConf
         raise ArgumentError("refinement must be at least 4")
     fine_grid = build_grid(grid.L, grid.N * refinement, grid.ghost_depth)
     state = init_fn(fine_grid)
-    ref_config = SolverConfig(
-        integrator="explicit", cfl_advective=config.cfl_advective,
-        cfl_parabolic=config.cfl_parabolic, newton_tol=config.newton_tol,
-        newton_max_iter=config.newton_max_iter,
-        positivity_floor=config.positivity_floor,
-        max_dt_halvings=config.max_dt_halvings)
+    ref_config = replace(config, integrator="explicit", dt_max=0.0)
     ci, ni = fine_grid.cell_interior, fine_grid.node_interior
     trajectory = []
 

@@ -1,8 +1,12 @@
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from ns1d.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from ns1d.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
+from ns1d.harness import PRESETS
 
 
 @pytest.fixture(autouse=True)
@@ -88,3 +92,102 @@ def test_positivity_exhaustion_exit_code(capsys):
             "--set", "solver.max_dt_halvings=2"]
     assert main(argv + FAST) == EXIT_NUMERICAL
     assert "dt halvings" in capsys.readouterr().err
+
+
+MMS_FAST = ["--set", "mms.levels=16,32,64", "--set", "mms.t_end=0.05"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--set", "solver.cfl_advective=2"],
+    ["run", "--set", "solver.newton_tol=0"],
+    ["run", "--set", "solver.positivity_floor=2"],
+    ["run", "--set", "solver.max_dt_halvings=-1"],
+    ["run", "--set", "solver.integrator=imex", "--set", "solver.newton_max_iter=0"],
+    ["run", "--set", "solver.dt_max=-1"],
+    ["run", "--set", "output.profile_every=-1"],
+    ["run", "--set", "grid.N=4"],
+    ["run", "--set", "grid.L=-3"],
+    ["run", "--set", "grid.ghost_depth=1"],
+    ["run", "--set", "grid.L=1e200"],
+    ["run", "--set", "init.width=0"],
+    ["run", "--set", "gas.h.ell1=-1"],
+    ["validate-h", "--set", "gas.h.ell1=-1"],
+    ["validate-h", "--set", "validate.v_min=-1"],
+    ["mms", "--set", "mms.levels=16,20,40"],
+    ["mms", "--set", "mms.levels=16,32"],
+    ["mms", "--set", "mms.levels=a,b"],
+    ["mms", "--set", "mms.amplitude=1.5"],
+    ["mms", "--set", "mms.t_end=-1"],
+    ["mms", "--set", "output.formats=jsonx"],
+    ["run", "--set", "output.formats=xml"],
+    ["run", "--set", "preset=alpha-sweep", "--set", "sweep.values=x"],
+    ["sweep", "--param", "alpha", "--values=a"],
+], ids=lambda argv: " ".join(argv))
+def test_refused_input_exits_2(argv, capsys):
+    command, rest = argv[0], argv[1:]
+    fast = {"run": FAST, "sweep": FAST, "mms": MMS_FAST}.get(command, [])
+    assert main([command] + fast + rest) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+
+
+def _floats(*usable):
+    return st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, *usable])
+
+
+# Every flat key with usable, refused and non-finite values, kept cheap:
+# grid.N and the MMS levels stay <= 64, and t_end <= 0.05.
+CHEAP = ["--set", "grid.N=64", "--set", "time.t_end=0.05",
+         "--set", "time.output_every=0.05"] + MMS_FAST
+OVERRIDES = {
+    "preset": st.sampled_from(PRESETS + ("vortex",)),
+    "strict": st.sampled_from(["true", "false"]),
+    "grid.L": _floats(8.0, 16.0, 1e200),
+    "grid.N": st.sampled_from([-1, 0, 4, 8, 32, 64]),
+    "grid.ghost_depth": st.sampled_from([-1, 0, 1, 2, 3]),
+    "gas.gamma": _floats(1.0, 1.4, 3.0),
+    "gas.mu_tilde": _floats(0.5, 4.0),
+    "gas.kappa_tilde": _floats(0.5, 4.0),
+    "gas.alpha": _floats(-0.5, 0.1, 1.0),
+    "gas.h.kind": st.sampled_from(["power-sum", "constant", "custom"]),
+    "gas.h.ell1": _floats(0.5, 2.0),
+    "gas.h.ell2": _floats(0.5, 2.0),
+    "gas.h.c": _floats(0.5, 2.0),
+    "solver.integrator": st.sampled_from(["explicit", "imex", "rk4"]),
+    "solver.cfl_advective": _floats(0.4, 1.0, 2.0),
+    "solver.cfl_parabolic": _floats(0.4, 1.0, 2.0),
+    "solver.newton_tol": _floats(1e-10, 1.0),
+    "solver.newton_max_iter": st.sampled_from([-1, 0, 1, 25]),
+    "solver.positivity_floor": _floats(1e-8, 0.9, 2.0),
+    "solver.max_dt_halvings": st.sampled_from([-1, 0, 2, 20]),
+    "solver.dt_max": _floats(0.01),
+    "time.t_end": _floats(0.01, 0.05),
+    "time.output_every": _floats(0.01, 0.05, 1.0),
+    "init.amplitude": _floats(0.3, 0.99, 1.5),
+    "init.width": _floats(0.5, 1e-200, 100.0),
+    "init.perturb": st.sampled_from(["v,theta", "u", "v,u,theta", "", "rho"]),
+    "mms.levels": st.sampled_from(["16,32,64", "8,16,32", "16,20,40", "16,32",
+                                   "a,b", "", "0,0,0"]),
+    "mms.t_end": _floats(0.01, 0.05),
+    "mms.L": _floats(6.0, 12.0),
+    "mms.amplitude": _floats(0.1, 0.5, 1.5),
+    "sweep.param": st.sampled_from(["alpha", "bogus"]),
+    "sweep.values": st.sampled_from(["", "x", "0,0.1", "nan"]),
+    "validate.v_min": _floats(0.01, 200.0),
+    "validate.v_max": _floats(100.0),
+    "validate.samples": st.sampled_from([-1, 0, 1, 2, 100]),
+    "output.formats": st.sampled_from(["csv,json", "json", "csv", "", "xml", "jsonx"]),
+    "output.profile_every": _floats(0.01),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["run", "mms"]),
+       overrides=st.lists(st.sampled_from(sorted(OVERRIDES)), max_size=4, unique=True)
+       .flatmap(lambda keys: st.fixed_dictionaries({k: OVERRIDES[k] for k in keys})))
+def test_any_overrides_exit_with_a_documented_code(command, overrides):
+    argv = [command] + CHEAP
+    for key, value in overrides.items():
+        argv += ["--set", f"{key}={value}"]
+    assert main(argv) in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_IO)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ns1d.grid import build_grid
 from ns1d.harness import (
     KEYMAP,
     RunConfig,
+    _check_support,
     apply_overrides,
     config_from_flat,
     config_to_flat,
@@ -97,6 +99,10 @@ class TestValidation:
         config_from_flat({"gas.h.ell1": "0.5", "strict": "false"})
         assert len(recwarn) == 0
 
+    def test_unknown_h_kind(self):
+        with pytest.raises(ConfigError, match="unknown h kind"):
+            config_from_flat({"gas.h.kind": "custom"})
+
     def test_unknown_integrator(self):
         with pytest.raises(ConfigError, match="unknown integrator"):
             config_from_flat({"solver.integrator": "rk4"})
@@ -168,6 +174,28 @@ class TestInitialData:
         # wide bump on a short domain leaks past |x| = L/2
         with pytest.raises(ConfigError, match="not supported"):
             make_initial_data(fast_config(grid_L=4.0, width=2.0), build_grid(4.0, 64))
+
+    def test_support_check_matches_its_squared_form(self):
+        # the rule is amplitude * exp(-reach**2) <= 1e-8; wherever reach**2
+        # does not overflow, the overflow-free form must decide the same
+        rng = np.random.default_rng(7)
+        for _ in range(3000):
+            cfg = fast_config(amplitude=float(rng.choice([rng.uniform(0, 1),
+                                                          10 ** rng.uniform(-12, 0)])),
+                              width=float(10 ** rng.uniform(-2, 1)),
+                              grid_L=float(rng.uniform(0.1, 40.0)))
+            offset = float(rng.choice([0.0, 2.0 * cfg.width]))
+            reach = (cfg.grid_L / 2.0 - offset) / cfg.width
+            refused = reach <= 0 or cfg.amplitude * math.exp(-reach ** 2) > 1e-8
+            try:
+                _check_support(cfg, offset)
+            except ConfigError:
+                assert refused
+            else:
+                assert not refused
+
+    def test_support_check_narrow_width_does_not_overflow(self):
+        _check_support(fast_config(width=1e-200))
 
     def test_make_model_kinds(self):
         m = make_model(fast_config(h_kind="constant", h_c=2.0, gas_alpha=0.5))

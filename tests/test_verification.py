@@ -210,6 +210,15 @@ class TestFineReference:
         assert np.array_equal(u, coarse.u[g.node_interior])
         assert np.allclose(v, coarse.v[g.cell_interior], rtol=0, atol=1e-2)
 
+    def test_reference_is_explicit_without_dt_cap(self):
+        g = build_grid(8.0, 32)
+        tuned = dict(cfl_advective=0.3, cfl_parabolic=0.2)
+        ref = fine_grid_reference(self.init, g, MODEL, SolverConfig(**tuned), 0.01)
+        imex = fine_grid_reference(self.init, g, MODEL,
+                                   SolverConfig(integrator="imex", dt_max=1e-4, **tuned), 0.01)
+        for a, b in zip(ref, imex):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
     def test_refinement_floor(self):
         g = build_grid(8.0, 32)
         with pytest.raises(ArgumentError):
