@@ -38,7 +38,7 @@ __all__ = [
     "make_model", "make_initial_data", "run", "sweep", "validate_h_config",
 ]
 
-PRESETS = ("constant", "gauss-pulse", "two-bump", "mms", "alpha-sweep", "gamma-sweep")
+PRESETS = ("constant", "gauss-pulse", "two-bump", "mms")
 OUTPUT_FORMATS = ("csv", "json")
 
 
@@ -85,9 +85,6 @@ class RunConfig:
     mms_t_end: float = _key("mms.t_end", 0.25)
     mms_L: float = _key("mms.L", 12.0)
     mms_amplitude: float = _key("mms.amplitude", 0.1)
-    # sweep
-    sweep_param: str = _key("sweep.param", "alpha")
-    sweep_values: str = _key("sweep.values", "-0.1,-0.05,0,0.05,0.1")
     # h validation range
     validate_v_min: float = _key("validate.v_min", 0.01)
     validate_v_max: float = _key("validate.v_max", 100.0)
@@ -123,8 +120,11 @@ def parse_value(attr: str, raw: str):
 
 
 def parse_list(raw: str, kind=str) -> list:
-    """Items of a comma list, stripped, empty ones dropped, each made by kind."""
+    """Items of a comma list, stripped, empty ones dropped, each made by kind;
+    a list with no item is refused."""
     items = [item.strip() for item in raw.split(",") if item.strip()]
+    if not items:
+        raise ConfigError(f"expected a comma list of {kind.__name__}, got {raw!r}")
     try:
         return [kind(item) for item in items]
     except ValueError as exc:
@@ -158,7 +158,6 @@ def validate_config(config: RunConfig) -> RunConfig:
     if config.t_end < 0 or config.mms_t_end < 0:
         raise ConfigError("t_end must be nonnegative")
     output_formats(config)
-    parse_list(config.sweep_values, float)
     try:
         make_model(config)
         make_solver_config(config)
@@ -277,8 +276,6 @@ def make_initial_data(config: RunConfig, grid: Grid) -> State:
         raise ConfigError(f"unknown preset {config.preset!r}; choose from {PRESETS}")
     if a < 0 or (a >= 1.0 and config.preset != "constant"):
         raise ConfigError(f"amplitude must lie in [0, 1), got {a}")
-    if not w > 0:
-        raise ConfigError(f"width must be positive, got {w}")
     parts = set(parse_list(config.perturb))
     unknown = parts - {"v", "u", "theta"}
     if unknown:
@@ -286,6 +283,8 @@ def make_initial_data(config: RunConfig, grid: Grid) -> State:
     state = State.equilibrium(grid)
     if config.preset == "constant" or a == 0.0:
         return state
+    if not w >= grid.dx:
+        raise ConfigError(f"width must be at least one cell (dx = {grid.dx:g}), got {w}")
     x = grid.all_cell_centers()
     xn = grid.all_node_positions()
     if config.preset == "two-bump":
@@ -294,7 +293,7 @@ def make_initial_data(config: RunConfig, grid: Grid) -> State:
         state.v = state.v + a * np.exp(-(((x + x0) / w) ** 2))
         state.theta = state.theta - 0.6 * a * np.exp(-(((x - x0) / w) ** 2))
         state.u = state.u + a * (xn / w) * np.exp(-((xn / w) ** 2))
-    else:  # gauss-pulse; the sweeps and mms start from it too
+    else:  # gauss-pulse
         _check_support(config)
         bump = a * np.exp(-((x / w) ** 2))
         if "v" in parts:
@@ -372,11 +371,6 @@ def run(config: RunConfig, out_dir: Optional[Path] = None) -> RunSummary:
     """Execute one configured experiment and emit its outputs."""
     if config.preset == "mms":
         return _run_mms(config, out_dir)
-    if config.preset in ("alpha-sweep", "gamma-sweep"):
-        param = "alpha" if config.preset == "alpha-sweep" else "gamma"
-        summaries = sweep(config, param, parse_list(config.sweep_values, float),
-                          out_dir=out_dir)
-        return summaries[0] if summaries else RunSummary(config_to_flat(config), "ok")
 
     t_start = _time.perf_counter()
     out = out_dir if out_dir is not None else _resolve_out_dir(config)
@@ -473,8 +467,6 @@ def sweep(base_config: RunConfig, parameter: str, values: List[float],
     summaries = []
     for value in values:
         config = dataclasses.replace(base_config, **{attr: value})
-        if config.preset in ("alpha-sweep", "gamma-sweep"):
-            config.preset = "gauss-pulse"
         sub = root / f"{parameter}_{value:g}"
         try:
             config = validate_config(config)

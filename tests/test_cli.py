@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import ns1d.solver
 from ns1d.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from ns1d.harness import PRESETS
 
@@ -122,6 +123,13 @@ MMS_FAST = ["--set", "mms.levels=16,32,64", "--set", "mms.t_end=0.05"]
     ["run", "--set", "output.formats=xml"],
     ["run", "--set", "preset=alpha-sweep", "--set", "sweep.values=x"],
     ["sweep", "--param", "alpha", "--values=a"],
+    ["run", "--set", "output.formats="],
+    ["sweep", "--param", "alpha", "--values="],
+    ["run", "--set", "init.width=1e-200"],
+    ["run", "--set", "preset=alpha-sweep"],
+    ["run", "--set", "preset=gamma-sweep"],
+    ["run", "--set", "sweep.param=alpha"],
+    ["run", "--set", "sweep.values=0.1"],
 ], ids=lambda argv: " ".join(argv))
 def test_refused_input_exits_2(argv, capsys):
     command, rest = argv[0], argv[1:]
@@ -129,6 +137,24 @@ def test_refused_input_exits_2(argv, capsys):
     assert main([command] + fast + rest) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Traceback" not in err
+
+
+def test_tiny_t_end_takes_a_step(capsys):
+    assert main(["run"] + FAST + ["--set", "time.t_end=1e-300"]) == EXIT_OK
+    assert "status=ok steps=1" in capsys.readouterr().out
+
+
+def test_tiny_mms_t_end_takes_a_step(monkeypatch, capsys):
+    real, steps = ns1d.solver.step_explicit, []
+
+    def counted(*args):
+        steps.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(ns1d.solver, "step_explicit", counted)
+    assert main(["mms"] + MMS_FAST + ["--set", "mms.t_end=1e-300"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["t_end"] == 1e-300
+    assert len(steps) == 3                  # one step per level
 
 
 def _floats(*usable):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from ns1d.harness import (
     load_config,
     make_initial_data,
     make_model,
+    parse_list,
     parse_value,
     run,
     sweep,
@@ -50,6 +52,12 @@ class TestParsing:
             parse_value("grid_N", "12.5")
         with pytest.raises(ConfigError):
             parse_value("strict", "maybe")
+
+    def test_empty_list_refused(self):
+        assert parse_list(" 1, ,2", int) == [1, 2]
+        for raw in ("", " , "):
+            with pytest.raises(ConfigError, match="comma list"):
+                parse_list(raw)
 
     def test_minimal_file(self, tmp_path):
         cfg = load_config(write_config(tmp_path, "preset = constant\n"))
@@ -193,6 +201,13 @@ class TestInitialData:
                 assert refused
             else:
                 assert not refused
+
+    def test_width_below_one_cell_refused_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="one cell"):
+                make_initial_data(fast_config(width=1e-200), self.g)
+            make_initial_data(fast_config(width=self.g.dx), self.g)
 
     def test_support_check_narrow_width_does_not_overflow(self):
         _check_support(fast_config(width=1e-200))

@@ -7,12 +7,13 @@ import pytest
 import ns1d.solver
 from ns1d.constitutive import GasModel, HProfile
 from ns1d.diagnostics import DiagnosticsCollector, dissipation_rate
-from ns1d.errors import PositivityError
+from ns1d.errors import NewtonDivergenceError, PositivityError
 from ns1d.grid import State, apply_farfield, build_grid
 from ns1d.solver import (
     SolverConfig,
     advance,
     backward_euler_theta,
+    backward_euler_velocity,
     rhs,
     stable_dt,
     step_explicit,
@@ -184,7 +185,64 @@ class TestImexStep:
         assert stats.rejected_substeps == 0
 
 
+class TestBackwardEulerVelocity:
+    """The velocity system is linear in u: one tridiagonal solve, no loop."""
+
+    MODEL = GasModel(5 / 3, alpha=0.2, h=HProfile.power_sum(1, 1))
+
+    def setup_method(self):
+        self.g = build_grid(8.0, 64)
+        self.s = gauss_state(self.g, with_u=True)
+        self.dt = 50.0 * stable_dt(self.s, self.MODEL, self.g, CFG)
+
+    def solve(self, cfg=CFG):
+        s = self.s
+        return backward_euler_velocity(s.u, s.v, s.theta, self.MODEL, self.g, cfg, self.dt)
+
+    def test_one_solve_one_iteration(self, monkeypatch):
+        real, calls = ns1d.solver.solve_banded, []
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(ns1d.solver, "solve_banded", counted)
+        u, iters, residual = self.solve()
+        assert iters == 1 and len(calls) == 1
+        assert residual <= 1e-12
+        assert np.array_equal(u[:self.g.ghost_depth], self.s.u[:self.g.ghost_depth])
+        assert np.array_equal(u[-self.g.ghost_depth:], self.s.u[-self.g.ghost_depth:])
+
+    def test_matches_one_newton_correction_from_u_exp(self):
+        # reference: one Newton correction from u_exp, by a dense solve
+        g, s, dt = self.g, self.s, self.dt
+        mu, _ = ns1d.solver.transport(self.MODEL, s.v, s.theta)
+        a = mu / s.v
+        lo, hi = g.ghost_depth, g.ghost_depth + g.N + 1
+        r = dt / g.dx ** 2
+        jac = (np.diag(1.0 + r * (a[lo:hi] + a[lo - 1:hi - 1]))
+               - np.diag(r * a[lo:hi - 1], 1) - np.diag(r * a[lo:hi - 1], -1))
+        flux_div = g.node_diff(a * g.cell_diff(s.u))
+        want = s.u.copy()
+        want[lo:hi] += np.linalg.solve(jac, dt * flux_div[lo:hi])
+        got, _, _ = self.solve()
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_residual_above_tol_raises(self):
+        with pytest.raises(NewtonDivergenceError, match="residual"):
+            self.solve(dataclasses.replace(CFG, newton_tol=1e-300))
+
+
 class TestAdvance:
+    def test_tiny_interval_takes_a_step(self):
+        g = build_grid(2.0, 32)
+        m = GasModel(5 / 3)
+        for t0, t_end in ((0.0, 1e-300), (0.0, 1e-13), (1.0, 1.0 + 1e-13)):
+            s0 = gauss_state(g, a=0.1)
+            s0.t = t0
+            s, stats = advance(s0, m, g, CFG, t_end)
+            assert stats.steps == 1 and s.t == t_end
+
     def test_zero_interval(self):
         g = build_grid(2.0, 32)
         m = GasModel(5 / 3)
