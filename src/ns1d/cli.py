@@ -1,6 +1,8 @@
 """Command-line entry point: ns1d {run, sweep, mms, validate-h}.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
+A sweep checks every value before its first run (a refused one exits 2 and
+nothing runs) and exits 3 if any of its runs failed.
 """
 
 from __future__ import annotations
@@ -10,8 +12,8 @@ import json
 import sys
 
 from .errors import ConfigError, NewtonDivergenceError, PositivityError
-from .harness import (apply_overrides, default_config, load_config, parse_list, run,
-                      sweep, validate_h_config)
+from .harness import (apply_overrides, check_sweep, default_config, load_config,
+                      parse_list, run, sweep, validate_h_config)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -71,10 +73,12 @@ def main(argv=None) -> int:
             print(f"run finished: status={summary.exit_status} steps={summary.steps}")
             return EXIT_OK if summary.exit_status == "ok" else EXIT_NUMERICAL
         if args.command == "sweep":
-            summaries = sweep(config, args.param, parse_list(args.values, float))
+            values = parse_list(args.values, float)
+            check_sweep(config, args.param, values)   # every value, before any run
+            summaries = sweep(config, args.param, values)
             bad = [s for s in summaries if s.exit_status != "ok"]
             print(f"sweep finished: {len(summaries) - len(bad)}/{len(summaries)} runs ok")
-            return EXIT_OK
+            return EXIT_NUMERICAL if bad else EXIT_OK
         if args.command == "mms":
             summary = run(config)
             print(json.dumps(summary.order_report, sort_keys=True, indent=2))

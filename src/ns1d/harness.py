@@ -35,7 +35,7 @@ __all__ = [
     "RunConfig", "RunSummary", "PRESETS", "load_config", "parse_value",
     "apply_overrides", "config_to_flat", "config_from_flat", "default_config",
     "parse_list", "output_formats",
-    "make_model", "make_initial_data", "run", "sweep", "validate_h_config",
+    "make_model", "make_initial_data", "run", "check_sweep", "sweep", "validate_h_config",
 ]
 
 PRESETS = ("constant", "gauss-pulse", "two-bump", "mms")
@@ -151,8 +151,9 @@ def validate_config(config: RunConfig) -> RunConfig:
                   if _FIELD_TYPES[attr] == "float" and not math.isfinite(getattr(config, attr))]
     if non_finite:
         raise ConfigError(f"non-finite value for {', '.join(non_finite)}")
-    if config.output_every <= 0:
-        raise ConfigError("output_every must be positive")
+    if config.output_every <= 0 or config.output_every < 1e-12 * config.t_end:
+        raise ConfigError(f"output_every must be positive and at least the landing "
+                          f"tolerance 1e-12 * t_end, got {config.output_every}")
     if config.profile_every < 0:
         raise ConfigError("profile_every must be nonnegative (0: first and last snapshots)")
     if config.t_end < 0 or config.mms_t_end < 0:
@@ -350,12 +351,13 @@ def _write_timeseries(records: List[DiagnosticsRecord], path: Path):
 def _write_profile(state: State, grid: Grid, path: Path):
     ci = grid.cell_interior
     u_cells = 0.5 * (state.u[:-1] + state.u[1:])
+    # plain Python floats, which csv writes as their shortest round-trip repr
+    columns = [c.tolist() for c in (grid.cell_centers, state.v[ci],
+                                    u_cells[ci], state.theta[ci])]
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "x", "v", "u", "theta"])
-        for x, v, u, th in zip(grid.cell_centers, state.v[ci],
-                               u_cells[ci], state.theta[ci]):
-            writer.writerow([repr(state.t), repr(x), repr(v), repr(u), repr(th)])
+        writer.writerows([state.t, *row] for row in zip(*columns))
 
 
 def _resolve_out_dir(config: RunConfig) -> Path:
@@ -456,12 +458,27 @@ def _run_mms(config: RunConfig, out_dir: Optional[Path]) -> RunSummary:
     return summary
 
 
-def sweep(base_config: RunConfig, parameter: str, values: List[float],
-          out_dir: Optional[Path] = None) -> List[RunSummary]:
-    """Independent runs over one parameter; per-value failures do not abort."""
+def _sweep_attr(parameter: str) -> str:
     attr = {"alpha": "gas_alpha", "gamma": "gas_gamma", "amplitude": "amplitude"}.get(parameter)
     if attr is None:
         raise ConfigError(f"sweep parameter must be alpha, gamma, or amplitude, got {parameter!r}")
+    return attr
+
+
+def check_sweep(base_config: RunConfig, parameter: str, values: List[float]):
+    """Refuse, with a ConfigError naming it, the first value a sweep run could not use."""
+    attr = _sweep_attr(parameter)
+    for value in values:
+        try:
+            validate_config(dataclasses.replace(base_config, **{attr: value}))
+        except ConfigError as exc:
+            raise ConfigError(f"{parameter}={value:g}: {exc}") from exc
+
+
+def sweep(base_config: RunConfig, parameter: str, values: List[float],
+          out_dir: Optional[Path] = None) -> List[RunSummary]:
+    """Independent runs over one parameter; per-value failures do not abort."""
+    attr = _sweep_attr(parameter)
     root = out_dir if out_dir is not None else _resolve_out_dir(base_config)
     root.mkdir(parents=True, exist_ok=True)
     summaries = []

@@ -21,8 +21,11 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .constitutive import GasModel, transport, transport_derivatives
-from .errors import ArgumentError, NewtonDivergenceError, PositivityError, PositivityExhaustedError
+from .constitutive import GasModel, _theta_pow, transport
+# not called here: perfbench/tracer.py patches it in this namespace by name
+from .constitutive import transport_derivatives  # noqa: F401
+from .errors import (ArgumentError, DomainError, NewtonDivergenceError, PositivityError,
+                     PositivityExhaustedError)
 from .grid import Grid, State, apply_farfield
 
 __all__ = [
@@ -253,19 +256,25 @@ def backward_euler_theta(theta_exp: np.ndarray, v: np.ndarray, model: GasModel,
     """Solve cv*(theta - theta_exp) = dt*cell_diff(face(kappa(v,theta)/v)*node_diff(theta)).
 
     Nonlinear when alpha != 0; Newton with an analytic tridiagonal Jacobian
-    re-linearized through the kappa_theta derivative each iteration.
+    re-linearized each iteration.  v is fixed through the solve, so h(v) is
+    evaluated once: each pass forms kappa = (kappa_tilde*h(v))*theta^alpha and
+    d(kappa/v)/dtheta = alpha*kappa/theta/v, the arithmetic of transport and
+    transport_derivatives, so the iterates are bitwise theirs.
     """
+    if not np.all(v > 0):
+        raise DomainError(f"v must be positive, got min {v.min()}")
     g = grid.ghost_depth
     lo, hi = g, g + grid.N                  # interior cell unknowns [lo, hi)
-    cv = model.cv
+    cv, alpha = model.cv, model.alpha
+    kh = model.kappa_tilde * model.h(v)     # kappa / theta^alpha, fixed with v
     theta = theta_exp.copy()
     dx = grid.dx
     iters = 0
     max_res = math.inf
     for iters in range(1, config.newton_max_iter + 1):
-        if np.any(theta <= 0):
+        if not np.all(theta > 0):
             raise PositivityError("theta went nonpositive inside Newton iteration")
-        _, kappa = transport(model, v, theta)
+        kappa = kh * _theta_pow(theta, alpha)
         b = kappa / v                       # cell conductivity
         b_face = grid.face_average(b)
         grad = grid.node_diff(theta)
@@ -274,8 +283,7 @@ def backward_euler_theta(theta_exp: np.ndarray, v: np.ndarray, model: GasModel,
         max_res = float(np.max(np.abs(res)))
         if max_res <= config.newton_tol:
             return theta, iters, max_res
-        _, _, _, dk_dth = transport_derivatives(model, v, theta)
-        db = dk_dth / v                     # d(kappa/v)/dtheta at cells
+        db = alpha * kappa / theta / v      # d(kappa/v)/dtheta at cells
         # flux at node j: 0.5*(b_{j-1}+b_j)*(th_j - th_{j-1})/dx
         # dflux_j/dth_j   =  b_face_j/dx + 0.5*db_j*grad_j
         # dflux_j/dth_{j-1} = -b_face_j/dx + 0.5*db_{j-1}*grad_j
@@ -328,6 +336,18 @@ def step_imex(state: State, model: GasModel, grid: Grid, config: SolverConfig,
     return _with_halving(attempt, s0.t, config, dt)
 
 
+def _landing_times(t0: float, t_end: float, output_every: Optional[float], eps: float):
+    """The exact landing times t0 + k*output_every short of t_end - eps, then
+    t_end, made one at a time so that no schedule is held in memory."""
+    if output_every is not None and output_every > 0:
+        k = 1
+        while t0 + k * output_every < t_end - eps:
+            yield t0 + k * output_every
+            k += 1
+    if t_end > t0:
+        yield t_end
+
+
 def advance(state: State, model: GasModel, grid: Grid, config: SolverConfig,
             t_end: float, observer=None, output_every: Optional[float] = None,
             on_step=None, sources: Sources = None):
@@ -349,19 +369,9 @@ def advance(state: State, model: GasModel, grid: Grid, config: SolverConfig,
     t0 = state.t
     eps = 1e-12 * max(abs(t0), abs(t_end))  # landing tolerance, relative to the times
 
-    # schedule of exact landing times
-    targets = []
-    if output_every is not None and output_every > 0:
-        k = 1
-        while t0 + k * output_every < t_end - eps:
-            targets.append(t0 + k * output_every)
-            k += 1
-    if t_end > t0:
-        targets.append(t_end)
-
     if observer is not None:
         observer(state.copy())
-    for target in targets:
+    for target in _landing_times(t0, t_end, output_every, eps):
         while True:  # at least one step per landing time, so none is swallowed
             dt = min(dt_fn(state, model, grid, config), target - state.t)
             state, sstats = step(state, model, grid, config, dt, sources)

@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import math
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -130,6 +133,7 @@ MMS_FAST = ["--set", "mms.levels=16,32,64", "--set", "mms.t_end=0.05"]
     ["run", "--set", "preset=gamma-sweep"],
     ["run", "--set", "sweep.param=alpha"],
     ["run", "--set", "sweep.values=0.1"],
+    ["run", "--set", "time.output_every=1e-300"],
 ], ids=lambda argv: " ".join(argv))
 def test_refused_input_exits_2(argv, capsys):
     command, rest = argv[0], argv[1:]
@@ -137,6 +141,22 @@ def test_refused_input_exits_2(argv, capsys):
     assert main([command] + fast + rest) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Traceback" not in err
+
+
+def test_sweep_checks_every_value_before_any_run(out_dir, capsys):
+    argv = ["sweep", "--param", "gamma", "--values=1.4,1.0"] + FAST
+    assert main(argv) == EXIT_CONFIG
+    assert "gamma=1: gamma must exceed 1" in capsys.readouterr().err
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+def test_sweep_with_a_failed_run_exits_3(out_dir, capsys):
+    argv = ["sweep", "--preset", "two-bump", "--param", "amplitude", "--values=0,0.3",
+            "--set", "solver.positivity_floor=0.9", "--set", "solver.max_dt_halvings=2"]
+    assert main(argv + FAST) == EXIT_NUMERICAL
+    assert "1/2 runs ok" in capsys.readouterr().out
+    summaries = json.loads((out_dir / "sweep_summary.json").read_text())
+    assert [s["exit_status"] for s in summaries] == ["ok", "error"]
 
 
 def test_tiny_t_end_takes_a_step(capsys):
@@ -216,4 +236,11 @@ def test_any_overrides_exit_with_a_documented_code(command, overrides):
     argv = [command] + CHEAP
     for key, value in overrides.items():
         argv += ["--set", f"{key}={value}"]
-    assert main(argv) in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_IO)
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_IO)
+    # a run over a positive horizon that exits 0 took at least one step
+    if command == "run" and code == EXIT_OK and float(overrides.get("time.t_end", 0.05)) > 0:
+        steps = re.search(r"steps=(\d+)", printed.getvalue())
+        assert steps and int(steps.group(1)) > 0, printed.getvalue()

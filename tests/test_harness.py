@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -12,6 +13,7 @@ from ns1d.harness import (
     KEYMAP,
     RunConfig,
     _check_support,
+    _write_profile,
     apply_overrides,
     config_from_flat,
     config_to_flat,
@@ -231,6 +233,22 @@ class TestRun:
         assert data["exit_status"] == "ok"
         assert "wall_time" not in data
         assert data["steps"] > 0
+
+    def test_profile_cells_round_trip_bitwise(self, tmp_path):
+        grid = build_grid(16.0, 64)
+        state = make_initial_data(fast_config(perturb="v,u,theta"), grid)
+        state.t = 0.1 + 0.2                 # not its own shortest decimal
+        _write_profile(state, grid, tmp_path / "p.csv")
+        with (tmp_path / "p.csv").open(newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["t", "x", "v", "u", "theta"]
+        t, x, v, u, theta = np.array([[float(cell) for cell in row] for row in rows]).T
+        ci = grid.cell_interior
+        assert t.tobytes() == np.full(grid.N, state.t).tobytes()
+        assert x.tobytes() == grid.cell_centers.tobytes()
+        assert v.tobytes() == state.v[ci].tobytes()
+        assert u.tobytes() == (0.5 * (state.u[:-1] + state.u[1:]))[ci].tobytes()
+        assert theta.tobytes() == state.theta[ci].tobytes()
 
     def test_timeseries_row_count(self, tmp_path):
         run(fast_config(t_end=0.5, output_every=0.1), out_dir=tmp_path)

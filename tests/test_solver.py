@@ -1,19 +1,22 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import ns1d.solver
-from ns1d.constitutive import GasModel, HProfile
+from ns1d.constitutive import GasModel, HProfile, transport, transport_derivatives
 from ns1d.diagnostics import DiagnosticsCollector, dissipation_rate
-from ns1d.errors import NewtonDivergenceError, PositivityError
+from ns1d.errors import DomainError, NewtonDivergenceError, PositivityError
 from ns1d.grid import State, apply_farfield, build_grid
 from ns1d.solver import (
     SolverConfig,
+    _landing_times,
     advance,
     backward_euler_theta,
     backward_euler_velocity,
+    make_stage,
     rhs,
     stable_dt,
     step_explicit,
@@ -233,6 +236,93 @@ class TestBackwardEulerVelocity:
             self.solve(dataclasses.replace(CFG, newton_tol=1e-300))
 
 
+def transport_form_theta_solve(theta_exp, v, model, grid, config, dt):
+    """The temperature Newton solve written through transport and
+    transport_derivatives at every pass, as a reference."""
+    lo, hi = grid.ghost_depth, grid.ghost_depth + grid.N
+    theta, dx = theta_exp.copy(), grid.dx
+    for iters in range(1, config.newton_max_iter + 1):
+        _, kappa = transport(model, v, theta)
+        b_face = grid.face_average(kappa / v)
+        grad = grid.node_diff(theta)
+        res = (model.cv * (theta[lo:hi] - theta_exp[lo:hi])
+               - dt * grid.cell_diff(b_face * grad)[lo:hi])
+        max_res = float(np.max(np.abs(res)))
+        if max_res <= config.newton_tol:
+            return theta, iters, max_res
+        db = transport_derivatives(model, v, theta)[3] / v
+        nodes = slice(lo, hi + 1)
+        dfl_dright = b_face[nodes] / dx + 0.5 * db[lo:hi + 1] * grad[nodes]
+        dfl_dleft = -b_face[nodes] / dx + 0.5 * db[lo - 1:hi] * grad[nodes]
+        diag = model.cv - dt / dx * (dfl_dleft[1:] - dfl_dright[:-1])
+        theta[lo:hi] += ns1d.solver._solve_tridiag(
+            dt / dx * dfl_dleft[:-1], diag, -dt / dx * dfl_dright[1:], -res)
+    raise NewtonDivergenceError("reference Newton stalled")
+
+
+TRANSPORT_MODELS = [GasModel(5 / 3, mu_tilde=1.3, kappa_tilde=0.7, alpha=alpha, h=h)
+                    for alpha in (0.0, 0.1, -0.2)
+                    for h in (HProfile.power_sum(1, 1), HProfile.constant(1.7))]
+
+
+def model_id(model):
+    return f"alpha={model.alpha}-{model.h.kind}"
+
+
+class TestBackwardEulerTheta:
+    """v is frozen through the solve: one h(v), no transport calls per pass."""
+
+    def setup_method(self):
+        self.g = build_grid(8.0, 64)
+        self.s = gauss_state(self.g, a=0.4, with_u=True)
+
+    def dt(self, model):
+        return 50.0 * stable_dt(self.s, model, self.g, CFG)
+
+    @pytest.mark.parametrize("model", TRANSPORT_MODELS, ids=model_id)
+    def test_bitwise_equal_to_transport_form(self, model):
+        s, g, dt = self.s, self.g, self.dt(model)
+        got = backward_euler_theta(s.theta, s.v, model, g, CFG, dt)
+        want = transport_form_theta_solve(s.theta, s.v, model, g, CFG, dt)
+        assert got[1] == want[1] and got[1] >= 2
+        assert got[2] == want[2]
+        assert np.array_equal(got[0], want[0])
+
+    @pytest.mark.parametrize("model", TRANSPORT_MODELS, ids=model_id)
+    def test_imex_step_bitwise_equal_to_transport_form(self, model, monkeypatch):
+        s, g, dt = self.s, self.g, self.dt(model)
+        got, got_stats = step_imex(s, model, g, CFG, dt)
+        monkeypatch.setattr(ns1d.solver, "backward_euler_theta", transport_form_theta_solve)
+        want, want_stats = step_imex(s, model, g, CFG, dt)
+        assert got_stats == want_stats
+        for name in ("v", "u", "theta", "mu", "kappa", "ux", "theta_x"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_nonpositive_v_refused(self):
+        s, v = self.s, self.s.v.copy()
+        v[5] = 0.0
+        with pytest.raises(DomainError, match="v must be positive"):
+            backward_euler_theta(s.theta, v, TRANSPORT_MODELS[1], self.g, CFG, 1e-3)
+
+    def test_imex_step_evaluates_h_at_most_three_times(self, monkeypatch):
+        profile, arrays = HProfile.power_sum(1, 1), []
+
+        def counted_h(v):
+            arrays.append(np.ndim(v) > 0)
+            return profile.h(v)
+
+        def refused(*args):
+            raise AssertionError("transport_derivatives called from the solver")
+
+        model = GasModel(5 / 3, alpha=0.1, h=dataclasses.replace(profile, h=counted_h))
+        s0, dt = make_stage(self.s, model, self.g), self.dt(model)
+        monkeypatch.setattr(ns1d.solver, "transport_derivatives", refused)
+        arrays.clear()
+        _, stats = step_imex(s0, model, self.g, CFG, dt)
+        assert stats.newton_iters >= 2 and stats.rejected_substeps == 0
+        assert sum(arrays) <= 3             # velocity solve, theta solve, new stage
+
+
 class TestAdvance:
     def test_tiny_interval_takes_a_step(self):
         g = build_grid(2.0, 32)
@@ -250,6 +340,20 @@ class TestAdvance:
         s, stats = advance(s0.copy(), m, g, CFG, s0.t)
         assert stats.steps == 0
         assert np.array_equal(s.v, s0.v)
+
+    def test_landing_times_made_one_at_a_time(self):
+        # a cadence of 1e-300 over [0, 1] has 1e300 landing times; none is built ahead
+        first = list(itertools.islice(_landing_times(0.0, 1.0, 1e-300, 1e-12), 3))
+        assert first == [1e-300, 2e-300, 3e-300]
+        t0, t_end, every = 0.3, 2.0, 0.1
+        want = []
+        k = 1
+        while t0 + k * every < t_end - 1e-12 * t_end:
+            want.append(t0 + k * every)
+            k += 1
+        assert list(_landing_times(t0, t_end, every, 1e-12 * t_end)) == want + [t_end]
+        assert list(_landing_times(t0, t_end, None, 0.0)) == [t_end]
+        assert list(_landing_times(t0, t0, every, 0.0)) == []
 
     def test_equilibrium_many_steps(self):
         g = build_grid(2.0, 64)
