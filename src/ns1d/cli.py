@@ -1,6 +1,7 @@
 """Command-line entry point: ns1d {run, sweep, mms, validate-h}.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
+Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error or
+memory exhausted (an input too large to allocate).
 A sweep checks every value before its first run (a refused one exits 2 and
 nothing runs) and exits 3 if any of its runs failed.
 """
@@ -96,6 +97,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:
+        print(f"out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
         return EXIT_IO
 
 

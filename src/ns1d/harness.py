@@ -451,7 +451,7 @@ def _run_mms(config: RunConfig, out_dir: Optional[Path]) -> RunSummary:
                                config.mms_t_end, L=config.mms_L,
                                config=make_solver_config(config))
     summary = RunSummary(config=config_to_flat(config), exit_status="ok",
-                         order_report=report.to_dict(),
+                         order_report=report.to_dict(), steps=report.steps,
                          wall_time=_time.perf_counter() - t_start)
     if "json" in output_formats(config):
         _json_dump(summary.to_dict(), out / "summary.json")

@@ -141,6 +141,7 @@ class OrderReport:
     errors_l2: Dict[str, List[float]]
     errors_linf: Dict[str, List[float]]
     orders: Dict[str, List]        # log2 ratios between successive levels, or "indeterminate"
+    steps: int = 0                 # accepted steps over all levels; reported as RunSummary.steps
 
     def to_dict(self) -> dict:
         return {"levels": self.levels, "t_end": self.t_end,
@@ -180,11 +181,13 @@ def convergence_study(case: ManufacturedCase, model: GasModel, levels: List[int]
     config = config or SolverConfig()
     errors_l2 = {"v": [], "u": [], "theta": []}
     errors_linf = {"v": [], "u": [], "theta": []}
+    steps = 0
     for N in levels:
         grid = build_grid(L, N)
         state = exact_state(case, grid, 0.0)
         sources = make_source_fn(case, model, grid)
-        state, _ = advance(state, model, grid, config, t_end, sources=sources)
+        state, stats = advance(state, model, grid, config, t_end, sources=sources)
+        steps += stats.steps
         ref = exact_state(case, grid, t_end)
         ci, ni = grid.cell_interior, grid.node_interior
         for name, got, want in (("v", state.v[ci], ref.v[ci]),
@@ -194,7 +197,8 @@ def convergence_study(case: ManufacturedCase, model: GasModel, levels: List[int]
             errors_l2[name].append(grid.discrete_norm(err, "L2"))
             errors_linf[name].append(grid.discrete_norm(err, "Linf"))
     orders = {name: _fit_orders(errs) for name, errs in errors_l2.items()}
-    return OrderReport(list(levels), t_end, config.integrator, errors_l2, errors_linf, orders)
+    return OrderReport(list(levels), t_end, config.integrator, errors_l2, errors_linf,
+                       orders, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,12 @@ import math
 import re
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import ns1d.harness
 import ns1d.solver
+import ns1d.verification
 from ns1d.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from ns1d.harness import PRESETS
 
@@ -177,6 +179,35 @@ def test_tiny_mms_t_end_takes_a_step(monkeypatch, capsys):
     assert len(steps) == 3                  # one step per level
 
 
+def test_mms_run_reports_its_steps(out_dir, monkeypatch, capsys):
+    real, steps = ns1d.verification.advance, []
+
+    def counted(*args, **kwargs):
+        state, stats = real(*args, **kwargs)
+        steps.append(stats.steps)
+        return state, stats
+
+    monkeypatch.setattr(ns1d.verification, "advance", counted)
+    argv = ["run", "--set", "preset=mms", "--set", "mms.levels=16,32,64",
+            "--set", "mms.t_end=0.01"]
+    assert main(argv) == EXIT_OK
+    assert len(steps) == 3 and min(steps) > 0
+    assert f"status=ok steps={sum(steps)}" in capsys.readouterr().out
+    assert json.loads((out_dir / "summary.json").read_text())["steps"] == sum(steps)
+
+
+@pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 14.9 GiB")])
+def test_memory_exhaustion_exits_4(exc, monkeypatch, capsys):
+    def build_grid(*args):
+        raise exc
+
+    monkeypatch.setattr(ns1d.harness, "build_grid", build_grid)
+    assert main(["run"] + FAST) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def _floats(*usable):
     return st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, *usable])
 
@@ -229,6 +260,7 @@ OVERRIDES = {
 
 @settings(derandomize=True, deadline=None, max_examples=60,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(command="run", overrides={"preset": "mms"})
 @given(command=st.sampled_from(["run", "mms"]),
        overrides=st.lists(st.sampled_from(sorted(OVERRIDES)), max_size=4, unique=True)
        .flatmap(lambda keys: st.fixed_dictionaries({k: OVERRIDES[k] for k in keys})))
@@ -241,6 +273,7 @@ def test_any_overrides_exit_with_a_documented_code(command, overrides):
         code = main(argv)
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_IO)
     # a run over a positive horizon that exits 0 took at least one step
-    if command == "run" and code == EXIT_OK and float(overrides.get("time.t_end", 0.05)) > 0:
+    horizon = "mms.t_end" if overrides.get("preset") == "mms" else "time.t_end"
+    if command == "run" and code == EXIT_OK and float(overrides.get(horizon, 0.05)) > 0:
         steps = re.search(r"steps=(\d+)", printed.getvalue())
         assert steps and int(steps.group(1)) > 0, printed.getvalue()

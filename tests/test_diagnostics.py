@@ -134,18 +134,21 @@ class TestKanel:
         vmax = float(s.v[self.g.cell_interior].max())
         assert lhs == pytest.approx(kanel_potential(self.m.h, vmax), abs=1e-10)
 
-    def test_evaluator_accuracy(self):
-        ev = KanelEvaluator(HProfile.power_sum(1, 1), 0.4, 2.5)
-        vs = np.array([0.45, 0.7, 0.999, 1.0, 1.001, 1.7, 2.4])
-        got = ev(vs)
-        want = [kanel_potential(HProfile.power_sum(1, 1), v) for v in vs]
-        # spline error peaks near the v=1 kink of the integrand
-        assert np.allclose(got, want, rtol=0, atol=2e-6)
-
-    def test_evaluator_rebuilds_out_of_range(self):
-        ev = KanelEvaluator(HProfile.constant(1.0), 0.8, 1.2)
-        got = float(ev(np.array([3.0]))[0])
-        assert got == pytest.approx(kanel_potential(HProfile.constant(1.0), 3.0), abs=1e-7)
+    @pytest.mark.parametrize("h", [HProfile.power_sum(1, 1), HProfile.constant(1.0)],
+                             ids=["power-sum", "constant"])
+    @pytest.mark.parametrize("lo, hi", [(1.001, 2.5), (0.3, 0.999), (0.5, 2.0), (1.0, 1.8)],
+                             ids=["above", "below", "straddling", "with-one"])
+    def test_lhs_equals_per_cell_brute_force(self, h, lo, hi):
+        v = np.random.default_rng(7).uniform(lo, hi, self.g.N)
+        if lo == 1.0:
+            v[::7] = 1.0                    # cells exactly at the kink of the integrand
+        brute = max(abs(kanel_potential(h, float(x))) for x in v)
+        assert KanelEvaluator(h)(v) == pytest.approx(brute, rel=1e-12)
+        ci = self.g.cell_interior
+        s = State(0.0, np.ones(self.g.ncells), np.zeros(self.g.nnodes), np.ones(self.g.ncells))
+        s.v[ci] = v
+        lhs, _ = kanel_bound_pair(s, GasModel(5 / 3, h=h), self.g)
+        assert lhs == pytest.approx(brute, rel=1e-12)
 
 
 class TestThetaFloorFit:
