@@ -29,7 +29,7 @@ from .errors import (ArgumentError, ConfigError, DomainError, Ns1dError,
                      NewtonDivergenceError, PositivityError)
 from .grid import Grid, State, apply_farfield, build_grid
 from .solver import SolverConfig, advance
-from .verification import check_levels, convergence_study, default_case
+from .verification import check_levels, check_support, convergence_study, default_case
 
 __all__ = [
     "RunConfig", "RunSummary", "PRESETS", "load_config", "parse_value",
@@ -169,6 +169,7 @@ def validate_config(config: RunConfig) -> RunConfig:
             check_levels(levels)
             build_grid(config.mms_L, levels[0])
             default_case(amplitude=config.mms_amplitude)
+            check_support(config.mms_L, config.mms_amplitude)
         else:
             make_initial_data(config, build_grid(config.grid_L, config.grid_N,
                                                  config.grid_ghost_depth))

@@ -309,14 +309,17 @@ def step_imex(state: State, model: GasModel, grid: Grid, config: SolverConfig,
     """
     s0 = make_stage(state, model, grid)
     v, u, theta, ux, mu = s0.v, s0.u, s0.theta, s0.ux, s0.mu
-    P = theta / v
+    # the explicit rates do not depend on the sub-step h: once per step
+    du_dt = grid.node_diff(-(theta / v))
+    dtheta_dt = -theta * ux / v + mu * ux * ux / v
+    if sources is not None:
+        sv, su, sth = sources(s0.t)
 
     def attempt(h):
         v_new = v + h * ux
-        u_exp = u + h * grid.node_diff(-P)
-        theta_exp = theta + h / model.cv * (-theta * ux / v + mu * ux * ux / v)
+        u_exp = u + h * du_dt
+        theta_exp = theta + h / model.cv * dtheta_dt
         if sources is not None:
-            sv, su, sth = sources(s0.t)
             v_new = v_new + h * sv
             u_exp = u_exp + h * su
             theta_exp = theta_exp + h * sth / model.cv

@@ -14,39 +14,73 @@ from .grid import Grid, State, build_grid, apply_farfield
 from .solver import SolverConfig, advance
 
 __all__ = [
-    "ManufacturedCase", "OrderReport", "default_case", "mms_sources",
-    "make_source_fn", "exact_state", "check_levels", "convergence_study",
+    "ClosedForm", "ManufacturedCase", "OrderReport", "default_case", "check_support",
+    "mms_sources", "make_source_fn", "exact_state", "check_levels", "convergence_study",
     "fine_grid_reference", "restrict_cells", "restrict_nodes",
 ]
+
+
+@dataclass(frozen=True)
+class ClosedForm:
+    """A field offset + profile(x) * clock(t), the clock multiplied last.
+
+    profile carries every x-only factor, clock is a float of t, and an offset
+    of None adds nothing (not even 0.0), so the value is bitwise the product
+    written out in full.
+    """
+
+    profile: Callable
+    clock: Callable
+    offset: Optional[float] = None
+
+    def __call__(self, t, x):
+        value = self.profile(x) * self.clock(t)
+        return value if self.offset is None else self.offset + value
+
+    def at(self, x) -> "ClosedForm":
+        """The same field with its profile evaluated once, at the array x; the
+        result ignores the x it is called with."""
+        p = self.profile(x)
+        return replace(self, profile=lambda _: p)
+
+
+_FIELDS = ("v", "u", "theta", "v_t", "v_x", "u_t", "u_x", "u_xx",
+           "theta_t", "theta_x", "theta_xx")
 
 
 @dataclass(frozen=True)
 class ManufacturedCase:
     """Closed-form exact fields with hand-coded derivatives up to second order.
 
-    All callables take (t, x) with x scalar or array.  The fields must sit at
-    the far-field state (1, 0, 1) outside |x| <= L/2 up to roundoff-level
-    tails, matching the Dirichlet ghost handling.
+    Every field is a ClosedForm, called as (t, x) with x scalar or array.
+    The fields must sit at the far-field state (1, 0, 1) outside |x| <= L up
+    to roundoff-level tails, matching the Dirichlet ghost handling.
     """
 
     name: str
     amplitude: float
     omega: float
-    v: Callable
-    u: Callable
-    theta: Callable
-    v_t: Callable
-    v_x: Callable
-    u_t: Callable
-    u_x: Callable
-    u_xx: Callable
-    theta_t: Callable
-    theta_x: Callable
-    theta_xx: Callable
+    v: ClosedForm
+    u: ClosedForm
+    theta: ClosedForm
+    v_t: ClosedForm
+    v_x: ClosedForm
+    u_t: ClosedForm
+    u_x: ClosedForm
+    u_xx: ClosedForm
+    theta_t: ClosedForm
+    theta_x: ClosedForm
+    theta_xx: ClosedForm
 
     def __post_init__(self):
         if not (0.0 <= self.amplitude < 1.0):
             raise ArgumentError("amplitude must lie in [0, 1) to keep v, theta positive")
+
+    def at(self, x) -> "ManufacturedCase":
+        """This case with every profile evaluated once, at the array x: its
+        fields are then valid at that x only."""
+        x = np.asarray(x, dtype=float)
+        return replace(self, **{name: getattr(self, name).at(x) for name in _FIELDS})
 
 
 def default_case(amplitude: float = 0.1, omega: float = 1.0) -> ManufacturedCase:
@@ -62,20 +96,34 @@ def default_case(amplitude: float = 0.1, omega: float = 1.0) -> ManufacturedCase
     def g(x):
         return np.exp(-np.asarray(x, dtype=float) ** 2)
 
+    cos, sin = (lambda t: math.cos(w * t)), (lambda t: math.sin(w * t))
+    cos4, sin4 = (lambda t: math.cos(w * t + p4)), (lambda t: math.sin(w * t + p4))
+
     return ManufacturedCase(
         name="gauss-oscillation", amplitude=a, omega=w,
-        v=lambda t, x: 1.0 + a * g(x) * math.cos(w * t),
-        u=lambda t, x: a * x * g(x) * math.sin(w * t),
-        theta=lambda t, x: 1.0 + a * g(x) * math.cos(w * t + p4),
-        v_t=lambda t, x: -a * w * g(x) * math.sin(w * t),
-        v_x=lambda t, x: -2.0 * x * a * g(x) * math.cos(w * t),
-        u_t=lambda t, x: a * w * x * g(x) * math.cos(w * t),
-        u_x=lambda t, x: a * (1.0 - 2.0 * x ** 2) * g(x) * math.sin(w * t),
-        u_xx=lambda t, x: a * x * (4.0 * x ** 2 - 6.0) * g(x) * math.sin(w * t),
-        theta_t=lambda t, x: -a * w * g(x) * math.sin(w * t + p4),
-        theta_x=lambda t, x: -2.0 * x * a * g(x) * math.cos(w * t + p4),
-        theta_xx=lambda t, x: a * (4.0 * x ** 2 - 2.0) * g(x) * math.cos(w * t + p4),
+        v=ClosedForm(lambda x: a * g(x), cos, 1.0),
+        u=ClosedForm(lambda x: a * x * g(x), sin),
+        theta=ClosedForm(lambda x: a * g(x), cos4, 1.0),
+        v_t=ClosedForm(lambda x: -a * w * g(x), sin),
+        v_x=ClosedForm(lambda x: -2.0 * x * a * g(x), cos),
+        u_t=ClosedForm(lambda x: a * w * x * g(x), cos),
+        u_x=ClosedForm(lambda x: a * (1.0 - 2.0 * x ** 2) * g(x), sin),
+        u_xx=ClosedForm(lambda x: a * x * (4.0 * x ** 2 - 6.0) * g(x), sin),
+        theta_t=ClosedForm(lambda x: -a * w * g(x), sin4),
+        theta_x=ClosedForm(lambda x: -2.0 * x * a * g(x), cos4),
+        theta_xx=ClosedForm(lambda x: a * (4.0 * x ** 2 - 2.0) * g(x), cos4),
     )
+
+
+def check_support(L: float, amplitude: float):
+    """The case's Gaussian envelope must fall to 1e-12 by the domain edge:
+    amplitude * exp(-L^2) <= 1e-12, solved for L so nothing squares it.
+    Beyond |x| = L the ghosts hold (1, 0, 1), so a narrower domain cuts the
+    exact solution off and the study reports meaningless orders."""
+    reach = math.sqrt(math.log(amplitude / 1e-12)) if amplitude > 1e-12 else 0.0
+    if L < reach:
+        raise ArgumentError(f"mms domain [-L, L] with L = {L} is too narrow for "
+                            f"amplitude {amplitude}: L must be at least {reach:.6g}")
 
 
 def mms_sources(case: ManufacturedCase, model: GasModel, t: float, x):
@@ -113,14 +161,20 @@ def mms_sources(case: ManufacturedCase, model: GasModel, t: float, x):
 
 
 def make_source_fn(case: ManufacturedCase, model: GasModel, grid: Grid):
-    """Adapter producing the solver's sources(t) -> (cells, nodes, cells)."""
-    xc = grid.all_cell_centers()
-    xn = grid.all_node_positions()
+    """Adapter producing the solver's sources(t) -> (cells, nodes, cells).
+
+    The sources are pointwise in x, so one mms_sources call on the half-grid,
+    where nodes (even entries) and cells (odd entries) interleave, gives all
+    three; the case's x-only factors are evaluated there once, up front.
+    """
+    x = np.empty(grid.nnodes + grid.ncells)
+    x[0::2] = grid.all_node_positions()
+    x[1::2] = grid.all_cell_centers()
+    on_grid = case.at(x)
 
     def sources(t: float):
-        sv, _, sth = mms_sources(case, model, t, xc)
-        _, su, _ = mms_sources(case, model, t, xn)
-        return sv, su, sth
+        sv, su, sth = mms_sources(on_grid, model, t, x)
+        return sv[1::2], su[0::2], sth[1::2]
 
     return sources
 

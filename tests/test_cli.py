@@ -123,6 +123,8 @@ MMS_FAST = ["--set", "mms.levels=16,32,64", "--set", "mms.t_end=0.05"]
     ["mms", "--set", "mms.levels=16,32"],
     ["mms", "--set", "mms.levels=a,b"],
     ["mms", "--set", "mms.amplitude=1.5"],
+    ["mms", "--set", "mms.L=2"],
+    ["mms", "--set", "mms.L=4"],
     ["mms", "--set", "mms.t_end=-1"],
     ["mms", "--set", "output.formats=jsonx"],
     ["run", "--set", "output.formats=xml"],

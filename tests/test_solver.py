@@ -145,6 +145,19 @@ class TestImexStep:
         assert stats.newton_iters == 1
         assert stats.max_residual == 0.0
 
+    def test_sources_evaluated_once_per_step_across_rejections(self):
+        g = build_grid(4.0, 64)
+        m = GasModel(5 / 3, alpha=0.1, h=HProfile.power_sum(1, 1))
+        times = []
+
+        def sources(t):
+            times.append(t)
+            return np.zeros(g.ncells), np.zeros(g.nnodes), np.zeros(g.ncells)
+
+        _, stats = step_imex(gauss_state(g, a=0.3, with_u=True), m, g, CFG, 20.0, sources)
+        assert stats.rejected_substeps >= 1
+        assert times == [0.0]
+
     def test_pure_heat_decay_matches_fine_explicit(self):
         # theta diffusion subsolve alone (u frozen at 0, v frozen at 1,
         # alpha=0, kappa=1) against an explicit heat-equation oracle

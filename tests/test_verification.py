@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
+import ns1d.verification
 from ns1d.constitutive import GasModel, HProfile
 from ns1d.errors import ArgumentError
 from ns1d.grid import State, apply_farfield, build_grid
-from ns1d.solver import SolverConfig
+from ns1d.solver import SolverConfig, step_explicit
 from ns1d.verification import (
+    check_support,
     convergence_study,
     default_case,
     exact_state,
@@ -32,6 +36,38 @@ class TestCaseDefinition:
         assert abs(c.v(0.3, x) - 1.0) <= 1e-12
         assert abs(c.u(0.3, x)) <= 1e-12
         assert abs(c.theta(0.3, x) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("x", [0.7, -1.3, np.linspace(-7.0, 7.0, 53)], ids=repr)
+    def test_fields_equal_their_closed_forms(self, x):
+        a, w = 0.13, 0.8
+        c = default_case(a, omega=w)
+        g = lambda x: np.exp(-np.asarray(x, dtype=float) ** 2)
+        p4 = math.pi / 4.0
+        literal = {
+            "v": lambda t, x: 1.0 + a * g(x) * math.cos(w * t),
+            "u": lambda t, x: a * x * g(x) * math.sin(w * t),
+            "theta": lambda t, x: 1.0 + a * g(x) * math.cos(w * t + p4),
+            "v_t": lambda t, x: -a * w * g(x) * math.sin(w * t),
+            "v_x": lambda t, x: -2.0 * x * a * g(x) * math.cos(w * t),
+            "u_t": lambda t, x: a * w * x * g(x) * math.cos(w * t),
+            "u_x": lambda t, x: a * (1.0 - 2.0 * x ** 2) * g(x) * math.sin(w * t),
+            "u_xx": lambda t, x: a * x * (4.0 * x ** 2 - 6.0) * g(x) * math.sin(w * t),
+            "theta_t": lambda t, x: -a * w * g(x) * math.sin(w * t + p4),
+            "theta_x": lambda t, x: -2.0 * x * a * g(x) * math.cos(w * t + p4),
+            "theta_xx": lambda t, x: a * (4.0 * x ** 2 - 2.0) * g(x) * math.cos(w * t + p4),
+        }
+        for name, form in literal.items():
+            for t in (0.0, 0.41, 3.3):
+                assert np.all(getattr(c, name)(t, x) == form(t, x)), (name, t)
+
+    def test_support_rule(self):
+        check_support(12.0, 0.99)
+        check_support(6.0, 0.99)
+        check_support(0.1, 1e-12)            # nothing to hold
+        check_support(0.1, 0.0)
+        for L, a in ((5.0, 0.1), (2.0, 0.1), (0.5, 0.1), (5.2, 0.99)):
+            with pytest.raises(ArgumentError):
+                check_support(L, a)
 
     def test_amplitude_bounds(self):
         with pytest.raises(ArgumentError):
@@ -117,6 +153,42 @@ class TestSources:
             assert sv[0] == pytest.approx(sv_fd, rel=1e-8, abs=1e-10)
             assert su[0] == pytest.approx(su_fd, rel=1e-8, abs=1e-10)
             assert sth[0] == pytest.approx(sth_fd, rel=1e-8, abs=1e-10)
+
+    @pytest.mark.parametrize("amplitude", [0.0, 0.12])
+    @pytest.mark.parametrize("alpha", [-0.2, 0.0, 0.3])
+    @pytest.mark.parametrize("h", [HProfile.power_sum(1, 2), HProfile.constant(1.3)],
+                             ids=["power-sum", "constant"])
+    def test_source_fn_bitwise_equals_cell_and_node_calls(self, amplitude, alpha, h):
+        # one half-grid call per t against one call at the cells and one at the
+        # nodes; half-grid lengths 2*N + 9 are odd, so never a multiple of 8
+        c = default_case(amplitude, omega=0.9)
+        m = GasModel(1.4, mu_tilde=0.8, kappa_tilde=1.1, alpha=alpha, h=h)
+        for N in (8, 13, 64):
+            g = build_grid(6.0, N)
+            fn = make_source_fn(c, m, g)
+            for t in (0.0, 0.37, 1.3, 2.9):
+                on_cells = mms_sources(c, m, t, g.all_cell_centers())
+                on_nodes = mms_sources(c, m, t, g.all_node_positions())
+                sv, su, sth = fn(t)
+                assert np.array_equal(sv, on_cells[0])
+                assert np.array_equal(su, on_nodes[1])
+                assert np.array_equal(sth, on_cells[2])
+
+    def test_one_mms_sources_call_per_rate(self, monkeypatch):
+        real, calls = ns1d.verification.mms_sources, []
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(ns1d.verification, "mms_sources", counted)
+        g = build_grid(12.0, 64)
+        c = default_case(0.1)
+        sources = make_source_fn(c, MODEL, g)
+        _, stats = step_explicit(exact_state(c, g, 0.0), MODEL, g, SolverConfig(), 1e-3,
+                                 sources)
+        assert stats.rejected_substeps == 0
+        assert len(calls) == 2              # one per rhs call of the SSP-RK2 step
 
     def test_source_fn_shapes(self):
         g = build_grid(6.0, 64)
