@@ -8,7 +8,7 @@ and the entropy zero point is fixed there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -278,19 +278,7 @@ class AdmissibilityReport:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "admissible": self.admissible,
-            "C": self.C,
-            "ell1": self.ell1,
-            "ell2": self.ell2,
-            "v_range": list(self.v_range),
-            "samples": self.samples,
-            "C_growth": self.C_growth,
-            "v_growth_argmax": self.v_growth_argmax,
-            "C_slope": self.C_slope,
-            "v_slope_argmax": self.v_slope_argmax,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def check_sample_range(v_range, samples: int):

@@ -9,7 +9,7 @@ scheme's own O(dt^2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import List, Optional
 
 import numpy as np
@@ -49,13 +49,12 @@ class DiagnosticsRecord:
     h1_dev: float
     h2_dev: float
 
-    CSV_COLUMNS = ("t", "mass_dev", "momentum", "energy_dev", "eta_total",
-                   "dissipation_accum", "identity_residual", "sup_dev",
-                   "min_v", "max_v", "min_theta", "max_theta",
-                   "mu_vx_norm", "kanel_lhs", "kanel_rhs", "h1_dev", "h2_dev")
-
     def csv_row(self) -> list:
         return [getattr(self, c) for c in self.CSV_COLUMNS]
+
+
+# the timeseries.csv header: the record's fields, in declaration order
+DiagnosticsRecord.CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 @dataclass
@@ -68,8 +67,7 @@ class InitialDataReport:
     min_theta0: float
 
     def to_dict(self) -> dict:
-        return {"pi0_discrete": self.pi0_discrete, "min_v0": self.min_v0,
-                "max_v0": self.max_v0, "min_theta0": self.min_theta0}
+        return asdict(self)
 
 
 @dataclass
@@ -81,9 +79,7 @@ class DecayReport:
     tenth_time: Optional[float]
 
     def to_dict(self) -> dict:
-        return {"times": self.times, "sup_devs": self.sup_devs,
-                "half_time": self.half_time, "quarter_time": self.quarter_time,
-                "tenth_time": self.tenth_time}
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +89,15 @@ class DecayReport:
 def _interior(state: State, grid: Grid):
     ci, ni = grid.cell_interior, grid.node_interior
     return state.v[ci], state.u[ni], state.theta[ci]
+
+
+def _deviation_norm(state: State, grid: Grid, kind: str) -> float:
+    """sqrt(|v-1|^2 + |u|^2 + |theta-1|^2) in the discrete `kind` norm, over
+    the interior: the size of the state's distance from (1, 0, 1)."""
+    v, u, theta = _interior(state, grid)
+    return float(np.sqrt(grid.discrete_norm(v - 1.0, kind) ** 2
+                         + grid.discrete_norm(u, kind) ** 2
+                         + grid.discrete_norm(theta - 1.0, kind) ** 2))
 
 
 def cell_kinetic_energy(state: State, grid: Grid) -> np.ndarray:
@@ -229,11 +234,9 @@ def decay_metrics(records: List[DiagnosticsRecord]) -> DecayReport:
 
 
 def initial_data_report(state: State, grid: Grid) -> InitialDataReport:
-    v, u, theta = _interior(state, grid)
-    pi0 = float(np.sqrt(grid.discrete_norm(v - 1.0, "H2") ** 2
-                        + grid.discrete_norm(u, "H2") ** 2
-                        + grid.discrete_norm(theta - 1.0, "H2") ** 2))
-    return InitialDataReport(pi0, float(v.min()), float(v.max()), float(theta.min()))
+    v, _, theta = _interior(state, grid)
+    return InitialDataReport(_deviation_norm(state, grid, "H2"),
+                             float(v.min()), float(v.max()), float(theta.min()))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +257,6 @@ class DiagnosticsCollector:
         self._accum = 0.0
         self._prev_rate: Optional[float] = None
         self._prev_t: Optional[float] = None
-        self._eta0: Optional[float] = None
 
     def _accumulate(self, state: State):
         rate = dissipation_rate(state, self.model, self.grid)
@@ -272,12 +274,11 @@ class DiagnosticsCollector:
         self.records.append(self.make_record(state))
 
     def make_record(self, state: State) -> DiagnosticsRecord:
+        """The record of state; its identity residual is measured from the
+        first observed record, or from itself when there is none yet."""
         grid, model = self.grid, self.model
         v, u, theta = _interior(state, grid)
         mass_dev, momentum, energy_dev = conserved_totals(state, grid, model)
-        et = eta_total(state, model, grid)
-        if self._eta0 is None:
-            self._eta0 = et
         sup_dev = max(float(np.max(np.abs(v - 1.0))),
                       float(np.max(np.abs(u))),
                       float(np.max(np.abs(theta - 1.0))))
@@ -286,18 +287,16 @@ class DiagnosticsCollector:
         ci = grid.cell_interior
         mu_vx_norm = grid.discrete_norm((mu * vx / state.v)[ci], "L2")
         lhs, rhs_val = kanel_bound_pair(state, model, grid)
-        h1 = float(np.sqrt(grid.discrete_norm(v - 1.0, "H1") ** 2
-                           + grid.discrete_norm(u, "H1") ** 2
-                           + grid.discrete_norm(theta - 1.0, "H1") ** 2))
-        h2 = float(np.sqrt(grid.discrete_norm(v - 1.0, "H2") ** 2
-                           + grid.discrete_norm(u, "H2") ** 2
-                           + grid.discrete_norm(theta - 1.0, "H2") ** 2))
-        return DiagnosticsRecord(
+        record = DiagnosticsRecord(
             t=state.t, mass_dev=mass_dev, momentum=momentum, energy_dev=energy_dev,
-            eta_total=et, dissipation_accum=self._accum,
-            identity_residual=et + self._accum - self._eta0,
+            eta_total=eta_total(state, model, grid), dissipation_accum=self._accum,
+            identity_residual=0.0,   # set below, once the record exists
             sup_dev=sup_dev,
             min_v=float(v.min()), max_v=float(v.max()),
             min_theta=float(theta.min()), max_theta=float(theta.max()),
             mu_vx_norm=mu_vx_norm, kanel_lhs=lhs, kanel_rhs=rhs_val,
-            h1_dev=h1, h2_dev=h2)
+            h1_dev=_deviation_norm(state, grid, "H1"),
+            h2_dev=_deviation_norm(state, grid, "H2"))
+        record.identity_residual = energy_identity_residual(
+            record, self.records[0] if self.records else record)
+        return record

@@ -24,8 +24,6 @@ class Grid:
     N: int
     ghost_depth: int
     dx: float
-    cell_centers: np.ndarray   # interior cell centers, length N
-    node_positions: np.ndarray  # interior node positions, length N+1
 
     # -- layout helpers -----------------------------------------------------
 
@@ -46,6 +44,16 @@ class Grid:
     def node_interior(self) -> slice:
         g = self.ghost_depth
         return slice(g, g + self.N + 1)
+
+    @property
+    def cell_centers(self) -> np.ndarray:
+        """Interior cell centers, length N."""
+        return self.all_cell_centers()[self.cell_interior]
+
+    @property
+    def node_positions(self) -> np.ndarray:
+        """Interior node positions, length N+1."""
+        return self.all_node_positions()[self.node_interior]
 
     def all_cell_centers(self) -> np.ndarray:
         """Cell centers including ghosts."""
@@ -123,10 +131,7 @@ def build_grid(L: float, N: int, ghost_depth: int = 2) -> Grid:
     dx = 2.0 * L / N
     if not np.isfinite(dx * dx):   # the parabolic limit and the H2 norm divide by dx**2
         raise ArgumentError(f"L = {L} is too large for N = {N}: dx**2 overflows")
-    cell_centers = -L + (np.arange(N) + 0.5) * dx
-    node_positions = -L + np.arange(N + 1) * dx
-    return Grid(L=L, N=N, ghost_depth=ghost_depth, dx=dx,
-                cell_centers=cell_centers, node_positions=node_positions)
+    return Grid(L=L, N=N, ghost_depth=ghost_depth, dx=dx)
 
 
 @dataclass

@@ -261,14 +261,11 @@ def make_solver_config(config: RunConfig) -> SolverConfig:
 
 
 def _check_support(config: RunConfig, offset: float = 0.0):
-    # perturbation must be negligible outside |x| <= L/2:
-    # amplitude * exp(-reach**2) <= 1e-8, solved for reach so nothing squares it
-    a, w = config.amplitude, config.width
-    reach = (config.grid_L / 2.0 - offset) / w
-    if reach <= 0 or (a > 1e-8 and reach < math.sqrt(math.log(a / 1e-8))):
-        raise ConfigError(
-            f"initial perturbation (amplitude={config.amplitude}, width={w}) "
-            f"is not supported inside |x| <= L/2 = {config.grid_L / 2}")
+    """The pulse's bumps, centred at +-offset, must fall to 1e-8 by |x| = L."""
+    try:
+        check_support(config.grid_L, config.amplitude, config.width, offset, tol=1e-8)
+    except ArgumentError as exc:
+        raise ConfigError(f"initial perturbation: {exc}") from exc
 
 
 def make_initial_data(config: RunConfig, grid: Grid) -> State:
@@ -342,11 +339,11 @@ def _json_dump(obj, path: Path):
 
 
 def _write_timeseries(records: List[DiagnosticsRecord], path: Path):
+    # plain Python floats, which csv writes as their shortest round-trip repr
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(DiagnosticsRecord.CSV_COLUMNS)
-        for rec in records:
-            writer.writerow([repr(x) for x in rec.csv_row()])
+        writer.writerows(rec.csv_row() for rec in records)
 
 
 def _write_profile(state: State, grid: Grid, path: Path):
@@ -372,19 +369,33 @@ def _resolve_out_dir(config: RunConfig) -> Path:
 
 def run(config: RunConfig, out_dir: Optional[Path] = None) -> RunSummary:
     """Execute one configured experiment and emit its outputs."""
-    if config.preset == "mms":
-        return _run_mms(config, out_dir)
-
     t_start = _time.perf_counter()
     out = out_dir if out_dir is not None else _resolve_out_dir(config)
     out.mkdir(parents=True, exist_ok=True)
     formats = output_formats(config)
+    summary = RunSummary(config=config_to_flat(config), exit_status="ok")
+    error = None
+    if config.preset == "mms":
+        _run_mms(config, summary)
+    else:
+        error = _run_pulse(config, out, formats, summary)
+    summary.wall_time = _time.perf_counter() - t_start
+    if "json" in formats:
+        _json_dump(summary.to_dict(), out / "summary.json")
+    if isinstance(error, (PositivityError, NewtonDivergenceError)):
+        raise error
+    return summary
 
+
+def _run_pulse(config: RunConfig, out: Path, formats: set,
+               summary: RunSummary) -> Optional[Ns1dError]:
+    """Advance the initial data with diagnostics, write the timeseries and
+    profiles, and fill summary; a solver error is recorded and returned."""
     model = make_model(config)
     grid = build_grid(config.grid_L, config.grid_N, config.grid_ghost_depth)
     solver_config = make_solver_config(config)
     state = make_initial_data(config, grid)
-    init_report = initial_data_report(state, grid)
+    summary.initial_report = initial_data_report(state, grid).to_dict()
     collector = DiagnosticsCollector(model, grid)
 
     profiles_dir = out / "profiles"
@@ -401,62 +412,44 @@ def run(config: RunConfig, out_dir: Optional[Path] = None) -> RunSummary:
             next_profile[0] += config.profile_every
 
     error = None
-    stats = None
     try:
         state, stats = advance(state, model, grid, solver_config, config.t_end,
                                observer=observer, output_every=config.output_every,
                                on_step=collector.on_step)
+        summary.steps = stats.steps
     except Ns1dError as exc:
         error = exc
+        summary.exit_status = "error"
+        summary.error = f"{type(exc).__name__}: {exc}"
 
     records = collector.records
     if "csv" in formats and records:
         _write_timeseries(records, out / "timeseries.csv")
         if error is None:
             _write_profile(state, grid, profiles_dir / f"profile_t{state.t:g}.csv")
-
-    summary = RunSummary(config=config_to_flat(config),
-                         exit_status="ok" if error is None else "error",
-                         error=None if error is None else f"{type(error).__name__}: {error}",
-                         initial_report=init_report.to_dict(),
-                         steps=stats.steps if stats else 0,
-                         wall_time=_time.perf_counter() - t_start)
     if records:
         rec0 = records[0]
-        summary.final_record = dict(zip(DiagnosticsRecord.CSV_COLUMNS,
-                                        records[-1].csv_row()))
-        scale = max(abs(rec0.mass_dev), 1.0)
-        summary.max_mass_drift = max(abs(r.mass_dev - rec0.mass_dev) for r in records) / scale
-        pscale = max(abs(rec0.momentum), 1.0)
-        summary.max_momentum_drift = max(abs(r.momentum - rec0.momentum) for r in records) / pscale
-        escale = max(abs(rec0.energy_dev), 1.0)
-        summary.max_energy_drift = max(abs(r.energy_dev - rec0.energy_dev) for r in records) / escale
+        summary.final_record = dataclasses.asdict(records[-1])
+        for name, attr in (("mass", "mass_dev"), ("momentum", "momentum"),
+                           ("energy", "energy_dev")):
+            start = getattr(rec0, attr)
+            drift = max(abs(getattr(r, attr) - start) for r in records) / max(abs(start), 1.0)
+            setattr(summary, f"max_{name}_drift", drift)
         if len(records) >= 3:
             summary.c4_fit = theta_floor_fit(records)
         if len(records) >= 2:
             summary.decay = decay_metrics(records).to_dict()
-    if "json" in formats:
-        _json_dump(summary.to_dict(), out / "summary.json")
-    if isinstance(error, (PositivityError, NewtonDivergenceError)):
-        raise error
-    return summary
+    return error
 
 
-def _run_mms(config: RunConfig, out_dir: Optional[Path]) -> RunSummary:
-    t_start = _time.perf_counter()
-    out = out_dir if out_dir is not None else _resolve_out_dir(config)
-    out.mkdir(parents=True, exist_ok=True)
-    model = make_model(config)
-    case = default_case(amplitude=config.mms_amplitude)
-    report = convergence_study(case, model, parse_list(config.mms_levels, int),
+def _run_mms(config: RunConfig, summary: RunSummary):
+    """The convergence study of the manufactured case, into summary."""
+    report = convergence_study(default_case(amplitude=config.mms_amplitude),
+                               make_model(config), parse_list(config.mms_levels, int),
                                config.mms_t_end, L=config.mms_L,
                                config=make_solver_config(config))
-    summary = RunSummary(config=config_to_flat(config), exit_status="ok",
-                         order_report=report.to_dict(), steps=report.steps,
-                         wall_time=_time.perf_counter() - t_start)
-    if "json" in output_formats(config):
-        _json_dump(summary.to_dict(), out / "summary.json")
-    return summary
+    summary.order_report = report.to_dict()
+    summary.steps = report.steps
 
 
 def _sweep_attr(parameter: str) -> str:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -115,15 +115,20 @@ def default_case(amplitude: float = 0.1, omega: float = 1.0) -> ManufacturedCase
     )
 
 
-def check_support(L: float, amplitude: float):
-    """The case's Gaussian envelope must fall to 1e-12 by the domain edge:
-    amplitude * exp(-L^2) <= 1e-12, solved for L so nothing squares it.
-    Beyond |x| = L the ghosts hold (1, 0, 1), so a narrower domain cuts the
-    exact solution off and the study reports meaningless orders."""
-    reach = math.sqrt(math.log(amplitude / 1e-12)) if amplitude > 1e-12 else 0.0
-    if L < reach:
-        raise ArgumentError(f"mms domain [-L, L] with L = {L} is too narrow for "
-                            f"amplitude {amplitude}: L must be at least {reach:.6g}")
+def check_support(L: float, amplitude: float, width: float = 1.0, centre: float = 0.0,
+                  tol: float = 1e-12):
+    """A Gaussian amplitude * exp(-((x - centre) / width)^2) must fall to tol by
+    |x| = L: amplitude * exp(-reach^2) <= tol with reach = (L - |centre|) / width,
+    solved for reach so nothing squares it.  Beyond |x| = L the ghosts hold
+    (1, 0, 1), so a narrower domain cuts the data off; the defaults are the
+    MMS case's envelope, whose study would then report meaningless orders."""
+    reach = (L - abs(centre)) / width
+    need = math.sqrt(math.log(amplitude / tol)) if amplitude > tol else 0.0
+    if reach <= 0 or reach < need:
+        raise ArgumentError(
+            f"Gaussian (amplitude={amplitude}, width={width}, centre={centre}) is not supported "
+            f"inside |x| <= L = {L}: L must be at least {abs(centre) + need * width:.6g} "
+            f"for it to fall to {tol:g} there")
 
 
 def mms_sources(case: ManufacturedCase, model: GasModel, t: float, x):
@@ -198,10 +203,9 @@ class OrderReport:
     steps: int = 0                 # accepted steps over all levels; reported as RunSummary.steps
 
     def to_dict(self) -> dict:
-        return {"levels": self.levels, "t_end": self.t_end,
-                "integrator": self.integrator,
-                "errors_l2": self.errors_l2, "errors_linf": self.errors_linf,
-                "orders": self.orders}
+        d = asdict(self)
+        d.pop("steps")  # reported once, as RunSummary.steps
+        return d
 
 
 def _fit_orders(errors: List[float]) -> List:

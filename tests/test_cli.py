@@ -38,6 +38,12 @@ def test_run_ok(out_dir, capsys):
     assert (out_dir / "timeseries.csv").exists()
 
 
+def test_pulse_domain_measured_from_its_edge(out_dir):
+    # the bump is 0.3 * exp(-36) ~ 7e-17 at |x| = L = 6, far below the rule's 1e-8
+    argv = ["run", "--set", "grid.L=6", "--set", "grid.N=64", "--set", "time.t_end=0.001"]
+    assert main(argv) == EXIT_OK
+
+
 def test_run_with_config_file(tmp_path, out_dir):
     cfg = write_config(tmp_path, "preset = constant\ngrid.N = 64\ntime.t_end = 0.05\n"
                                  "time.output_every = 0.05\n")

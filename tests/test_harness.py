@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ns1d.diagnostics import DiagnosticsRecord, energy_identity_residual
 from ns1d.errors import ConfigError, PositivityExhaustedError
 from ns1d.grid import build_grid
 from ns1d.harness import (
@@ -195,7 +196,7 @@ class TestInitialData:
                               width=float(10 ** rng.uniform(-2, 1)),
                               grid_L=float(rng.uniform(0.1, 40.0)))
             offset = float(rng.choice([0.0, 2.0 * cfg.width]))
-            reach = (cfg.grid_L / 2.0 - offset) / cfg.width
+            reach = (cfg.grid_L - offset) / cfg.width
             refused = reach <= 0 or cfg.amplitude * math.exp(-reach ** 2) > 1e-8
             try:
                 _check_support(cfg, offset)
@@ -336,3 +337,60 @@ class TestValidateH:
         rep = validate_h_config(fast_config(h_kind="constant", h_c=1.0,
                                             validate_samples=5000))
         assert rep.admissible
+
+
+def _records(path):
+    """The records of a timeseries.csv; csv holds each float's round-trip repr."""
+    with path.open(newline="") as fh:
+        return [DiagnosticsRecord(**{k: float(x) for k, x in row.items()})
+                for row in csv.DictReader(fh)]
+
+
+class TestReportedNumbers:
+    """Each reported number has one definition; these identities tie the copies."""
+
+    @pytest.mark.parametrize("integrator", ["explicit", "imex"])
+    def test_record_identities(self, tmp_path, integrator):
+        cfg = fast_config(integrator=integrator, gas_alpha=0.1, grid_N=128, t_end=0.3)
+        summary = run(cfg, out_dir=tmp_path)
+        records = _records(tmp_path / "timeseries.csv")
+        assert len(records) == 4
+        for rec in records:
+            assert rec.identity_residual == energy_identity_residual(rec, records[0])
+        rec0 = records[0]
+        assert summary.initial_report == {"pi0_discrete": rec0.h2_dev, "min_v0": rec0.min_v,
+                                          "max_v0": rec0.max_v, "min_theta0": rec0.min_theta}
+        assert summary.final_record == dataclasses.asdict(records[-1])
+        assert tuple(summary.final_record) == DiagnosticsRecord.CSV_COLUMNS
+
+    def test_output_key_sets(self, tmp_path, monkeypatch):
+        run_keys = {"config", "exit_status", "error", "initial_report", "final_record",
+                    "c4_fit", "decay", "max_mass_drift", "max_momentum_drift",
+                    "max_energy_drift", "order_report", "admissibility", "steps"}
+        run(fast_config(), out_dir=tmp_path / "pulse")
+        pulse = json.loads((tmp_path / "pulse" / "summary.json").read_text())
+        assert set(pulse) == run_keys
+        assert set(pulse["final_record"]) == set(DiagnosticsRecord.CSV_COLUMNS)
+        assert set(pulse["initial_report"]) == {"pi0_discrete", "min_v0", "max_v0",
+                                                "min_theta0"}
+        assert set(pulse["decay"]) == {"times", "sup_devs", "half_time", "quarter_time",
+                                       "tenth_time"}
+
+        mms = fast_config(preset="mms", mms_levels="16,32,64", mms_t_end=0.01)
+        run(mms, out_dir=tmp_path / "mms")
+        mms_summary = json.loads((tmp_path / "mms" / "summary.json").read_text())
+        assert set(mms_summary) == run_keys
+        assert set(mms_summary["order_report"]) == {"levels", "t_end", "integrator",
+                                                    "errors_l2", "errors_linf", "orders"}
+
+        summaries = sweep(fast_config(t_end=0.1), "alpha", [0.0], out_dir=tmp_path / "sweep")
+        entry, = json.loads((tmp_path / "sweep" / "sweep_summary.json").read_text())
+        assert set(entry) == run_keys
+        assert "wall_time" not in summaries[0].to_dict()
+
+        monkeypatch.setenv("NS1D_OUT", str(tmp_path / "h"))
+        validate_h_config(fast_config(validate_samples=1000))
+        admissibility = json.loads((tmp_path / "h" / "admissibility.json").read_text())
+        assert set(admissibility) == {"admissible", "C", "ell1", "ell2", "v_range", "samples",
+                                      "C_growth", "v_growth_argmax", "C_slope",
+                                      "v_slope_argmax", "note"}
