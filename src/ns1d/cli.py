@@ -1,9 +1,14 @@
 """Command-line entry point: ns1d {run, sweep, mms, validate-h}.
 
+The config is the defaults or a --config file, with the --set overrides on
+top; the preset is one more key (--set preset=two-bump).  It is checked once,
+after the overrides (a config file also when it is loaded), and a sweep
+checks each of its values once, before its first run.
+
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error or
 memory exhausted (an input too large to allocate).
-A sweep checks every value before its first run (a refused one exits 2 and
-nothing runs) and exits 3 if any of its runs failed.
+A refused sweep value exits 2 and nothing runs; a sweep exits 3 if any of
+its runs failed.
 """
 
 from __future__ import annotations
@@ -13,8 +18,8 @@ import json
 import sys
 
 from .errors import ConfigError, NewtonDivergenceError, PositivityError
-from .harness import (apply_overrides, check_sweep, default_config, load_config,
-                      parse_list, run, sweep, validate_h_config)
+from .harness import (apply_overrides, default_config, load_config, parse_list, run,
+                      sweep, validate_h_config)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -24,8 +29,6 @@ EXIT_IO = 4
 
 def _add_common(parser):
     parser.add_argument("--config", help="path to a flat key=value config file")
-    parser.add_argument("--preset", default="gauss-pulse",
-                        help="preset to use when no config file is given")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override a config key")
 
@@ -56,10 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args):
-    if args.config:
-        config = load_config(args.config)
-    else:
-        config = default_config(args.preset)
+    config = load_config(args.config) if args.config else default_config()
     # the mms command runs the mms preset, so its keys are the ones checked
     mms = ["preset=mms"] if args.command == "mms" else []
     return apply_overrides(config, args.overrides + mms)
@@ -74,9 +74,7 @@ def main(argv=None) -> int:
             print(f"run finished: status={summary.exit_status} steps={summary.steps}")
             return EXIT_OK if summary.exit_status == "ok" else EXIT_NUMERICAL
         if args.command == "sweep":
-            values = parse_list(args.values, float)
-            check_sweep(config, args.param, values)   # every value, before any run
-            summaries = sweep(config, args.param, values)
+            summaries = sweep(config, args.param, parse_list(args.values, float))
             bad = [s for s in summaries if s.exit_status != "ok"]
             print(f"sweep finished: {len(summaries) - len(bad)}/{len(summaries)} runs ok")
             return EXIT_NUMERICAL if bad else EXIT_OK

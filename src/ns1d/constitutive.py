@@ -145,9 +145,10 @@ def transport_derivatives(model: GasModel, v, theta):
     """
     _check_positive(v=v, theta=theta)
     ta = _theta_pow(theta, model.alpha)
+    hv = model.h(v)
     dhv = model.h.dh(v)
-    mu = model.mu_tilde * model.h(v) * ta
-    kappa = model.kappa_tilde * model.h(v) * ta
+    mu = model.mu_tilde * hv * ta
+    kappa = model.kappa_tilde * hv * ta
     return (model.mu_tilde * dhv * ta,
             model.alpha * mu / theta,
             model.kappa_tilde * dhv * ta,

@@ -13,7 +13,6 @@ import dataclasses
 import json
 import math
 import os
-import time as _time
 import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -33,9 +32,8 @@ from .verification import check_levels, check_support, convergence_study, defaul
 
 __all__ = [
     "RunConfig", "RunSummary", "PRESETS", "load_config", "parse_value",
-    "apply_overrides", "config_to_flat", "config_from_flat", "default_config",
-    "parse_list", "output_formats",
-    "make_model", "make_initial_data", "run", "check_sweep", "sweep", "validate_h_config",
+    "apply_overrides", "config_to_flat", "default_config", "parse_list", "output_formats",
+    "make_model", "make_initial_data", "run", "sweep", "validate_h_config",
 ]
 
 PRESETS = ("constant", "gauss-pulse", "two-bump", "mms")
@@ -50,7 +48,6 @@ def _key(name: str, default):
 @dataclass
 class RunConfig:
     preset: str = _key("preset", "gauss-pulse")
-    strict: bool = _key("strict", True)
     # grid
     grid_L: float = _key("grid.L", 16.0)
     grid_N: int = _key("grid.N", 512)
@@ -104,12 +101,6 @@ def parse_value(attr: str, raw: str):
     ftype = _FIELD_TYPES[attr]
     raw = raw.strip()
     try:
-        if ftype == "bool":
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
         if ftype == "int":
             return int(raw)
         if ftype == "float":
@@ -145,7 +136,8 @@ def validate_config(config: RunConfig) -> RunConfig:
     Builds what the configured run builds, through the same builders, so each
     rule lives in the one constructor that owns it; their ArgumentError and
     DomainError become ConfigError.  The preset picks the data: the MMS case
-    and its levels for "mms", the grid and the initial data otherwise.
+    and its levels for "mms", the grid and the initial data otherwise.  An
+    MMS study writes only summary.json, so its formats must include json.
     """
     non_finite = [key for key, attr in KEYMAP.items()
                   if _FIELD_TYPES[attr] == "float" and not math.isfinite(getattr(config, attr))]
@@ -158,7 +150,10 @@ def validate_config(config: RunConfig) -> RunConfig:
         raise ConfigError("profile_every must be nonnegative (0: first and last snapshots)")
     if config.t_end < 0 or config.mms_t_end < 0:
         raise ConfigError("t_end must be nonnegative")
-    output_formats(config)
+    formats = output_formats(config)
+    if config.preset == "mms" and "json" not in formats:
+        raise ConfigError("the mms preset writes only summary.json, so output.formats "
+                          f"must include json, got {config.out_formats!r}")
     try:
         make_model(config)
         make_solver_config(config)
@@ -175,8 +170,7 @@ def validate_config(config: RunConfig) -> RunConfig:
                                                  config.grid_ghost_depth))
     except (ArgumentError, DomainError) as exc:
         raise ConfigError(str(exc)) from exc
-    if config.strict and config.h_kind == "power-sum" and \
-            (config.h_ell1 < 1.0 or config.h_ell2 < 1.0):
+    if config.h_kind == "power-sum" and (config.h_ell1 < 1.0 or config.h_ell2 < 1.0):
         warnings.warn(
             "the global-existence regime assumes ell1 >= 1 and ell2 >= 1; "
             f"got ell1={config.h_ell1}, ell2={config.h_ell2}; run proceeds",
@@ -203,11 +197,6 @@ def _assign(config: RunConfig, entries, noun: str = "key") -> RunConfig:
     return validate_config(config)
 
 
-def config_from_flat(raw: Dict[str, str], source: str = "<dict>") -> RunConfig:
-    return _assign(RunConfig(), ((f"{source}: ", f"{key}={value}")
-                                 for key, value in raw.items()))
-
-
 def load_config(path) -> RunConfig:
     path = Path(path)
     try:
@@ -219,11 +208,9 @@ def load_config(path) -> RunConfig:
     return _assign(RunConfig(), ((where, text) for where, text in entries if text))
 
 
-def default_config(preset: str = "gauss-pulse") -> RunConfig:
-    config = RunConfig(preset=preset)
-    if preset == "constant":
-        config.amplitude = 0.0
-    return validate_config(config)
+def default_config() -> RunConfig:
+    """The defaults, which apply_overrides checks along with the overrides."""
+    return RunConfig()
 
 
 def apply_overrides(config: RunConfig, overrides: List[str]) -> RunConfig:
@@ -260,12 +247,21 @@ def make_solver_config(config: RunConfig) -> SolverConfig:
         max_dt_halvings=config.max_dt_halvings, dt_max=config.dt_max)
 
 
-def _check_support(config: RunConfig, offset: float = 0.0):
-    """The pulse's bumps, centred at +-offset, must fall to 1e-8 by |x| = L."""
+def _check_support(config: RunConfig, offset: float = 0.0, edge_factor: float = 1.0):
+    """A pulse bump, centred at +-offset, must fall to 1e-8 by |x| = L, where it
+    is amplitude * edge_factor * exp(-reach^2); edge_factor is 1 for a Gaussian."""
     try:
-        check_support(config.grid_L, config.amplitude, config.width, offset, tol=1e-8)
+        check_support(config.grid_L, config.amplitude * edge_factor, config.width, offset,
+                      tol=1e-8)
     except ArgumentError as exc:
         raise ConfigError(f"initial perturbation: {exc}") from exc
+
+
+def _u_bump(config: RunConfig, xn: np.ndarray) -> np.ndarray:
+    """The velocity bump a (x/w) exp(-(x/w)^2); at |x| = L it carries the factor L/w."""
+    a, w = config.amplitude, config.width
+    _check_support(config, edge_factor=config.grid_L / w)
+    return a * (xn / w) * np.exp(-((xn / w) ** 2))
 
 
 def make_initial_data(config: RunConfig, grid: Grid) -> State:
@@ -291,7 +287,7 @@ def make_initial_data(config: RunConfig, grid: Grid) -> State:
         _check_support(config, offset=x0)
         state.v = state.v + a * np.exp(-(((x + x0) / w) ** 2))
         state.theta = state.theta - 0.6 * a * np.exp(-(((x - x0) / w) ** 2))
-        state.u = state.u + a * (xn / w) * np.exp(-((xn / w) ** 2))
+        state.u = state.u + _u_bump(config, xn)
     else:  # gauss-pulse
         _check_support(config)
         bump = a * np.exp(-((x / w) ** 2))
@@ -300,7 +296,7 @@ def make_initial_data(config: RunConfig, grid: Grid) -> State:
         if "theta" in parts:
             state.theta = state.theta + bump
         if "u" in parts:
-            state.u = state.u + a * (xn / w) * np.exp(-((xn / w) ** 2))
+            state.u = state.u + _u_bump(config, xn)
     apply_farfield(state, grid)
     if np.any(state.v <= 0) or np.any(state.theta <= 0):
         raise ConfigError("initial data violate positivity")
@@ -324,14 +320,10 @@ class RunSummary:
     max_momentum_drift: Optional[float] = None
     max_energy_drift: Optional[float] = None
     order_report: Optional[dict] = None
-    admissibility: Optional[dict] = None
     steps: int = 0
-    wall_time: float = 0.0                # excluded from serialized output
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d.pop("wall_time")  # nondeterministic; keep emitted JSON bit-exact
-        return d
+        return dataclasses.asdict(self)
 
 
 def _json_dump(obj, path: Path):
@@ -369,7 +361,6 @@ def _resolve_out_dir(config: RunConfig) -> Path:
 
 def run(config: RunConfig, out_dir: Optional[Path] = None) -> RunSummary:
     """Execute one configured experiment and emit its outputs."""
-    t_start = _time.perf_counter()
     out = out_dir if out_dir is not None else _resolve_out_dir(config)
     out.mkdir(parents=True, exist_ok=True)
     formats = output_formats(config)
@@ -379,7 +370,6 @@ def run(config: RunConfig, out_dir: Optional[Path] = None) -> RunSummary:
         _run_mms(config, summary)
     else:
         error = _run_pulse(config, out, formats, summary)
-    summary.wall_time = _time.perf_counter() - t_start
     if "json" in formats:
         _json_dump(summary.to_dict(), out / "summary.json")
     if isinstance(error, (PositivityError, NewtonDivergenceError)):
@@ -459,29 +449,27 @@ def _sweep_attr(parameter: str) -> str:
     return attr
 
 
-def check_sweep(base_config: RunConfig, parameter: str, values: List[float]):
-    """Refuse, with a ConfigError naming it, the first value a sweep run could not use."""
-    attr = _sweep_attr(parameter)
-    for value in values:
-        try:
-            validate_config(dataclasses.replace(base_config, **{attr: value}))
-        except ConfigError as exc:
-            raise ConfigError(f"{parameter}={value:g}: {exc}") from exc
-
-
 def sweep(base_config: RunConfig, parameter: str, values: List[float],
           out_dir: Optional[Path] = None) -> List[RunSummary]:
-    """Independent runs over one parameter; per-value failures do not abort."""
+    """Independent runs over one parameter.
+
+    Every value is checked before the first run, and the first refused one
+    raises a ConfigError naming it, with nothing written; a run's numerical
+    failure is recorded in its summary and the sweep goes on.
+    """
     attr = _sweep_attr(parameter)
+    configs = []
+    for value in values:
+        try:
+            configs.append(validate_config(dataclasses.replace(base_config, **{attr: value})))
+        except ConfigError as exc:
+            raise ConfigError(f"{parameter}={value:g}: {exc}") from exc
     root = out_dir if out_dir is not None else _resolve_out_dir(base_config)
     root.mkdir(parents=True, exist_ok=True)
     summaries = []
-    for value in values:
-        config = dataclasses.replace(base_config, **{attr: value})
-        sub = root / f"{parameter}_{value:g}"
+    for value, config in zip(values, configs):
         try:
-            config = validate_config(config)
-            summaries.append(run(config, out_dir=sub))
+            summaries.append(run(config, out_dir=root / f"{parameter}_{value:g}"))
         except Ns1dError as exc:
             summaries.append(RunSummary(config=config_to_flat(config),
                                         exit_status="error",

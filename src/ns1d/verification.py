@@ -150,8 +150,9 @@ def mms_sources(case: ManufacturedCase, model: GasModel, t: float, x):
     dhv = np.asarray(model.h.dh(v), dtype=float)
     mu = model.mu_tilde * hv * ta
     kappa = model.kappa_tilde * hv * ta
-    mu_x = model.mu_tilde * (dhv * vx * ta + hv * model.alpha * ta / th * thx)
-    kappa_x = model.kappa_tilde * (dhv * vx * ta + hv * model.alpha * ta / th * thx)
+    h_ta_x = dhv * vx * ta + hv * model.alpha * ta / th * thx   # d(h(v) theta^alpha)/dx
+    mu_x = model.mu_tilde * h_ta_x
+    kappa_x = model.kappa_tilde * h_ta_x
 
     thxx = case.theta_xx(t, x)
     P_x = thx / v - th * vx / v ** 2

@@ -3,6 +3,8 @@ import io
 import json
 import math
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 import ns1d.harness
 import ns1d.solver
 import ns1d.verification
+from ns1d import cli
 from ns1d.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from ns1d.harness import PRESETS
 
@@ -32,7 +35,7 @@ FAST = ["--set", "grid.N=64", "--set", "time.t_end=0.1",
 
 
 def test_run_ok(out_dir, capsys):
-    assert main(["run", "--preset", "gauss-pulse"] + FAST) == EXIT_OK
+    assert main(["run", "--set", "preset=gauss-pulse"] + FAST) == EXIT_OK
     assert "status=ok" in capsys.readouterr().out
     assert (out_dir / "summary.json").exists()
     assert (out_dir / "timeseries.csv").exists()
@@ -50,6 +53,22 @@ def test_run_with_config_file(tmp_path, out_dir):
     assert main(["run", "--config", cfg]) == EXIT_OK
     data = json.loads((out_dir / "summary.json").read_text())
     assert data["config"]["preset"] == "constant"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_cli_examples_load(tmp_path, monkeypatch):
+    # each `ns1d ...` line of the README's CLI block is parsed and its config
+    # loaded and checked, not run, so the README cannot name a removed flag or key
+    block = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line, comments=True) for line in block.splitlines()
+                if line.startswith("ns1d ")]
+    assert len(examples) == 5
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("grid.N = 64\n")
+    for argv in examples:
+        cli._load(cli.build_parser().parse_args(argv[1:]))
 
 
 def test_config_error_exit_code(capsys):
@@ -100,7 +119,7 @@ def test_non_finite_value_is_config_error(setting, capsys):
 
 
 def test_positivity_exhaustion_exit_code(capsys):
-    argv = ["run", "--preset", "two-bump", "--set", "solver.positivity_floor=0.9",
+    argv = ["run", "--set", "preset=two-bump", "--set", "solver.positivity_floor=0.9",
             "--set", "solver.max_dt_halvings=2"]
     assert main(argv + FAST) == EXIT_NUMERICAL
     assert "dt halvings" in capsys.readouterr().err
@@ -144,6 +163,9 @@ MMS_FAST = ["--set", "mms.levels=16,32,64", "--set", "mms.t_end=0.05"]
     ["run", "--set", "sweep.param=alpha"],
     ["run", "--set", "sweep.values=0.1"],
     ["run", "--set", "time.output_every=1e-300"],
+    ["run", "--set", "strict=false"],
+    ["run", "--set", "init.perturb=u", "--set", "grid.L=4.2", "--set", "grid.N=256"],
+    ["mms", "--set", "output.formats=csv"],
 ], ids=lambda argv: " ".join(argv))
 def test_refused_input_exits_2(argv, capsys):
     command, rest = argv[0], argv[1:]
@@ -151,6 +173,30 @@ def test_refused_input_exits_2(argv, capsys):
     assert main([command] + fast + rest) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Traceback" not in err
+
+
+def test_preset_flag_is_gone(capsys):
+    # the preset is the `preset` key: --set preset=gauss-pulse
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--preset", "gauss-pulse"] + FAST)
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --preset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["run"], 1),
+    (["sweep", "--param", "alpha", "--values=-0.05,0,0.05"], 1 + 3),   # once more per value
+], ids=["run", "sweep"])
+def test_config_is_validated_once_per_run(argv, expected, monkeypatch):
+    real, calls = ns1d.harness.validate_config, []
+
+    def counted(config):
+        calls.append(1)
+        return real(config)
+
+    monkeypatch.setattr(ns1d.harness, "validate_config", counted)
+    assert main(argv + FAST) == EXIT_OK
+    assert len(calls) == expected
 
 
 def test_sweep_checks_every_value_before_any_run(out_dir, capsys):
@@ -161,7 +207,7 @@ def test_sweep_checks_every_value_before_any_run(out_dir, capsys):
 
 
 def test_sweep_with_a_failed_run_exits_3(out_dir, capsys):
-    argv = ["sweep", "--preset", "two-bump", "--param", "amplitude", "--values=0,0.3",
+    argv = ["sweep", "--set", "preset=two-bump", "--param", "amplitude", "--values=0,0.3",
             "--set", "solver.positivity_floor=0.9", "--set", "solver.max_dt_halvings=2"]
     assert main(argv + FAST) == EXIT_NUMERICAL
     assert "1/2 runs ok" in capsys.readouterr().out

@@ -116,6 +116,21 @@ class TestTransport:
         m1 = model(5 / 3, alpha=1.0, h=HProfile.constant(1.0))
         assert transport_derivatives(m1, 1.0, 2.0)[1] == pytest.approx(1.0, rel=1e-14)
 
+    def test_derivatives_bitwise_equal_their_expressions_as_written(self):
+        # transport_derivatives evaluates h(v) once; the reference calls it for
+        # mu and again for kappa
+        m = model(1.4, mu_tilde=0.8, kappa_tilde=1.1, alpha=0.3, h=HProfile.power_sum(1, 2))
+        rng = np.random.default_rng(3)
+        v, theta = rng.uniform(0.2, 5.0, 257), rng.uniform(0.2, 5.0, 257)
+        ta = np.exp(m.alpha * np.log(theta))
+        dhv = m.h.dh(v)
+        mu = m.mu_tilde * m.h(v) * ta
+        kappa = m.kappa_tilde * m.h(v) * ta
+        want = (m.mu_tilde * dhv * ta, m.alpha * mu / theta,
+                m.kappa_tilde * dhv * ta, m.alpha * kappa / theta)
+        for got, expected in zip(transport_derivatives(m, v, theta), want):
+            assert np.array_equal(got, expected)
+
     @pytest.mark.parametrize("alpha,ell1,ell2,v,theta", [
         (0.3, 1, 2, 1.7, 0.9),
         (-0.2, 2, 1, 0.6, 3.1),

@@ -16,7 +16,6 @@ from ns1d.harness import (
     _check_support,
     _write_profile,
     apply_overrides,
-    config_from_flat,
     config_to_flat,
     default_config,
     load_config,
@@ -26,6 +25,7 @@ from ns1d.harness import (
     parse_value,
     run,
     sweep,
+    validate_config,
     validate_h_config,
 )
 
@@ -47,14 +47,11 @@ class TestParsing:
     def test_parse_value_types(self):
         assert parse_value("grid_N", "128") == 128
         assert parse_value("gas_gamma", "1.4") == 1.4
-        assert parse_value("strict", "false") is False
         assert parse_value("preset", " two-bump ") == "two-bump"
 
     def test_parse_value_errors(self):
         with pytest.raises(ConfigError):
             parse_value("grid_N", "12.5")
-        with pytest.raises(ConfigError):
-            parse_value("strict", "maybe")
 
     def test_empty_list_refused(self):
         assert parse_list(" 1, ,2", int) == [1, 2]
@@ -98,29 +95,27 @@ class TestValidation:
         with pytest.raises(ConfigError, match="gamma must exceed 1"):
             load_config(p)
 
+    def test_defaults_pass(self):
+        # default_config does not check; apply_overrides checks the defaults
+        # with the overrides, so they must pass on their own
+        assert default_config() == RunConfig()
+        validate_config(RunConfig())
+
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="unknown preset"):
-            config_from_flat({"preset": "vortex"})
+            apply_overrides(default_config(), ["preset=vortex"])
 
-    def test_strict_warns_on_small_exponents(self):
+    def test_warns_on_small_exponents(self):
         with pytest.warns(UserWarning, match="ell1 >= 1"):
-            config_from_flat({"gas.h.ell1": "0.5"})
-
-    def test_non_strict_silent(self, recwarn):
-        config_from_flat({"gas.h.ell1": "0.5", "strict": "false"})
-        assert len(recwarn) == 0
+            apply_overrides(default_config(), ["gas.h.ell1=0.5"])
 
     def test_unknown_h_kind(self):
         with pytest.raises(ConfigError, match="unknown h kind"):
-            config_from_flat({"gas.h.kind": "custom"})
+            apply_overrides(default_config(), ["gas.h.kind=custom"])
 
     def test_unknown_integrator(self):
         with pytest.raises(ConfigError, match="unknown integrator"):
-            config_from_flat({"solver.integrator": "rk4"})
-
-    def test_default_config_constant_preset(self):
-        cfg = default_config("constant")
-        assert cfg.amplitude == 0.0
+            apply_overrides(default_config(), ["solver.integrator=rk4"])
 
 
 class TestOverridesAndEcho:
@@ -141,7 +136,7 @@ class TestOverridesAndEcho:
         cfg = fast_config(gas_alpha=0.07, integrator="imex")
         flat = config_to_flat(cfg)
         assert set(flat) == set(KEYMAP)
-        back = config_from_flat({k: str(v) for k, v in flat.items()})
+        back = apply_overrides(default_config(), [f"{k}={v}" for k, v in flat.items()])
         assert back == cfg
 
 
@@ -211,6 +206,16 @@ class TestInitialData:
             with pytest.raises(ConfigError, match="one cell"):
                 make_initial_data(fast_config(width=1e-200), self.g)
             make_initial_data(fast_config(width=self.g.dx), self.g)
+
+    def test_u_bump_falls_to_the_rule_at_the_edge(self):
+        # the u bump a (x/w) exp(-(x/w)^2) is a * reach * exp(-reach^2) at |x| = L,
+        # L/w times the Gaussian's value there: 2.75e-8 at L = 4.2 and a = 0.3
+        with pytest.raises(ConfigError, match="not supported"):
+            make_initial_data(fast_config(grid_L=4.2, perturb="u"), build_grid(4.2, 256))
+        grid = build_grid(4.6, 256)
+        s = make_initial_data(fast_config(grid_L=4.6, amplitude=0.3, perturb="u"), grid)
+        assert np.allclose(grid.node_positions[[0, -1]], [-4.6, 4.6], rtol=1e-15, atol=0)
+        assert 0.0 < np.max(np.abs(s.u[grid.node_interior][[0, -1]])) <= 1e-8
 
     def test_support_check_narrow_width_does_not_overflow(self):
         _check_support(fast_config(width=1e-200))
@@ -316,12 +321,20 @@ class TestSweep:
             sweep(fast_config(), "width", [1.0], out_dir=tmp_path)
 
     def test_failure_recorded_not_raised(self, tmp_path):
-        # gamma = 1.0 fails validation inside the sweep; run continues
-        summaries = sweep(fast_config(t_end=0.05), "gamma", [1.0, 1.4],
-                          out_dir=tmp_path)
-        assert summaries[0].exit_status == "error"
-        assert "gamma" in summaries[0].error
-        assert summaries[1].exit_status == "ok"
+        # two-bump dips theta to 0.88, below the floor, at amplitude 0.3 only;
+        # the failed run is recorded and the sweep goes on
+        cfg = fast_config(preset="two-bump", positivity_floor=0.9, max_dt_halvings=2,
+                          t_end=0.1)
+        summaries = sweep(cfg, "amplitude", [0.3, 0.0], out_dir=tmp_path)
+        assert [s.exit_status for s in summaries] == ["error", "ok"]
+        assert summaries[0].error.startswith("PositivityExhaustedError: ")
+        data = json.loads((tmp_path / "sweep_summary.json").read_text())
+        assert [d["exit_status"] for d in data] == ["error", "ok"]
+
+    def test_refused_value_raises_before_anything_is_written(self, tmp_path):
+        with pytest.raises(ConfigError, match="^gamma=1: gamma must exceed 1"):
+            sweep(fast_config(), "gamma", [1.4, 1.0], out_dir=tmp_path / "sweep")
+        assert not (tmp_path / "sweep").exists()
 
 
 class TestValidateH:
@@ -366,7 +379,7 @@ class TestReportedNumbers:
     def test_output_key_sets(self, tmp_path, monkeypatch):
         run_keys = {"config", "exit_status", "error", "initial_report", "final_record",
                     "c4_fit", "decay", "max_mass_drift", "max_momentum_drift",
-                    "max_energy_drift", "order_report", "admissibility", "steps"}
+                    "max_energy_drift", "order_report", "steps"}
         run(fast_config(), out_dir=tmp_path / "pulse")
         pulse = json.loads((tmp_path / "pulse" / "summary.json").read_text())
         assert set(pulse) == run_keys

@@ -174,6 +174,33 @@ class TestSources:
                 assert np.array_equal(su, on_nodes[1])
                 assert np.array_equal(sth, on_cells[2])
 
+    @pytest.mark.parametrize("m", [MODEL, GasModel(1.4, mu_tilde=0.8, kappa_tilde=1.1, alpha=-0.2,
+                                                   h=HProfile.power_sum(1, 2))],
+                             ids=["default", "scaled"])
+    def test_sources_bitwise_equal_their_expressions_as_written(self, m):
+        # mms_sources builds d(h(v) theta^alpha)/dx once for mu_x and kappa_x;
+        # the reference builds it inside each, as the closed forms read
+        g = build_grid(12.0, 512)
+        x = np.empty(g.nnodes + g.ncells)
+        x[0::2] = g.all_node_positions()
+        x[1::2] = g.all_cell_centers()
+        c = default_case(0.1).at(x)
+        for t in (0.0, 0.13, 0.25):
+            v, th = c.v(t, x), c.theta(t, x)
+            vx, thx, ux, uxx = c.v_x(t, x), c.theta_x(t, x), c.u_x(t, x), c.u_xx(t, x)
+            ta = np.exp(m.alpha * np.log(th))
+            hv, dhv = np.asarray(m.h(v), dtype=float), np.asarray(m.h.dh(v), dtype=float)
+            mu, kappa = m.mu_tilde * hv * ta, m.kappa_tilde * hv * ta
+            mu_x = m.mu_tilde * (dhv * vx * ta + hv * m.alpha * ta / th * thx)
+            kappa_x = m.kappa_tilde * (dhv * vx * ta + hv * m.alpha * ta / th * thx)
+            visc_div = (mu_x * ux + mu * uxx) / v - mu * ux * vx / v ** 2
+            heat_div = (kappa_x * thx + kappa * c.theta_xx(t, x)) / v - kappa * thx * vx / v ** 2
+            want = (c.v_t(t, x) - ux,
+                    c.u_t(t, x) + (thx / v - th * vx / v ** 2) - visc_div,
+                    m.cv * c.theta_t(t, x) + th * ux / v - heat_div - mu * ux ** 2 / v)
+            for got, expected in zip(mms_sources(c, m, t, x), want):
+                assert np.array_equal(got, expected)
+
     def test_one_mms_sources_call_per_rate(self, monkeypatch):
         real, calls = ns1d.verification.mms_sources, []
 
