@@ -7,8 +7,10 @@ checks each of its values once, before its first run.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error or
 memory exhausted (an input too large to allocate).
-A refused sweep value exits 2 and nothing runs; a sweep exits 3 if any of
-its runs failed.
+A run or mms study that fails numerically writes its summary.json with
+exit_status "error" and the error, and prints one `numerical failure:` line.
+A refused sweep value exits 2 and nothing runs; a sweep's sweep_summary.json
+entries are its runs' summaries, and it exits 3 if any of its runs failed.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import argparse
 import json
 import sys
 
-from .errors import ConfigError, NewtonDivergenceError, PositivityError
-from .harness import (apply_overrides, default_config, load_config, parse_list, run,
-                      sweep, validate_h_config)
+from .errors import ConfigError
+from .harness import (SWEEP_PARAMETERS, apply_overrides, default_config, load_config,
+                      parse_list, run, sweep, validate_h_config)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -44,8 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="parameter sweep of independent runs")
     _add_common(p_sweep)
-    p_sweep.add_argument("--param", required=True,
-                         choices=("alpha", "gamma", "amplitude"))
+    p_sweep.add_argument("--param", required=True, choices=tuple(SWEEP_PARAMETERS))
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated list of parameter values")
 
@@ -69,19 +70,21 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load(args)
-        if args.command == "run":
+        if args.command in ("run", "mms"):
             summary = run(config)
-            print(f"run finished: status={summary.exit_status} steps={summary.steps}")
-            return EXIT_OK if summary.exit_status == "ok" else EXIT_NUMERICAL
+            if summary.exit_status != "ok":
+                print(f"numerical failure: {summary.error}", file=sys.stderr)
+                return EXIT_NUMERICAL
+            if args.command == "mms":
+                print(json.dumps(summary.order_report, sort_keys=True, indent=2))
+            else:
+                print(f"run finished: status=ok steps={summary.steps}")
+            return EXIT_OK
         if args.command == "sweep":
             summaries = sweep(config, args.param, parse_list(args.values, float))
             bad = [s for s in summaries if s.exit_status != "ok"]
             print(f"sweep finished: {len(summaries) - len(bad)}/{len(summaries)} runs ok")
             return EXIT_NUMERICAL if bad else EXIT_OK
-        if args.command == "mms":
-            summary = run(config)
-            print(json.dumps(summary.order_report, sort_keys=True, indent=2))
-            return EXIT_OK
         if args.command == "validate-h":
             report = validate_h_config(config)
             print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
@@ -90,9 +93,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (PositivityError, NewtonDivergenceError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

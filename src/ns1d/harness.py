@@ -24,20 +24,21 @@ from .constitutive import (GasModel, HProfile, AdmissibilityReport, check_sample
                            validate_h)
 from .diagnostics import (DiagnosticsCollector, DiagnosticsRecord,
                           decay_metrics, initial_data_report, theta_floor_fit)
-from .errors import (ArgumentError, ConfigError, DomainError, Ns1dError,
-                     NewtonDivergenceError, PositivityError)
+from .errors import ArgumentError, ConfigError, DomainError, Ns1dError
 from .grid import Grid, State, apply_farfield, build_grid
 from .solver import SolverConfig, advance
 from .verification import check_levels, check_support, convergence_study, default_case
 
 __all__ = [
-    "RunConfig", "RunSummary", "PRESETS", "load_config", "parse_value",
+    "RunConfig", "RunSummary", "PRESETS", "SWEEP_PARAMETERS", "load_config", "parse_value",
     "apply_overrides", "config_to_flat", "default_config", "parse_list", "output_formats",
     "make_model", "make_initial_data", "run", "sweep", "validate_h_config",
 ]
 
 PRESETS = ("constant", "gauss-pulse", "two-bump", "mms")
 OUTPUT_FORMATS = ("csv", "json")
+# sweep parameter -> RunConfig attribute
+SWEEP_PARAMETERS = {"alpha": "gas_alpha", "gamma": "gas_gamma", "amplitude": "amplitude"}
 
 
 def _key(name: str, default):
@@ -247,20 +248,24 @@ def make_solver_config(config: RunConfig) -> SolverConfig:
         max_dt_halvings=config.max_dt_halvings, dt_max=config.dt_max)
 
 
-def _check_support(config: RunConfig, offset: float = 0.0, edge_factor: float = 1.0):
-    """A pulse bump, centred at +-offset, must fall to 1e-8 by |x| = L, where it
-    is amplitude * edge_factor * exp(-reach^2); edge_factor is 1 for a Gaussian."""
+def _check_support(config: RunConfig, offset: float = 0.0):
+    """A Gaussian pulse bump, centred at +-offset, must fall to 1e-8 by |x| = L."""
     try:
-        check_support(config.grid_L, config.amplitude * edge_factor, config.width, offset,
-                      tol=1e-8)
+        check_support(config.grid_L, config.amplitude, config.width, offset, tol=1e-8)
     except ArgumentError as exc:
         raise ConfigError(f"initial perturbation: {exc}") from exc
 
 
 def _u_bump(config: RunConfig, xn: np.ndarray) -> np.ndarray:
-    """The velocity bump a (x/w) exp(-(x/w)^2); at |x| = L it carries the factor L/w."""
+    """The velocity bump a (x/w) exp(-(x/w)^2), which must fall to 1e-8 by |x| = L:
+    there it is the Gaussian's value times L/w, a (L/w) exp(-(L/w)^2)."""
     a, w = config.amplitude, config.width
-    _check_support(config, edge_factor=config.grid_L / w)
+    try:
+        check_support(config.grid_L, a * config.grid_L / w, w, tol=1e-8)
+    except ArgumentError:
+        raise ConfigError(f"initial perturbation: the velocity bump a (x/w) exp(-(x/w)^2) "
+                          f"(a={a}, w={w}) is not supported inside |x| <= grid.L: its edge "
+                          "value a (L/w) exp(-(L/w)^2) must fall to 1e-08") from None
     return a * (xn / w) * np.exp(-((xn / w) ** 2))
 
 
@@ -325,6 +330,10 @@ class RunSummary:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
+    def record_failure(self, exc: Ns1dError):
+        self.exit_status = "error"
+        self.error = f"{type(exc).__name__}: {exc}"
+
 
 def _json_dump(obj, path: Path):
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
@@ -360,27 +369,24 @@ def _resolve_out_dir(config: RunConfig) -> Path:
 # ---------------------------------------------------------------------------
 
 def run(config: RunConfig, out_dir: Optional[Path] = None) -> RunSummary:
-    """Execute one configured experiment and emit its outputs."""
+    """Execute one configured experiment, emit its outputs and return its summary;
+    a numerical failure of the solve is recorded there (exit_status "error"), not raised."""
     out = out_dir if out_dir is not None else _resolve_out_dir(config)
     out.mkdir(parents=True, exist_ok=True)
     formats = output_formats(config)
     summary = RunSummary(config=config_to_flat(config), exit_status="ok")
-    error = None
     if config.preset == "mms":
         _run_mms(config, summary)
     else:
-        error = _run_pulse(config, out, formats, summary)
+        _run_pulse(config, out, formats, summary)
     if "json" in formats:
         _json_dump(summary.to_dict(), out / "summary.json")
-    if isinstance(error, (PositivityError, NewtonDivergenceError)):
-        raise error
     return summary
 
 
-def _run_pulse(config: RunConfig, out: Path, formats: set,
-               summary: RunSummary) -> Optional[Ns1dError]:
+def _run_pulse(config: RunConfig, out: Path, formats: set, summary: RunSummary):
     """Advance the initial data with diagnostics, write the timeseries and
-    profiles, and fill summary; a solver error is recorded and returned."""
+    profiles, and fill summary, also after a failure of the solve."""
     model = make_model(config)
     grid = build_grid(config.grid_L, config.grid_N, config.grid_ghost_depth)
     solver_config = make_solver_config(config)
@@ -391,32 +397,30 @@ def _run_pulse(config: RunConfig, out: Path, formats: set,
     profiles_dir = out / "profiles"
     if "csv" in formats:
         profiles_dir.mkdir(exist_ok=True)
-        _write_profile(state, grid, profiles_dir / "profile_t0.csv")
 
-    next_profile = [config.profile_every] if config.profile_every > 0 else []
+    # profiles at the start, at each profile_every and at t_end, one file each
+    t0 = state.t
+    next_profile = [config.profile_every or math.inf]
 
     def observer(s: State):
         collector.observe(s)
-        if next_profile and s.t >= next_profile[0] - 1e-12 and "csv" in formats:
-            _write_profile(s, grid, profiles_dir / f"profile_t{s.t:g}.csv")
+        due = s.t >= next_profile[0] - 1e-12
+        if due:
             next_profile[0] += config.profile_every
+        if "csv" in formats and (due or s.t in (t0, config.t_end)):
+            _write_profile(s, grid, profiles_dir / f"profile_t{s.t:g}.csv")
 
-    error = None
     try:
-        state, stats = advance(state, model, grid, solver_config, config.t_end,
-                               observer=observer, output_every=config.output_every,
-                               on_step=collector.on_step)
+        _, stats = advance(state, model, grid, solver_config, config.t_end,
+                           observer=observer, output_every=config.output_every,
+                           on_step=collector.on_step)
         summary.steps = stats.steps
     except Ns1dError as exc:
-        error = exc
-        summary.exit_status = "error"
-        summary.error = f"{type(exc).__name__}: {exc}"
+        summary.record_failure(exc)
 
     records = collector.records
     if "csv" in formats and records:
         _write_timeseries(records, out / "timeseries.csv")
-        if error is None:
-            _write_profile(state, grid, profiles_dir / f"profile_t{state.t:g}.csv")
     if records:
         rec0 = records[0]
         summary.final_record = dataclasses.asdict(records[-1])
@@ -429,24 +433,21 @@ def _run_pulse(config: RunConfig, out: Path, formats: set,
             summary.c4_fit = theta_floor_fit(records)
         if len(records) >= 2:
             summary.decay = decay_metrics(records).to_dict()
-    return error
 
 
 def _run_mms(config: RunConfig, summary: RunSummary):
     """The convergence study of the manufactured case, into summary."""
-    report = convergence_study(default_case(amplitude=config.mms_amplitude),
-                               make_model(config), parse_list(config.mms_levels, int),
-                               config.mms_t_end, L=config.mms_L,
-                               config=make_solver_config(config))
-    summary.order_report = report.to_dict()
-    summary.steps = report.steps
-
-
-def _sweep_attr(parameter: str) -> str:
-    attr = {"alpha": "gas_alpha", "gamma": "gas_gamma", "amplitude": "amplitude"}.get(parameter)
-    if attr is None:
-        raise ConfigError(f"sweep parameter must be alpha, gamma, or amplitude, got {parameter!r}")
-    return attr
+    case = default_case(amplitude=config.mms_amplitude)
+    model = make_model(config)
+    levels = parse_list(config.mms_levels, int)
+    solver_config = make_solver_config(config)
+    try:
+        report = convergence_study(case, model, levels, config.mms_t_end, L=config.mms_L,
+                                   config=solver_config)
+        summary.order_report = report.to_dict()
+        summary.steps = report.steps
+    except Ns1dError as exc:
+        summary.record_failure(exc)
 
 
 def sweep(base_config: RunConfig, parameter: str, values: List[float],
@@ -454,10 +455,14 @@ def sweep(base_config: RunConfig, parameter: str, values: List[float],
     """Independent runs over one parameter.
 
     Every value is checked before the first run, and the first refused one
-    raises a ConfigError naming it, with nothing written; a run's numerical
-    failure is recorded in its summary and the sweep goes on.
+    raises a ConfigError naming it, with nothing written.  The summaries are
+    what `run` returns, failed runs included, so each sweep_summary.json
+    entry equals its run's summary.json.
     """
-    attr = _sweep_attr(parameter)
+    attr = SWEEP_PARAMETERS.get(parameter)
+    if attr is None:
+        raise ConfigError(f"sweep parameter must be one of {', '.join(SWEEP_PARAMETERS)}, "
+                          f"got {parameter!r}")
     configs = []
     for value in values:
         try:
@@ -466,14 +471,8 @@ def sweep(base_config: RunConfig, parameter: str, values: List[float],
             raise ConfigError(f"{parameter}={value:g}: {exc}") from exc
     root = out_dir if out_dir is not None else _resolve_out_dir(base_config)
     root.mkdir(parents=True, exist_ok=True)
-    summaries = []
-    for value, config in zip(values, configs):
-        try:
-            summaries.append(run(config, out_dir=root / f"{parameter}_{value:g}"))
-        except Ns1dError as exc:
-            summaries.append(RunSummary(config=config_to_flat(config),
-                                        exit_status="error",
-                                        error=f"{type(exc).__name__}: {exc}"))
+    summaries = [run(config, out_dir=root / f"{parameter}_{value:g}")
+                 for value, config in zip(values, configs)]
     _json_dump([s.to_dict() for s in summaries], root / "sweep_summary.json")
     return summaries
 

@@ -215,6 +215,42 @@ def test_sweep_with_a_failed_run_exits_3(out_dir, capsys):
     assert [s["exit_status"] for s in summaries] == ["ok", "error"]
 
 
+def test_sweep_entries_are_their_runs_summaries(out_dir, capsys):
+    argv = ["sweep", "--set", "preset=two-bump", "--param", "amplitude", "--values=0,0.3",
+            "--set", "solver.positivity_floor=0.9", "--set", "solver.max_dt_halvings=2",
+            "--set", "grid.N=64", "--set", "time.t_end=0.1"]
+    assert main(argv) == EXIT_NUMERICAL
+    entries = json.loads((out_dir / "sweep_summary.json").read_text())
+    runs = [json.loads((out_dir / f"amplitude_{v}" / "summary.json").read_text())
+            for v in ("0", "0.3")]
+    assert entries == runs
+    assert entries[1]["exit_status"] == "error"
+    assert entries[1]["final_record"] is not None
+
+
+def test_failed_mms_study_writes_its_summary(out_dir, capsys):
+    argv = ["mms", "--set", "mms.levels=16,32,64", "--set", "mms.t_end=2",
+            "--set", "solver.positivity_floor=0.95", "--set", "solver.max_dt_halvings=1"]
+    assert main(argv) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("numerical failure: PositivityExhaustedError: ")
+    data = json.loads((out_dir / "summary.json").read_text())
+    assert data["exit_status"] == "error"
+    assert lines[0] == f"numerical failure: {data['error']}"
+    assert data["order_report"] is None
+
+
+def test_sweep_param_choices_are_the_harness_table(capsys):
+    parser = cli.build_parser()
+    for name in ns1d.harness.SWEEP_PARAMETERS:
+        assert parser.parse_args(["sweep", "--param", name, "--values=0"]).param == name
+    with pytest.raises(SystemExit):
+        parser.parse_args(["sweep", "--param", "width", "--values=0"])
+
+
 def test_tiny_t_end_takes_a_step(capsys):
     assert main(["run"] + FAST + ["--set", "time.t_end=1e-300"]) == EXIT_OK
     assert "status=ok steps=1" in capsys.readouterr().out

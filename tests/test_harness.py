@@ -7,8 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
+import ns1d.harness
 from ns1d.diagnostics import DiagnosticsRecord, energy_identity_residual
-from ns1d.errors import ConfigError, PositivityExhaustedError
+from ns1d.errors import ConfigError
 from ns1d.grid import build_grid
 from ns1d.harness import (
     KEYMAP,
@@ -217,6 +218,17 @@ class TestInitialData:
         assert np.allclose(grid.node_positions[[0, -1]], [-4.6, 4.6], rtol=1e-15, atol=0)
         assert 0.0 < np.max(np.abs(s.u[grid.node_interior][[0, -1]])) <= 1e-8
 
+    def test_u_bump_refusal_names_the_velocity_bump(self):
+        # at the defaults the u bump needs L >= 4.32209 (4.3196 is refused);
+        # the message names that bump and its edge rule, not a Gaussian
+        grid = build_grid(4.3196, 512)
+        with pytest.raises(ConfigError) as info:
+            make_initial_data(fast_config(grid_L=4.3196, amplitude=0.3, perturb="u"), grid)
+        assert "velocity bump" in str(info.value)
+        assert "Gaussian" not in str(info.value)
+        make_initial_data(fast_config(grid_L=4.3221, amplitude=0.3, perturb="u"),
+                          build_grid(4.3221, 512))
+
     def test_support_check_narrow_width_does_not_overflow(self):
         _check_support(fast_config(width=1e-200))
 
@@ -261,14 +273,30 @@ class TestRun:
         rows = (tmp_path / "timeseries.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + 6  # header + floor(t_end/output_every) + 1
 
-    def test_exhaustion_reraised_with_its_class(self, tmp_path):
+    def test_exhaustion_recorded_in_the_returned_summary(self, tmp_path):
         # two-bump dips theta to 0.88, below the floor, for every trial dt
         cfg = fast_config(preset="two-bump", positivity_floor=0.9, max_dt_halvings=2)
-        with pytest.raises(PositivityExhaustedError):
-            run(cfg, out_dir=tmp_path)
+        s = run(cfg, out_dir=tmp_path)
+        assert s.exit_status == "error"
+        assert s.error.startswith("PositivityExhaustedError: ")
         data = json.loads((tmp_path / "summary.json").read_text())
         assert data["exit_status"] == "error"
         assert data["error"].startswith("PositivityExhaustedError: ")
+        assert data == s.to_dict()
+
+    def test_each_profile_written_once(self, tmp_path, monkeypatch):
+        # t_end is a multiple of profile_every, so the last periodic profile
+        # and the final one are the same file
+        real, paths = ns1d.harness._write_profile, []
+
+        def spy(state, grid, path):
+            paths.append(path.name)
+            real(state, grid, path)
+
+        monkeypatch.setattr(ns1d.harness, "_write_profile", spy)
+        run(fast_config(t_end=0.4, profile_every=0.2), out_dir=tmp_path)
+        assert sorted(paths) == ["profile_t0.2.csv", "profile_t0.4.csv", "profile_t0.csv"]
+        assert sorted(p.name for p in (tmp_path / "profiles").iterdir()) == sorted(paths)
 
     def test_determinism_byte_identical(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
