@@ -53,7 +53,9 @@ class HProfile:
             c2 = math.prod(-ell2 - j for j in range(k))
             return lambda v: c1 * v ** (ell1 - k) + c2 * v ** (-ell2 - k)
 
-        return HProfile("power-sum", ell1, ell2, d(0), d(1), d(2), d(3))
+        # h itself without d(0)'s unit factors; 1 * x is exact, so the bits agree
+        return HProfile("power-sum", ell1, ell2, lambda v: v ** ell1 + v ** -ell2,
+                        d(1), d(2), d(3))
 
     @staticmethod
     def constant(c: float) -> "HProfile":
@@ -96,11 +98,19 @@ class GasModel:
         return 1.0 / (self.gamma - 1.0)
 
 
+def _all_above(arr: np.ndarray, floor: float) -> bool:
+    """np.all(arr > floor) as one min-reduction, which propagates NaN, so a NaN
+    entry fails; an empty array passes."""
+    return arr.size == 0 or np.minimum.reduce(arr, axis=None) > floor
+
+
 def _check_positive(**kwargs):
+    """DomainError naming the first argument with an entry that is not > 0
+    (NaN included); scalars and empty arrays of positive values pass."""
     for name, val in kwargs.items():
         arr = np.asarray(val)
-        if not np.all(arr > 0):
-            raise DomainError(f"{name} must be positive, got min {arr.min() if arr.size else 'empty'}")
+        if not _all_above(arr, 0.0):
+            raise DomainError(f"{name} must be positive, got min {arr.min()}")
 
 
 def pressure(v, theta):

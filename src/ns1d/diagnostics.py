@@ -131,7 +131,8 @@ def dissipation_rate(state: State, model: GasModel, grid: Grid) -> float:
     s = make_stage(state, model, grid)
     v, theta, ux = s.v, s.theta, s.ux
     thx = grid.cell_average_of_nodes(s.theta_x)
-    integrand = s.mu * ux * ux / (v * theta) + s.kappa * thx * thx / (v * theta * theta)
+    v_theta = v * theta                   # in both terms
+    integrand = s.mu * ux * ux / v_theta + s.kappa * thx * thx / (v_theta * theta)
     return float(np.sum(integrand[grid.cell_interior]) * grid.dx)
 
 

@@ -2,7 +2,10 @@
 
 
 class Ns1dError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.  steps: the solver steps accepted
+    before the error, set by advance and convergence_study."""
+
+    steps: int = 0
 
 
 class DomainError(Ns1dError, ValueError):

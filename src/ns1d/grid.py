@@ -8,6 +8,7 @@ the far-field state (1, 0, 1) at all times.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,13 +28,27 @@ class Grid:
 
     # -- layout helpers -----------------------------------------------------
 
-    @property
+    # computed once: a run reads these on every stencil call.  cached_property
+    # stores into the instance __dict__, which a frozen dataclass allows.
+    @cached_property
     def ncells(self) -> int:
         return self.N + 2 * self.ghost_depth
 
-    @property
+    @cached_property
     def nnodes(self) -> int:
         return self.ncells + 1
+
+    @cached_property
+    def ghost_cells(self) -> np.ndarray:
+        """Indices of the ghost cells at both ends."""
+        g = self.ghost_depth
+        return np.r_[:g, self.ncells - g:self.ncells]
+
+    @cached_property
+    def ghost_nodes(self) -> np.ndarray:
+        """Indices of the ghost nodes at both ends."""
+        g = self.ghost_depth
+        return np.r_[:g, self.nnodes - g:self.nnodes]
 
     @property
     def cell_interior(self) -> slice:
@@ -73,7 +88,9 @@ class Grid:
         if cell_field.shape != (self.ncells,):
             raise ArgumentError(f"expected cell field of length {self.ncells}")
         out = np.zeros(self.nnodes)
-        out[1:-1] = (cell_field[1:] - cell_field[:-1]) / self.dx
+        inner = out[1:-1]                   # (c[1:] - c[:-1]) / dx, formed in place
+        np.subtract(cell_field[1:], cell_field[:-1], out=inner)
+        inner /= self.dx
         return out
 
     def cell_diff(self, node_field: np.ndarray) -> np.ndarray:
@@ -87,7 +104,9 @@ class Grid:
         if cell_field.shape != (self.ncells,):
             raise ArgumentError(f"expected cell field of length {self.ncells}")
         out = np.empty(self.nnodes)
-        out[1:-1] = 0.5 * (cell_field[:-1] + cell_field[1:])
+        inner = out[1:-1]                   # 0.5 * (c[:-1] + c[1:]), formed in place
+        np.add(cell_field[:-1], cell_field[1:], out=inner)
+        inner *= 0.5
         out[0] = cell_field[0]
         out[-1] = cell_field[-1]
         return out
@@ -156,11 +175,7 @@ class State:
 
 def apply_farfield(state: State, grid: Grid) -> State:
     """Pin all ghost entries to (1, 0, 1); interior untouched.  In place."""
-    g = grid.ghost_depth
-    state.v[:g] = FARFIELD[0]
-    state.v[-g:] = FARFIELD[0]
-    state.theta[:g] = FARFIELD[2]
-    state.theta[-g:] = FARFIELD[2]
-    state.u[:g] = FARFIELD[1]
-    state.u[-g:] = FARFIELD[1]
+    state.v[grid.ghost_cells] = FARFIELD[0]
+    state.theta[grid.ghost_cells] = FARFIELD[2]
+    state.u[grid.ghost_nodes] = FARFIELD[1]
     return state

@@ -333,6 +333,7 @@ class RunSummary:
     def record_failure(self, exc: Ns1dError):
         self.exit_status = "error"
         self.error = f"{type(exc).__name__}: {exc}"
+        self.steps = exc.steps
 
 
 def _json_dump(obj, path: Path):

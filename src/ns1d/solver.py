@@ -21,11 +21,11 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .constitutive import GasModel, _theta_pow, transport
+from .constitutive import GasModel, _all_above, _theta_pow, transport
 # not called here: perfbench/tracer.py patches it in this namespace by name
 from .constitutive import transport_derivatives  # noqa: F401
-from .errors import (ArgumentError, DomainError, NewtonDivergenceError, PositivityError,
-                     PositivityExhaustedError)
+from .errors import (ArgumentError, DomainError, NewtonDivergenceError, Ns1dError,
+                     PositivityError, PositivityExhaustedError)
 from .grid import Grid, State, apply_farfield
 
 __all__ = [
@@ -83,7 +83,7 @@ class AdvanceStats:
 
 
 def _check_state_positive(state: State, floor: float = 0.0):
-    if not (np.all(state.v > floor) and np.all(state.theta > floor)):
+    if not (_all_above(state.v, floor) and _all_above(state.theta, floor)):
         raise PositivityError(
             f"state at t={state.t} has min v={state.v.min():.3e}, "
             f"min theta={state.theta.min():.3e} (floor {floor:.1e})")
@@ -94,6 +94,10 @@ class Stage(State):
     """A state plus what the rates, the step size and the dissipation rate
     need of it, computed once: ux = cell_diff(u), (mu, kappa) and
     theta_x = node_diff(theta).
+
+    make_stage checks v, theta > floor with one min-reduction per field, which
+    propagates NaN, so a NaN entry is refused like a nonpositive one; the
+    transport call checks v, theta > 0 again, the same way.
 
     The cached fields describe the arrays as they were when the stage was
     built, so a stage's arrays are never written to.
@@ -131,12 +135,14 @@ def rhs(state: State, model: GasModel, grid: Grid, sources: Sources = None):
     s = make_stage(state, model, grid)
     v, theta, ux, mu = s.v, s.theta, s.ux, s.mu
     P = theta / v
+    mu_ux = mu * ux                       # in the stress and in the heating
 
     dv_dt = ux.copy()
-    stress = -P + mu * ux / v
+    # no negated arrays: x - y is exactly -y + x, in the bits too
+    stress = mu_ux / v - P
     du_dt = grid.node_diff(stress)
     heat_flux = grid.face_average(s.kappa / v) * s.theta_x
-    dtheta_dt = (-theta * ux / v + grid.cell_diff(heat_flux) + mu * ux * ux / v) / model.cv
+    dtheta_dt = (grid.cell_diff(heat_flux) - theta * ux / v + mu_ux * ux / v) / model.cv
 
     if sources is not None:
         sv, su, sth = sources(s.t)
@@ -359,7 +365,8 @@ def advance(state: State, model: GasModel, grid: Grid, config: SolverConfig,
     observer(state_copy) fires at the start time and at each output time;
     on_step(state, StepStats) fires after every accepted step.  The stage of
     each accepted state feeds the next step size, the next step and on_step.
-    Deterministic: identical inputs give bitwise identical trajectories.
+    Deterministic: identical inputs give bitwise identical trajectories.  An
+    Ns1dError raised on the way carries the number of steps accepted before it.
     """
     if t_end < state.t:
         raise ArgumentError(f"t_end {t_end} precedes state time {state.t}")
@@ -372,21 +379,25 @@ def advance(state: State, model: GasModel, grid: Grid, config: SolverConfig,
     t0 = state.t
     eps = 1e-12 * max(abs(t0), abs(t_end))  # landing tolerance, relative to the times
 
-    if observer is not None:
-        observer(state.copy())
-    for target in _landing_times(t0, t_end, output_every, eps):
-        while True:  # at least one step per landing time, so none is swallowed
-            dt = min(dt_fn(state, model, grid, config), target - state.t)
-            state, sstats = step(state, model, grid, config, dt, sources)
-            stats.steps += 1
-            stats.rejected_substeps += sstats.rejected_substeps
-            stats.max_newton_iters = max(stats.max_newton_iters, sstats.newton_iters)
-            stats.max_residual = max(stats.max_residual, sstats.max_residual)
-            if on_step is not None:
-                on_step(state, sstats)
-            if state.t >= target - eps:
-                break
-        state.t = target  # kill accumulated roundoff at landing times
+    try:
         if observer is not None:
             observer(state.copy())
+        for target in _landing_times(t0, t_end, output_every, eps):
+            while True:  # at least one step per landing time, so none is swallowed
+                dt = min(dt_fn(state, model, grid, config), target - state.t)
+                state, sstats = step(state, model, grid, config, dt, sources)
+                stats.steps += 1
+                stats.rejected_substeps += sstats.rejected_substeps
+                stats.max_newton_iters = max(stats.max_newton_iters, sstats.newton_iters)
+                stats.max_residual = max(stats.max_residual, sstats.max_residual)
+                if on_step is not None:
+                    on_step(state, sstats)
+                if state.t >= target - eps:
+                    break
+            state.t = target  # kill accumulated roundoff at landing times
+            if observer is not None:
+                observer(state.copy())
+    except Ns1dError as exc:
+        exc.steps = stats.steps
+        raise
     return state, stats

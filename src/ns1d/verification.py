@@ -9,7 +9,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from .constitutive import GasModel
-from .errors import ArgumentError
+from .errors import ArgumentError, Ns1dError
 from .grid import Grid, State, build_grid, apply_farfield
 from .solver import SolverConfig, advance
 
@@ -127,8 +127,17 @@ def check_support(L: float, amplitude: float, width: float = 1.0, centre: float 
     if reach <= 0 or reach < need:
         raise ArgumentError(
             f"Gaussian (amplitude={amplitude}, width={width}, centre={centre}) is not supported "
-            f"inside |x| <= L = {L}: L must be at least {abs(centre) + need * width:.6g} "
+            f"inside |x| <= L = {L}: L must be at least {_ceil_6g(abs(centre) + need * width)} "
             f"for it to fall to {tol:g} there")
+
+
+def _ceil_6g(x: float) -> str:
+    """x >= 0 at 6 significant figures, rounded up: a printed lower bound
+    that is itself accepted."""
+    s = f"{x:.6g}"
+    if float(s) < x:                        # .6g rounded down: add one unit in the last figure
+        s = f"{float(s) + 10.0 ** (math.floor(math.log10(float(s))) - 5):.6g}"
+    return s
 
 
 def mms_sources(case: ManufacturedCase, model: GasModel, t: float, x):
@@ -234,7 +243,8 @@ def convergence_study(case: ManufacturedCase, model: GasModel, levels: List[int]
     """Run the source-augmented system at each level and fit error orders.
 
     dt is tied to dx^2 for the explicit integrator (through the parabolic CFL)
-    and to dx for IMEX, so a single error order dominates.
+    and to dx for IMEX, so a single error order dominates.  An Ns1dError from
+    a level carries the steps of every level up to the failure.
     """
     check_levels(levels)
     config = config or SolverConfig()
@@ -245,7 +255,11 @@ def convergence_study(case: ManufacturedCase, model: GasModel, levels: List[int]
         grid = build_grid(L, N)
         state = exact_state(case, grid, 0.0)
         sources = make_source_fn(case, model, grid)
-        state, stats = advance(state, model, grid, config, t_end, sources=sources)
+        try:
+            state, stats = advance(state, model, grid, config, t_end, sources=sources)
+        except Ns1dError as exc:
+            exc.steps += steps              # and the steps of the finished levels
+            raise
         steps += stats.steps
         ref = exact_state(case, grid, t_end)
         ci, ni = grid.cell_interior, grid.node_interior

@@ -47,6 +47,17 @@ def test_pulse_domain_measured_from_its_edge(out_dir):
     assert main(argv) == EXIT_OK
 
 
+@pytest.mark.parametrize("preset, refused", [("two-bump", "6.1493"), ("gauss-pulse", "4.1493")])
+def test_printed_domain_bound_is_accepted(preset, refused, capsys):
+    # the bound is 6.149302 (4.149302): the figure is rounded up, never down
+    argv = ["run", "--set", f"preset={preset}", "--set", "grid.N=64",
+            "--set", "time.t_end=0.001"]
+    assert main(argv + ["--set", f"grid.L={refused}"]) == EXIT_CONFIG
+    bound = re.search(r"L must be at least (\S+) ", capsys.readouterr().err).group(1)
+    assert float(bound) > float(refused)
+    assert main(argv + ["--set", f"grid.L={bound}"]) == EXIT_OK
+
+
 def test_run_with_config_file(tmp_path, out_dir):
     cfg = write_config(tmp_path, "preset = constant\ngrid.N = 64\ntime.t_end = 0.05\n"
                                  "time.output_every = 0.05\n")
@@ -241,6 +252,22 @@ def test_failed_mms_study_writes_its_summary(out_dir, capsys):
     assert data["exit_status"] == "error"
     assert lines[0] == f"numerical failure: {data['error']}"
     assert data["order_report"] is None
+
+
+def test_failed_runs_record_their_accepted_steps(out_dir):
+    # the study fails at t = 1.35 of its first level, after accepted steps
+    argv = ["mms", "--set", "mms.levels=16,32,64", "--set", "mms.t_end=2",
+            "--set", "solver.positivity_floor=0.95", "--set", "solver.max_dt_halvings=1"]
+    assert main(argv) == EXIT_NUMERICAL
+    data = json.loads((out_dir / "summary.json").read_text())
+    assert data["exit_status"] == "error" and data["steps"] > 0
+    # two-bump dips below the floor on its first step, at t = 0
+    argv = ["run", "--set", "preset=two-bump", "--set", "solver.positivity_floor=0.9",
+            "--set", "solver.max_dt_halvings=2"]
+    assert main(argv + FAST) == EXIT_NUMERICAL
+    data = json.loads((out_dir / "summary.json").read_text())
+    assert data["exit_status"] == "error" and data["steps"] == 0
+    assert data["final_record"]["t"] == 0.0
 
 
 def test_sweep_param_choices_are_the_harness_table(capsys):

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ns1d.constitutive import (
     GasModel,
+    _check_positive,
     HProfile,
     adaptive_simpson,
     entropy,
@@ -28,6 +30,49 @@ positive = st.floats(min_value=1e-3, max_value=1e3)
 
 def model(gamma=5 / 3, **kw):
     return GasModel(gamma=gamma, **kw)
+
+
+# entries at and around each check's edge: NaN, signed zeros, infinities
+EDGE_VALUES = [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e-8, 1.0]
+edge_floats = st.one_of(st.sampled_from(EDGE_VALUES),
+                        st.floats(allow_nan=True, allow_infinity=True))
+
+
+def np_all_check(**kwargs):
+    """_check_positive as it was: np.all(arr > 0) per argument."""
+    for name, val in kwargs.items():
+        arr = np.asarray(val)
+        if not np.all(arr > 0):
+            raise DomainError(f"{name} must be positive, got min {arr.min() if arr.size else 'empty'}")
+
+
+def outcome(check, **kwargs):
+    try:
+        check(**kwargs)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+class TestCheckPositive:
+    """The min-reduction check refuses exactly what np.all(x > 0) refused,
+    with the same message."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(x=st.one_of(
+        edge_floats,
+        st.integers(-3, 3),
+        hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0,
+                                                 max_side=6), elements=edge_floats),
+        hnp.arrays(np.int64, hnp.array_shapes(min_dims=0, max_dims=1, min_side=0),
+                   elements=st.integers(-3, 3))),
+        y=edge_floats)
+    @example(x=np.array([]), y=1.0)
+    @example(x=np.array([1.0, math.nan, 2.0]), y=1.0)
+    @example(x=np.array([2.0, -0.0]), y=1.0)
+    @example(x=np.float64(math.inf), y=math.inf)
+    def test_refuses_what_np_all_refused(self, x, y):
+        assert outcome(_check_positive, v=x, theta=y) == outcome(np_all_check, v=x, theta=y)
 
 
 class TestEosBasics:

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import ns1d.solver
 from ns1d.constitutive import GasModel, HProfile, transport, transport_derivatives
@@ -12,6 +15,7 @@ from ns1d.errors import DomainError, NewtonDivergenceError, PositivityError
 from ns1d.grid import State, apply_farfield, build_grid
 from ns1d.solver import (
     SolverConfig,
+    _check_state_positive,
     _landing_times,
     advance,
     backward_euler_theta,
@@ -134,6 +138,126 @@ class TestExplicitStep:
         from ns1d.errors import PositivityExhaustedError
         with pytest.raises(PositivityExhaustedError):
             step_explicit(s, m, g, cfg, 1e-2)
+
+
+def reference_h(h, v):
+    """The power-sum h as its k-th derivative formula at k = 0: unit
+    coefficients, exponents minus 0."""
+    return 1 * v ** (h.ell1 - 0) + 1 * v ** (-h.ell2 - 0)
+
+
+def reference_transport(model, v, theta):
+    """(mu, kappa) = (mu_tilde, kappa_tilde) * h(v) * theta^alpha."""
+    hv = reference_h(model.h, v)
+    ta = np.exp(model.alpha * np.log(theta))
+    return model.mu_tilde * hv * ta, model.kappa_tilde * hv * ta
+
+
+def reference_rhs(s, model, grid):
+    """The semidiscrete rates with every product formed where it is used."""
+    v, theta = s.v, s.theta
+    mu, kappa = reference_transport(model, v, theta)
+    ux = grid.cell_diff(s.u)
+    P = theta / v
+    du_dt = grid.node_diff(-P + mu * ux / v)
+    heat_flux = grid.face_average(kappa / v) * grid.node_diff(theta)
+    dtheta_dt = (-theta * ux / v + grid.cell_diff(heat_flux) + mu * ux * ux / v) / model.cv
+    return ux.copy(), du_dt, dtheta_dt
+
+
+def reference_stable_dt(s, model, grid, config):
+    mu, kappa = reference_transport(model, s.v, s.theta)
+    c = np.sqrt(model.gamma * s.theta) / s.v
+    dt = config.cfl_advective * grid.dx / float(c.max())
+    diff_rate = np.maximum(mu / s.v, kappa / (model.cv * s.v))
+    return min(dt, config.cfl_parabolic * grid.dx ** 2 / (2.0 * float(diff_rate.max())))
+
+
+def reference_explicit_step(s0, model, grid, dt):
+    """One SSP-RK2 step without rejection: predictor, then the average."""
+    k1 = reference_rhs(s0, model, grid)
+    s1 = apply_farfield(State(s0.t + dt, s0.v + dt * k1[0], s0.u + dt * k1[1],
+                              s0.theta + dt * k1[2]), grid)
+    k2 = reference_rhs(s1, model, grid)
+    return apply_farfield(State(s0.t + dt,
+                                s0.v + 0.5 * dt * (k1[0] + k2[0]),
+                                s0.u + 0.5 * dt * (k1[1] + k2[1]),
+                                s0.theta + 0.5 * dt * (k1[2] + k2[2])), grid)
+
+
+def reference_dissipation_rate(s, model, grid):
+    v, theta = s.v, s.theta
+    mu, kappa = reference_transport(model, v, theta)
+    ux = grid.cell_diff(s.u)
+    thx = grid.cell_average_of_nodes(grid.node_diff(theta))
+    integrand = mu * ux * ux / (v * theta) + kappa * thx * thx / (v * theta * theta)
+    return float(np.sum(integrand[grid.cell_interior]) * grid.dx)
+
+
+BITS_MODELS = [GasModel(1.4, mu_tilde=1.3, kappa_tilde=0.7, alpha=alpha,
+                        h=HProfile.power_sum(ell1, ell2))
+               for alpha in (0.0, 0.05) for ell1, ell2 in ((1, 1), (0.5, 2.0))]
+
+
+class TestExplicitStepBits:
+    """stable_dt, step_explicit and dissipation_rate keep the arithmetic of the
+    reference step above to the last bit."""
+
+    @pytest.mark.parametrize("model", BITS_MODELS,
+                             ids=lambda m: f"alpha={m.alpha}-ell=({m.h.ell1},{m.h.ell2})")
+    def test_twenty_steps_bitwise_equal_to_reference(self, model):
+        g = build_grid(8.0, 128)
+        got = gauss_state(g, a=0.3, with_u=True)
+        want = got.copy()
+        for _ in range(20):
+            dt = stable_dt(got, model, g, CFG)
+            assert dt == reference_stable_dt(want, model, g, CFG)
+            got, stats = step_explicit(got, model, g, CFG, dt)
+            want = reference_explicit_step(want, model, g, dt)
+            assert stats.rejected_substeps == 0
+            for name in ("v", "u", "theta"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert got.t == want.t
+            assert dissipation_rate(got, model, g) == reference_dissipation_rate(want, model, g)
+        assert np.max(np.abs(got.theta - 1.0)) > 0.1    # the pulse is still there
+        assert model.h(1.7) == reference_h(model.h, 1.7)  # scalars, as kanel_potential passes
+
+
+FLOORS = [0.0, 1e-8, 0.5, 0.95]
+# NaN, signed zeros, infinities, each floor and its neighbours
+EDGE_VALUES = ([math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1.0]
+               + [np.nextafter(f, d) for f in FLOORS for d in (-math.inf, math.inf)]
+               + FLOORS)
+edge_floats = st.one_of(st.sampled_from(EDGE_VALUES),
+                        st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def cell_field_pairs(draw):
+    """(v, theta) of one length, empty included."""
+    n = draw(st.integers(0, 8))
+    return tuple(draw(hnp.arrays(np.float64, n, elements=edge_floats)) for _ in range(2))
+
+
+class TestStatePositivityCheck:
+    """The min-reduction check refuses exactly the states np.all(x > floor)
+    refused: NaN fails like a value at or below the floor."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(fields=cell_field_pairs(), floor=st.sampled_from(FLOORS))
+    @example(fields=(np.array([1.0, math.nan]), np.array([1.0, 1.0])), floor=0.0)
+    @example(fields=(np.array([1.0]), np.array([0.5])), floor=0.5)
+    @example(fields=(np.array([1.0]), np.array([-0.0])), floor=0.0)
+    @example(fields=(np.array([]), np.array([])), floor=0.5)
+    def test_refuses_what_np_all_refused(self, fields, floor):
+        v, theta = fields
+        refused = not (np.all(v > floor) and np.all(theta > floor))
+        state = State(0.0, v, np.zeros(v.size + 1), theta)
+        if refused:
+            with pytest.raises(PositivityError):
+                _check_state_positive(state, floor)
+        else:
+            _check_state_positive(state, floor)
 
 
 class TestImexStep:
@@ -345,6 +469,24 @@ class TestAdvance:
             s0.t = t0
             s, stats = advance(s0, m, g, CFG, t_end)
             assert stats.steps == 1 and s.t == t_end
+
+    def test_failure_carries_the_accepted_steps(self):
+        g = build_grid(4.0, 64)
+        m = GasModel(5 / 3)
+
+        def fail_fourth(state, stats):
+            seen.append(state.t)
+            if len(seen) == 4:
+                raise PositivityError("on purpose")
+
+        seen = []
+        with pytest.raises(PositivityError) as info:
+            advance(gauss_state(g, a=0.1), m, g, CFG, 0.05, on_step=fail_fourth)
+        assert info.value.steps == 4
+        with pytest.raises(PositivityError) as info:  # refused before any step
+            advance(State(0.0, -State.equilibrium(g).v, np.zeros(g.nnodes),
+                          State.equilibrium(g).theta), m, g, CFG, 0.05)
+        assert info.value.steps == 0
 
     def test_zero_interval(self):
         g = build_grid(2.0, 32)

@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 import ns1d.verification
 from ns1d.constitutive import GasModel, HProfile
-from ns1d.errors import ArgumentError
+from ns1d.errors import ArgumentError, NewtonDivergenceError
 from ns1d.grid import State, apply_farfield, build_grid
 from ns1d.solver import SolverConfig, step_explicit
 from ns1d.verification import (
@@ -68,6 +69,16 @@ class TestCaseDefinition:
         for L, a in ((5.0, 0.1), (2.0, 0.1), (0.5, 0.1), (5.2, 0.99)):
             with pytest.raises(ArgumentError):
                 check_support(L, a)
+
+    def test_printed_bound_holds(self):
+        rng = np.random.default_rng(3)
+        for _ in range(2000):
+            a, w = float(10 ** rng.uniform(-6, 0)), float(10 ** rng.uniform(-2, 1))
+            centre = float(rng.choice([0.0, 2.0 * w]))
+            with pytest.raises(ArgumentError) as info:
+                check_support(centre, a, w, centre, tol=1e-8)
+            bound = float(re.search(r"at least (\S+) ", str(info.value)).group(1))
+            check_support(bound, a, w, centre, tol=1e-8)
 
     def test_amplitude_bounds(self):
         with pytest.raises(ArgumentError):
@@ -253,6 +264,24 @@ class TestConvergence:
         rep = convergence_study(default_case(0.1), MODEL, [32, 64, 128], 0.1)
         for f in ("v", "u", "theta"):
             assert rep.orders[f][-1] == pytest.approx(2.0, abs=0.35)
+
+    def test_failure_carries_the_steps_of_every_level(self, monkeypatch):
+        # the second level fails after 5 steps of its own
+        real, finished = ns1d.verification.advance, []
+
+        def fail_second_level(*args, **kwargs):
+            if finished:
+                exc = NewtonDivergenceError("second level")
+                exc.steps = 5
+                raise exc
+            state, stats = real(*args, **kwargs)
+            finished.append(stats.steps)
+            return state, stats
+
+        monkeypatch.setattr(ns1d.verification, "advance", fail_second_level)
+        with pytest.raises(NewtonDivergenceError) as info:
+            convergence_study(default_case(0.1), MODEL, [8, 16, 32], 0.01)
+        assert finished[0] > 0 and info.value.steps == finished[0] + 5
 
     def test_report_serializes(self):
         rep = convergence_study(default_case(0.0), MODEL, [8, 16, 32], 0.01)
