@@ -14,15 +14,9 @@ from .constitutive import (
     GasModel,
     HProfile,
     AdmissibilityReport,
-    pressure,
-    internal_energy,
-    entropy,
     transport,
-    transport_derivatives,
     phi,
-    eta,
     kanel_potential,
-    h_envelope,
     validate_h,
 )
 from .grid import Grid, State, build_grid, apply_farfield
@@ -45,8 +39,7 @@ from .harness import (RunConfig, RunSummary, load_config, default_config,
 
 __all__ = [
     "GasModel", "HProfile", "AdmissibilityReport",
-    "pressure", "internal_energy", "entropy", "transport", "transport_derivatives",
-    "phi", "eta", "kanel_potential", "h_envelope", "validate_h",
+    "transport", "phi", "kanel_potential", "validate_h",
     "Grid", "State", "build_grid", "apply_farfield",
     "SolverConfig", "StepStats", "rhs", "stable_dt", "advective_dt",
     "step_explicit", "step_imex", "advance",

@@ -1,4 +1,5 @@
-"""Equation of state, transport laws, entropy pair, and admissibility checks.
+"""Transport laws, the entropy function phi, the Kanel' potential, and
+admissibility checks of the volume profile h.
 
 Everything here is a pure function of (v, theta) or of a volume profile h.
 Gas constants are normalized to unity; the reference state is (v, theta) = (1, 1)
@@ -17,8 +18,8 @@ from .errors import ArgumentError, DomainError, QuadratureError
 
 __all__ = [
     "HProfile", "GasModel", "AdmissibilityReport", "check_sample_range",
-    "pressure", "internal_energy", "entropy", "transport", "transport_derivatives",
-    "phi", "eta", "kanel_potential", "h_envelope", "validate_h", "adaptive_simpson",
+    "transport", "transport_derivatives", "phi", "kanel_potential", "validate_h",
+    "adaptive_simpson",
 ]
 
 
@@ -28,7 +29,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HProfile:
-    """Volume dependence of the transport coefficients, with derivatives.
+    """Volume dependence of the transport coefficients, with its derivative.
 
     ``kind`` is "power-sum" (h = v**ell1 + v**-ell2) or "constant".  The
     callables accept scalars or numpy arrays of positive v.
@@ -39,32 +40,21 @@ class HProfile:
     ell2: float
     h: Callable
     dh: Callable
-    d2h: Callable
-    d3h: Callable
 
     @staticmethod
     def power_sum(ell1: float, ell2: float) -> "HProfile":
         if ell1 < 0 or ell2 < 0:
             raise ArgumentError("power-sum exponents must be nonnegative")
-
-        def d(k):
-            # k-th derivative of v**ell1 + v**-ell2
-            c1 = math.prod(ell1 - j for j in range(k))
-            c2 = math.prod(-ell2 - j for j in range(k))
-            return lambda v: c1 * v ** (ell1 - k) + c2 * v ** (-ell2 - k)
-
-        # h itself without d(0)'s unit factors; 1 * x is exact, so the bits agree
         return HProfile("power-sum", ell1, ell2, lambda v: v ** ell1 + v ** -ell2,
-                        d(1), d(2), d(3))
+                        lambda v: ell1 * v ** (ell1 - 1) - ell2 * v ** (-ell2 - 1))
 
     @staticmethod
     def constant(c: float) -> "HProfile":
         if c <= 0:
             raise ArgumentError("constant profile requires c > 0")
-        zero = lambda v: np.zeros_like(np.asarray(v, dtype=float)) + 0.0
         return HProfile("constant", 0.0, 0.0,
                         lambda v: np.full_like(np.asarray(v, dtype=float), c) if np.ndim(v) else c,
-                        zero, zero, zero)
+                        lambda v: np.zeros_like(np.asarray(v, dtype=float)) + 0.0)
 
     def __call__(self, v):
         return self.h(v)
@@ -113,27 +103,6 @@ def _check_positive(**kwargs):
             raise DomainError(f"{name} must be positive, got min {arr.min()}")
 
 
-def pressure(v, theta):
-    """P = theta / v."""
-    _check_positive(v=v, theta=theta)
-    return theta / v
-
-
-def internal_energy(model: GasModel, theta):
-    """e = cv * theta."""
-    _check_positive(theta=theta)
-    return model.cv * theta
-
-
-def entropy(model: GasModel, v, theta):
-    """s = cv*ln(theta) + ln(v), zero at the far-field state (1, 1).
-
-    Round-trips through v**(-gamma) * exp(s/cv) = theta/v.
-    """
-    _check_positive(v=v, theta=theta)
-    return model.cv * np.log(theta) + np.log(v)
-
-
 def _theta_pow(theta, alpha):
     # exp(alpha*log) is valid for every real alpha and reduces to exactly 1
     # at alpha = 0, which keeps the alpha=0 branch bitwise equal to h alone.
@@ -166,18 +135,13 @@ def transport_derivatives(model: GasModel, v, theta):
 
 
 # ---------------------------------------------------------------------------
-# entropy pair
+# entropy function
 # ---------------------------------------------------------------------------
 
 def phi(z):
     """phi(z) = z - ln(z) - 1, nonnegative, zero only at z = 1."""
     _check_positive(z=z)
     return z - np.log(z) - 1.0
-
-
-def eta(model: GasModel, v, u, theta):
-    """Relative-entropy density phi(v) + u^2/2 + cv*phi(theta)."""
-    return phi(v) + 0.5 * np.asarray(u) ** 2 + model.cv * phi(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -237,40 +201,8 @@ def kanel_potential(h: HProfile, v: float, tol: float = 1e-10) -> float:
 
 
 # ---------------------------------------------------------------------------
-# envelope H(w) and admissibility
+# admissibility of h
 # ---------------------------------------------------------------------------
-
-def _h_vector_norm(h: HProfile, sigma):
-    sigma = np.asarray(sigma, dtype=float)
-    return np.sqrt(np.asarray(h.h(sigma), dtype=float) ** 2
-                   + np.asarray(h.dh(sigma), dtype=float) ** 2
-                   + np.asarray(h.d2h(sigma), dtype=float) ** 2
-                   + np.asarray(h.d3h(sigma), dtype=float) ** 2)
-
-
-def h_envelope(h: HProfile, w: float, rel_tol: float = 1e-6, n0: int = 4097,
-               max_doublings: int = 12) -> float:
-    """sup over [w, 1/w] of the Euclidean norm of (h, h', h'', h''').
-
-    Sampling is geometric (log-uniform), which concentrates points near the
-    small-sigma end where power-sum derivatives blow up.  The grid is doubled
-    until two successive suprema agree to rel_tol.
-    """
-    if not (0.0 < w <= 1.0):
-        raise DomainError(f"h_envelope requires 0 < w <= 1, got {w}")
-    if w == 1.0:
-        return float(_h_vector_norm(h, 1.0))
-    n = n0
-    prev = None
-    for _ in range(max_doublings):
-        sigma = np.exp(np.linspace(math.log(w), -math.log(w), n))
-        cur = float(_h_vector_norm(h, sigma).max())
-        if prev is not None and abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
-            return cur
-        prev = cur
-        n = 2 * n - 1
-    return prev
-
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
@@ -314,7 +246,7 @@ def validate_h(h: HProfile, v_range=(0.01, 100.0), samples: int = 100_000,
     lo, hi = check_sample_range(v_range, samples)
     v = np.exp(np.linspace(math.log(lo), math.log(hi), samples))
     hv = np.asarray(h.h(v), dtype=float)
-    if np.any(hv <= 0):
+    if not _all_above(hv, 0.0):
         raise DomainError("h(v) must be positive on the validation range")
     dhv = np.asarray(h.dh(v), dtype=float)
 

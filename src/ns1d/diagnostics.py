@@ -15,7 +15,7 @@ from typing import List, Optional
 import numpy as np
 
 # adaptive_simpson is unused here; the benchmark's tracer patches it by this name
-from .constitutive import (GasModel, HProfile, adaptive_simpson,  # noqa: F401
+from .constitutive import (GasModel, HProfile, _all_above, adaptive_simpson,  # noqa: F401
                            kanel_potential, phi, transport)
 from .errors import ArgumentError, PositivityError
 from .grid import Grid, State
@@ -174,7 +174,7 @@ class KanelEvaluator:
 
 def kanel_bound_pair(state: State, model: GasModel, grid: Grid):
     """(max_x |Phi(v)|, ||sqrt(phi(v))|| * ||h(v)*v_x/v||), the Cauchy-Schwarz pair."""
-    if not (np.all(state.v > 0) and np.all(state.theta > 0)):
+    if not (_all_above(state.v, 0.0) and _all_above(state.theta, 0.0)):
         raise PositivityError("kanel_bound_pair requires a positive state")
     ci = grid.cell_interior
     v = state.v

@@ -20,8 +20,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .constitutive import (GasModel, HProfile, AdmissibilityReport, check_sample_range,
-                           validate_h)
+from .constitutive import (GasModel, HProfile, AdmissibilityReport, _all_above,
+                           check_sample_range, validate_h)
 from .diagnostics import (DiagnosticsCollector, DiagnosticsRecord,
                           decay_metrics, initial_data_report, theta_floor_fit)
 from .errors import ArgumentError, ConfigError, DomainError, Ns1dError
@@ -303,7 +303,7 @@ def make_initial_data(config: RunConfig, grid: Grid) -> State:
         if "u" in parts:
             state.u = state.u + _u_bump(config, xn)
     apply_farfield(state, grid)
-    if np.any(state.v <= 0) or np.any(state.theta <= 0):
+    if not (_all_above(state.v, 0.0) and _all_above(state.theta, 0.0)):
         raise ConfigError("initial data violate positivity")
     return state
 
@@ -458,12 +458,16 @@ def sweep(base_config: RunConfig, parameter: str, values: List[float],
     Every value is checked before the first run, and the first refused one
     raises a ConfigError naming it, with nothing written.  The summaries are
     what `run` returns, failed runs included, so each sweep_summary.json
-    entry equals its run's summary.json.
+    entry equals its run's summary.json.  Only the pulse presets read
+    init.amplitude, so an amplitude sweep of another preset is refused.
     """
     attr = SWEEP_PARAMETERS.get(parameter)
     if attr is None:
         raise ConfigError(f"sweep parameter must be one of {', '.join(SWEEP_PARAMETERS)}, "
                           f"got {parameter!r}")
+    if attr == "amplitude" and base_config.preset not in ("gauss-pulse", "two-bump"):
+        raise ConfigError(f"the {base_config.preset} preset ignores init.amplitude; "
+                          "sweep it on gauss-pulse or two-bump")
     configs = []
     for value in values:
         try:

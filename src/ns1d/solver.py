@@ -267,7 +267,7 @@ def backward_euler_theta(theta_exp: np.ndarray, v: np.ndarray, model: GasModel,
     d(kappa/v)/dtheta = alpha*kappa/theta/v, the arithmetic of transport and
     transport_derivatives, so the iterates are bitwise theirs.
     """
-    if not np.all(v > 0):
+    if not _all_above(v, 0.0):
         raise DomainError(f"v must be positive, got min {v.min()}")
     g = grid.ghost_depth
     lo, hi = g, g + grid.N                  # interior cell unknowns [lo, hi)
@@ -278,7 +278,7 @@ def backward_euler_theta(theta_exp: np.ndarray, v: np.ndarray, model: GasModel,
     iters = 0
     max_res = math.inf
     for iters in range(1, config.newton_max_iter + 1):
-        if not np.all(theta > 0):
+        if not _all_above(theta, 0.0):
             raise PositivityError("theta went nonpositive inside Newton iteration")
         kappa = kh * _theta_pow(theta, alpha)
         b = kappa / v                       # cell conductivity

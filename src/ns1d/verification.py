@@ -8,7 +8,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from .constitutive import GasModel
+from .constitutive import GasModel, _theta_pow
 from .errors import ArgumentError, Ns1dError
 from .grid import Grid, State, build_grid, apply_farfield
 from .solver import SolverConfig, advance
@@ -154,7 +154,7 @@ def mms_sources(case: ManufacturedCase, model: GasModel, t: float, x):
     ux = case.u_x(t, x)
     uxx = case.u_xx(t, x)
 
-    ta = np.exp(model.alpha * np.log(th))
+    ta = _theta_pow(th, model.alpha)
     hv = np.asarray(model.h(v), dtype=float)
     dhv = np.asarray(model.h.dh(v), dtype=float)
     mu = model.mu_tilde * hv * ta

@@ -177,6 +177,8 @@ MMS_FAST = ["--set", "mms.levels=16,32,64", "--set", "mms.t_end=0.05"]
     ["run", "--set", "strict=false"],
     ["run", "--set", "init.perturb=u", "--set", "grid.L=4.2", "--set", "grid.N=256"],
     ["mms", "--set", "output.formats=csv"],
+    ["sweep", "--set", "preset=mms", "--param", "amplitude", "--values=0.05,0.5"],
+    ["sweep", "--set", "preset=constant", "--param", "amplitude", "--values=0.05,0.5"],
 ], ids=lambda argv: " ".join(argv))
 def test_refused_input_exits_2(argv, capsys):
     command, rest = argv[0], argv[1:]

@@ -12,18 +12,18 @@ from ns1d.constitutive import (
     _check_positive,
     HProfile,
     adaptive_simpson,
-    entropy,
-    eta,
-    h_envelope,
-    internal_energy,
     kanel_potential,
     phi,
-    pressure,
     transport,
     transport_derivatives,
     validate_h,
 )
-from ns1d.errors import DomainError
+from ns1d.diagnostics import kanel_bound_pair
+from ns1d.errors import ConfigError, DomainError, PositivityError
+from ns1d.grid import State, build_grid
+import ns1d.harness
+from ns1d.harness import RunConfig, make_initial_data
+from ns1d.solver import SolverConfig, backward_euler_theta
 
 positive = st.floats(min_value=1e-3, max_value=1e3)
 
@@ -75,23 +75,68 @@ class TestCheckPositive:
         assert outcome(_check_positive, v=x, theta=y) == outcome(np_all_check, v=x, theta=y)
 
 
+GRID = build_grid(16.0, 64)
+
+
+def with_entry(arr, entry):
+    """arr with one interior cell set to entry."""
+    out = arr.copy()
+    out[GRID.ghost_depth + 3] = entry
+    return out
+
+
+def refuse_v_in_theta_solve(entry, monkeypatch):
+    s = State.equilibrium(GRID)
+    backward_euler_theta(s.theta, with_entry(s.v, entry), model(), GRID, SolverConfig(), 1e-3)
+
+
+def refuse_theta_in_theta_solve(entry, monkeypatch):
+    s = State.equilibrium(GRID)
+    backward_euler_theta(with_entry(s.theta, entry), s.v, model(), GRID, SolverConfig(), 1e-3)
+
+
+def refuse_kanel_pair(entry, monkeypatch):
+    s = State.equilibrium(GRID)
+    s.v = with_entry(s.v, entry)
+    kanel_bound_pair(s, model(), GRID)
+
+
+def refuse_initial_data(entry, monkeypatch):
+    pin = ns1d.harness.apply_farfield
+
+    def pin_then_spoil(state, grid):
+        pin(state, grid)
+        state.theta = with_entry(state.theta, entry)
+    monkeypatch.setattr(ns1d.harness, "apply_farfield", pin_then_spoil)
+    make_initial_data(dataclasses.replace(RunConfig(), grid_N=GRID.N), GRID)
+
+
+def refuse_h_values(entry, monkeypatch):
+    h = dataclasses.replace(HProfile.constant(1.0),
+                            h=lambda v: np.r_[entry, np.ones(np.size(v) - 1)])
+    validate_h(h, (0.5, 2.0), 100)
+
+
+# each check, with the exception class and message it raised before
+REFUSALS = [
+    (refuse_v_in_theta_solve, DomainError, "v must be positive"),
+    (refuse_theta_in_theta_solve, PositivityError, "theta went nonpositive"),
+    (refuse_kanel_pair, PositivityError, "requires a positive state"),
+    (refuse_initial_data, ConfigError, "initial data violate positivity"),
+    (refuse_h_values, DomainError, "h\\(v\\) must be positive"),
+]
+
+
+@pytest.mark.parametrize("entry", [math.nan, -0.0, 0.0])
+@pytest.mark.parametrize("check,error,message", REFUSALS,
+                         ids=[check.__name__ for check, _, _ in REFUSALS])
+def test_positivity_checks_refuse_nan_and_zeros(check, error, message, entry, monkeypatch):
+    """Each check tests `_all_above`, so a NaN entry fails like a zero."""
+    with pytest.raises(error, match=message):
+        check(entry, monkeypatch)
+
+
 class TestEosBasics:
-    def test_pressure_examples(self):
-        assert pressure(2.0, 3.0) == 1.5
-        assert pressure(1.0, 1.0) == 1.0
-        assert pressure(0.5, 2.0) == 4.0
-
-    def test_pressure_domain(self):
-        with pytest.raises(DomainError):
-            pressure(-1.0, 1.0)
-        with pytest.raises(DomainError):
-            pressure(1.0, 0.0)
-
-    def test_internal_energy(self):
-        assert internal_energy(model(5 / 3), 2.0) == pytest.approx(3.0, rel=1e-15)
-        assert internal_energy(model(2.0), 1.0) == pytest.approx(1.0)
-        assert internal_energy(model(1.4), 0.4) == pytest.approx(1.0)
-
     def test_cv_derived_from_gamma(self):
         m = model(1.4)
         assert m.cv * (m.gamma - 1.0) == pytest.approx(1.0, rel=1e-15)
@@ -99,27 +144,6 @@ class TestEosBasics:
     def test_gamma_must_exceed_one(self):
         with pytest.raises(DomainError):
             GasModel(gamma=1.0)
-
-    def test_entropy_examples(self):
-        assert entropy(model(2.0), 1.0, 1.0) == 0.0
-        assert entropy(model(2.0), math.e, 1.0) == pytest.approx(1.0, rel=1e-14)
-        assert entropy(model(5 / 3), 1.0, 4.0) == pytest.approx(1.5 * math.log(4.0), rel=1e-14)
-
-    @given(v=positive, theta=positive)
-    def test_entropy_round_trip(self, v, theta):
-        m = model(5 / 3)
-        s = entropy(m, v, theta)
-        assert v ** (-m.gamma) * math.exp(s / m.cv) == pytest.approx(
-            pressure(v, theta), rel=1e-12)
-
-    def test_entropy_round_trip_grid(self):
-        m = model(1.4)
-        v = np.linspace(0.2, 5.0, 100)[:, None]
-        theta = np.linspace(0.2, 5.0, 100)[None, :]
-        s = entropy(m, v, theta)
-        lhs = v ** (-m.gamma) * np.exp(s / m.cv)
-        assert np.allclose(lhs, theta / v, rtol=1e-12, atol=0)
-
 
 class TestTransport:
     def test_constant_coefficient(self):
@@ -216,17 +240,6 @@ class TestEntropyPair:
         assert np.all(lower <= 2.0 * p + 1e-300)
         assert np.all(p <= 2.0 * upper + 1e-300)
 
-    def test_eta_examples(self):
-        m = model(2.0)
-        assert eta(m, 1.0, 0.0, 1.0) == 0.0
-        assert eta(m, 1.0, 2.0, 1.0) == 2.0
-        assert eta(m, math.e, 0.0, math.e) == pytest.approx(2.0 * (math.e - 2.0), rel=1e-14)
-
-    @given(v=positive, u=st.floats(-10, 10), theta=positive)
-    def test_eta_nonnegative(self, v, u, theta):
-        assert eta(model(1.4), v, u, theta) >= 0.0
-
-
 class TestKanelPotential:
     def test_zero_at_one(self):
         assert kanel_potential(HProfile.constant(1.0), 1.0) == 0.0
@@ -258,27 +271,6 @@ class TestKanelPotential:
         assert val == pytest.approx(0.0, abs=1e-12)
         val = adaptive_simpson(math.sin, 0.0, math.pi, tol=1e-12)
         assert val == pytest.approx(2.0, abs=1e-10)
-
-
-class TestEnvelope:
-    def test_constant_profile(self):
-        assert h_envelope(HProfile.constant(1.0), 0.5) == pytest.approx(1.0, rel=1e-12)
-
-    def test_single_point_closed_form(self):
-        # sigma = 1: (h, h', h'', h''') = (2, 0, 2, -6), Euclidean norm sqrt(44)
-        assert h_envelope(HProfile.power_sum(1, 1), 1.0) == pytest.approx(
-            math.sqrt(44.0), rel=1e-12)
-
-    def test_power_sum_half(self):
-        # dense-sampling oracle at 1e5 points; sup attained at sigma = w
-        assert h_envelope(HProfile.power_sum(1, 1), 0.5) == pytest.approx(
-            97.40251536793082, rel=1e-6)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            h_envelope(HProfile.constant(1.0), 1.5)
-        with pytest.raises(DomainError):
-            h_envelope(HProfile.constant(1.0), 0.0)
 
 
 class TestValidateH:
