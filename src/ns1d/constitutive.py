@@ -241,7 +241,8 @@ def validate_h(h: HProfile, v_range=(0.01, 100.0), samples: int = 100_000,
     inadmissible when the required C is attained at a range endpoint and has
     grown by more than boundary_growth_factor over the final octave of v --
     the signature of an unbounded requirement (approach to a finite
-    asymptote stays below the factor).
+    asymptote stays below the factor).  A requirement that overflows float64
+    (h too small on the range) raises DomainError.
     """
     lo, hi = check_sample_range(v_range, samples)
     v = np.exp(np.linspace(math.log(lo), math.log(hi), samples))
@@ -250,12 +251,17 @@ def validate_h(h: HProfile, v_range=(0.01, 100.0), samples: int = 100_000,
         raise DomainError("h(v) must be positive on the validation range")
     dhv = np.asarray(h.dh(v), dtype=float)
 
-    req_growth = (v ** h.ell1 + v ** (-h.ell2)) / hv
-    req_slope = dhv ** 2 * v / hv ** 3
-    i1 = int(np.argmax(req_growth))
+    # an h small enough to overflow the ratios is refused below, not warned about
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        req_growth = (v ** h.ell1 + v ** (-h.ell2)) / hv
+        req_slope = dhv ** 2 * v / hv ** 3
+    i1 = int(np.argmax(req_growth))     # the first NaN, if there is one
     i2 = int(np.argmax(req_slope))
     c1 = float(req_growth[i1])
     c2 = float(req_slope[i2])
+    if not (math.isfinite(c1) and math.isfinite(c2)):
+        raise DomainError(f"the required C is not finite on the validation range "
+                          f"(growth {c1}, slope {c2}): h(v) is too small for float64")
 
     log_step = (math.log(hi) - math.log(lo)) / (samples - 1)
     octave = max(1, int(round(math.log(2.0) / log_step)))

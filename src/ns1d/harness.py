@@ -351,13 +351,15 @@ def _write_timeseries(records: List[DiagnosticsRecord], path: Path):
 def _write_profile(state: State, grid: Grid, path: Path):
     ci = grid.cell_interior
     u_cells = 0.5 * (state.u[:-1] + state.u[1:])
-    # plain Python floats, which csv writes as their shortest round-trip repr
+    # the bytes csv.writer writes, a row at a time: str of each Python float
+    # (its shortest round-trip repr, which csv never quotes), "," between
+    # cells and "\r\n" after each row; t is formatted once per file
+    t = str(state.t)
     columns = [c.tolist() for c in (grid.cell_centers, state.v[ci],
                                     u_cells[ci], state.theta[ci])]
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "v", "u", "theta"])
-        writer.writerows([state.t, *row] for row in zip(*columns))
+        fh.write("t,x,v,u,theta\r\n")
+        fh.writelines(f"{t},{x},{v},{u},{th}\r\n" for x, v, u, th in zip(*columns))
 
 
 def _resolve_out_dir(config: RunConfig) -> Path:
@@ -484,8 +486,11 @@ def sweep(base_config: RunConfig, parameter: str, values: List[float],
 
 def validate_h_config(config: RunConfig) -> AdmissibilityReport:
     model = make_model(config)
-    report = validate_h(model.h, (config.validate_v_min, config.validate_v_max),
-                        config.validate_samples)
+    try:
+        report = validate_h(model.h, (config.validate_v_min, config.validate_v_max),
+                            config.validate_samples)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
     out = _resolve_out_dir(config)
     out.mkdir(parents=True, exist_ok=True)
     _json_dump(report.to_dict(), out / "admissibility.json")

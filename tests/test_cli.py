@@ -179,6 +179,8 @@ MMS_FAST = ["--set", "mms.levels=16,32,64", "--set", "mms.t_end=0.05"]
     ["mms", "--set", "output.formats=csv"],
     ["sweep", "--set", "preset=mms", "--param", "amplitude", "--values=0.05,0.5"],
     ["sweep", "--set", "preset=constant", "--param", "amplitude", "--values=0.05,0.5"],
+    ["validate-h", "--set", "gas.h.kind=constant", "--set", "gas.h.c=1e-320",
+     "--set", "validate.samples=100"],
 ], ids=lambda argv: " ".join(argv))
 def test_refused_input_exits_2(argv, capsys):
     command, rest = argv[0], argv[1:]

@@ -268,6 +268,30 @@ class TestRun:
         assert u.tobytes() == (0.5 * (state.u[:-1] + state.u[1:]))[ci].tobytes()
         assert theta.tobytes() == state.theta[ci].tobytes()
 
+    def test_profile_bytes_equal_csv_writer(self, tmp_path):
+        grid = build_grid(16.0, 64)
+        state = make_initial_data(fast_config(perturb="v,u,theta"), grid)
+        g = grid.ghost_depth
+        state.t = 0.35000000000000003
+        state.u[g + 3:g + 5] = -0.0          # their cell average is -0.0
+        state.v[g + 7] = 5e-324
+        state.v[g + 8] = 0.1 + 0.2
+        state.theta[g + 9] = 1e308
+        _write_profile(state, grid, tmp_path / "p.csv")
+        ci = grid.cell_interior
+        columns = [c.tolist() for c in (grid.cell_centers, state.v[ci],
+                                        (0.5 * (state.u[:-1] + state.u[1:]))[ci],
+                                        state.theta[ci])]
+        with (tmp_path / "want.csv").open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "x", "v", "u", "theta"])
+            writer.writerows([state.t, *row] for row in zip(*columns))
+        got = (tmp_path / "p.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        for text in (b"0.35000000000000003,", b",-0.0,", b",5e-324,",
+                     b",0.30000000000000004,", b",1e+308\r\n"):
+            assert text in got
+
     def test_timeseries_row_count(self, tmp_path):
         run(fast_config(t_end=0.5, output_every=0.1), out_dir=tmp_path)
         rows = (tmp_path / "timeseries.csv").read_text().strip().splitlines()
@@ -372,6 +396,14 @@ class TestValidateH:
         assert rep.admissible
         data = json.loads((tmp_path / "admissibility.json").read_text())
         assert data["admissible"] is True
+
+    def test_non_finite_requirement_refused_before_writing(self, tmp_path, monkeypatch):
+        # h = 1e-320 overflows the growth ratio and makes the slope ratio 0/0
+        monkeypatch.setenv("NS1D_OUT", str(tmp_path))
+        with pytest.raises(ConfigError, match="not finite"):
+            validate_h_config(fast_config(h_kind="constant", h_c=1e-320,
+                                          validate_samples=100))
+        assert not (tmp_path / "admissibility.json").exists()
 
     def test_constant_kind(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NS1D_OUT", str(tmp_path))

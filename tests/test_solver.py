@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -371,6 +372,107 @@ class TestBackwardEulerVelocity:
     def test_residual_above_tol_raises(self):
         with pytest.raises(NewtonDivergenceError, match="residual"):
             self.solve(dataclasses.replace(CFG, newton_tol=1e-300))
+
+
+def tridiag_system(n, case, seed=0):
+    """(lower, diag, upper, b) in _solve_tridiag's padded form."""
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal(n)
+    if case == "dominant":
+        return (rng.uniform(-1, 1, n), 4.0 + rng.random(n), rng.uniform(-1, 1, n), b)
+    if case == "pivoting":
+        # off-diagonals outweigh the diagonal, so gtsv swaps rows at most steps
+        return rng.uniform(2, 3, n), rng.uniform(-1, 1, n), rng.uniform(2, 3, n), b
+    # the velocity shape: off has n + 1 entries and off[1:-1] is both dl and du
+    off = -rng.random(n + 1)
+    return off[:-1], 1.0 + 2.0 * rng.random(n), off[1:], b
+
+
+class TestSolveTridiag:
+    """One LAPACK gtsv call, the bits of solve_banded((1, 1), ...)."""
+
+    @pytest.mark.parametrize("case", ["dominant", "pivoting", "velocity"])
+    @pytest.mark.parametrize("n", [1, 2, 65, 513, 4097])
+    def test_bitwise_equal_to_solve_banded(self, n, case):
+        lower, diag, upper, b = tridiag_system(n, case)
+        before = [a.copy() for a in (lower, diag, upper, b)]
+        ab = np.zeros((3, n))
+        ab[0, 1:] = upper[:-1]
+        ab[1] = diag
+        ab[2, :-1] = lower[1:]
+        want = scipy.linalg.solve_banded((1, 1), ab, b)
+        got = ns1d.solver._solve_tridiag(lower, diag, upper, b)
+        assert got.shape == (n,) and got.tobytes() == want.tobytes()
+        for old, new in zip(before, (lower, diag, upper, b)):
+            assert old.tobytes() == new.tobytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name,index", [("lower", 1), ("lower", -1), ("diag", 0),
+                                            ("diag", 32), ("upper", 0), ("upper", -2),
+                                            ("b", 0), ("b", -1)])
+    def test_non_finite_entry_refused(self, name, index, value):
+        arrays = dict(zip(("lower", "diag", "upper", "b"), tridiag_system(65, "dominant")))
+        arrays[name][index] = value
+        with pytest.raises(NewtonDivergenceError, match="non-finite"):
+            ns1d.solver._solve_tridiag(**arrays)
+
+    def test_padding_entries_unread(self):
+        lower, diag, upper, b = tridiag_system(65, "dominant")
+        want = ns1d.solver._solve_tridiag(lower, diag, upper, b)
+        lower[0], upper[-1] = np.nan, np.inf
+        got = ns1d.solver._solve_tridiag(lower, diag, upper, b)
+        assert got.tobytes() == want.tobytes()
+
+    def test_singular_system_refused(self):
+        n = 8
+        lower, upper, b = np.zeros(n), np.zeros(n), np.ones(n)
+        diag = np.ones(n)
+        diag[3] = 0.0                       # a zero row: no pivot can fix it
+        with pytest.raises(NewtonDivergenceError, match="singular"):
+            ns1d.solver._solve_tridiag(lower, diag, upper, b)
+
+    def test_non_finite_velocity_system_refused(self):
+        g = build_grid(8.0, 64)
+        s = gauss_state(g, with_u=True)
+        model = GasModel(5 / 3, alpha=0.2, h=HProfile.power_sum(1, 1))
+        u_exp = s.u.copy()
+        u_exp[g.ghost_depth + 10] = np.nan
+        with pytest.raises(NewtonDivergenceError, match="non-finite"):
+            backward_euler_velocity(u_exp, s.v, s.theta, model, g, CFG, 1e-2)
+
+    def test_non_finite_theta_system_refused(self):
+        g = build_grid(8.0, 64)
+        s = gauss_state(g)
+        model = GasModel(5 / 3, alpha=0.2, h=HProfile.power_sum(1, 1))
+        theta_exp = s.theta.copy()
+        theta_exp[g.ghost_depth + 10] = np.inf
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NewtonDivergenceError, match="non-finite"):
+            backward_euler_theta(theta_exp, s.v, model, g, CFG, 1e-2)
+
+    def test_imex_step_solves_once_per_theta_pass_plus_velocity(self, monkeypatch):
+        # what the trace reports as solver.tridiag.solves_per_step
+        g = build_grid(8.0, 64)
+        s = gauss_state(g, a=0.4, with_u=True)
+        model = GasModel(5 / 3, alpha=0.2, h=HProfile.power_sum(1, 1))
+        real_solve, real_theta = ns1d.solver.solve_banded, ns1d.solver.backward_euler_theta
+        solves, theta_iters = [], []
+
+        def counted_solve(*args):
+            solves.append(1)
+            return real_solve(*args)
+
+        def recorded_theta(*args):
+            out = real_theta(*args)
+            theta_iters.append(out[1])
+            return out
+
+        monkeypatch.setattr(ns1d.solver, "solve_banded", counted_solve)
+        monkeypatch.setattr(ns1d.solver, "backward_euler_theta", recorded_theta)
+        _, stats = step_imex(s, model, g, CFG, 50.0 * stable_dt(s, model, g, CFG))
+        assert stats.rejected_substeps == 0 and theta_iters[0] >= 3
+        # the last Newton pass meets the tolerance and solves nothing
+        assert len(solves) == (theta_iters[0] - 1) + 1
 
 
 def transport_form_theta_solve(theta_exp, v, model, grid, config, dt):
