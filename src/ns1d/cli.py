@@ -9,8 +9,8 @@ Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error or
 memory exhausted (an input too large to allocate).
 A run or mms study that fails numerically writes its summary.json with
 exit_status "error" and the error, and prints one `numerical failure:` line.
-A refused sweep value exits 2 and nothing runs; a sweep's sweep_summary.json
-entries are its runs' summaries, and it exits 3 if any of its runs failed.
+A refused sweep value, or two that share a directory, exits 2 and nothing runs;
+sweep_summary.json holds its runs' summaries, and it exits 3 if any run failed.
 """
 
 from __future__ import annotations

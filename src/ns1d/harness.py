@@ -8,13 +8,13 @@ deterministic for a given config.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import math
 import os
 import warnings
 from dataclasses import dataclass, field, fields
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -26,7 +26,7 @@ from .diagnostics import (DiagnosticsCollector, DiagnosticsRecord,
                           decay_metrics, initial_data_report, theta_floor_fit)
 from .errors import ArgumentError, ConfigError, DomainError, Ns1dError
 from .grid import Grid, State, apply_farfield, build_grid
-from .solver import SolverConfig, advance
+from .solver import SolverConfig, advance, landing_tolerance
 from .verification import check_levels, check_support, convergence_study, default_case
 
 __all__ = [
@@ -62,15 +62,15 @@ class RunConfig:
     h_ell1: float = _key("gas.h.ell1", 1.0)
     h_ell2: float = _key("gas.h.ell2", 1.0)
     h_c: float = _key("gas.h.c", 1.0)
-    # solver
-    integrator: str = _key("solver.integrator", "explicit")
-    cfl_advective: float = _key("solver.cfl_advective", 0.4)
-    cfl_parabolic: float = _key("solver.cfl_parabolic", 0.4)
-    newton_tol: float = _key("solver.newton_tol", 1e-10)
-    newton_max_iter: int = _key("solver.newton_max_iter", 25)
-    positivity_floor: float = _key("solver.positivity_floor", 1e-8)
-    max_dt_halvings: int = _key("solver.max_dt_halvings", 20)
-    dt_max: float = _key("solver.dt_max", 0.0)
+    # solver: SolverConfig's fields, with its defaults
+    integrator: str = _key("solver.integrator", SolverConfig.integrator)
+    cfl_advective: float = _key("solver.cfl_advective", SolverConfig.cfl_advective)
+    cfl_parabolic: float = _key("solver.cfl_parabolic", SolverConfig.cfl_parabolic)
+    newton_tol: float = _key("solver.newton_tol", SolverConfig.newton_tol)
+    newton_max_iter: int = _key("solver.newton_max_iter", SolverConfig.newton_max_iter)
+    positivity_floor: float = _key("solver.positivity_floor", SolverConfig.positivity_floor)
+    max_dt_halvings: int = _key("solver.max_dt_halvings", SolverConfig.max_dt_halvings)
+    dt_max: float = _key("solver.dt_max", SolverConfig.dt_max)
     # time
     t_end: float = _key("time.t_end", 5.0)
     output_every: float = _key("time.output_every", 0.1)
@@ -144,11 +144,13 @@ def validate_config(config: RunConfig) -> RunConfig:
                   if _FIELD_TYPES[attr] == "float" and not math.isfinite(getattr(config, attr))]
     if non_finite:
         raise ConfigError(f"non-finite value for {', '.join(non_finite)}")
-    if config.output_every <= 0 or config.output_every < 1e-12 * config.t_end:
+    tol = landing_tolerance(0.0, config.t_end)
+    if config.output_every <= 0 or config.output_every < tol:
         raise ConfigError(f"output_every must be positive and at least the landing "
                           f"tolerance 1e-12 * t_end, got {config.output_every}")
-    if config.profile_every < 0:
-        raise ConfigError("profile_every must be nonnegative (0: first and last snapshots)")
+    if config.profile_every < 0 or 0 < config.profile_every < tol:
+        raise ConfigError(f"profile_every must be 0 (first and last snapshots) or at least "
+                          f"the landing tolerance 1e-12 * t_end, got {config.profile_every}")
     if config.t_end < 0 or config.mms_t_end < 0:
         raise ConfigError("t_end must be nonnegative")
     formats = output_formats(config)
@@ -240,12 +242,7 @@ def make_model(config: RunConfig) -> GasModel:
 
 
 def make_solver_config(config: RunConfig) -> SolverConfig:
-    return SolverConfig(
-        integrator=config.integrator, cfl_advective=config.cfl_advective,
-        cfl_parabolic=config.cfl_parabolic, newton_tol=config.newton_tol,
-        newton_max_iter=config.newton_max_iter,
-        positivity_floor=config.positivity_floor,
-        max_dt_halvings=config.max_dt_halvings, dt_max=config.dt_max)
+    return SolverConfig(**{f.name: getattr(config, f.name) for f in fields(SolverConfig)})
 
 
 def _check_support(config: RunConfig, offset: float = 0.0):
@@ -340,31 +337,34 @@ def _json_dump(obj, path: Path):
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _write_timeseries(records: List[DiagnosticsRecord], path: Path):
-    # plain Python floats, which csv writes as their shortest round-trip repr
+def _name(x: float) -> str:
+    """x in profile_t<x>.csv and <param>_<x>/: 15 digits tell any two record times apart."""
+    return f"{x:.15g}"
+
+
+def _write_csv(path: Path, header, rows):
+    """Stream rows of Python numbers as csv.writer would: str of each cell, "\r\n" line ends."""
+    line = ",".join(["{}"] * len(header)) + "\r\n"
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DiagnosticsRecord.CSV_COLUMNS)
-        writer.writerows(rec.csv_row() for rec in records)
+        fh.writelines(line.format(*row) for row in chain([header], rows))
+
+
+def _write_timeseries(records: List[DiagnosticsRecord], path: Path):
+    _write_csv(path, DiagnosticsRecord.CSV_COLUMNS, (rec.csv_row() for rec in records))
 
 
 def _write_profile(state: State, grid: Grid, path: Path):
     ci = grid.cell_interior
-    u_cells = 0.5 * (state.u[:-1] + state.u[1:])
-    # the bytes csv.writer writes, a row at a time: str of each Python float
-    # (its shortest round-trip repr, which csv never quotes), "," between
-    # cells and "\r\n" after each row; t is formatted once per file
-    t = str(state.t)
     columns = [c.tolist() for c in (grid.cell_centers, state.v[ci],
-                                    u_cells[ci], state.theta[ci])]
-    with path.open("w", newline="") as fh:
-        fh.write("t,x,v,u,theta\r\n")
-        fh.writelines(f"{t},{x},{v},{u},{th}\r\n" for x, v, u, th in zip(*columns))
+                                    grid.cell_average_of_nodes(state.u)[ci], state.theta[ci])]
+    _write_csv(path, ("t", "x", "v", "u", "theta"), zip(repeat(str(state.t)), *columns))
 
 
-def _resolve_out_dir(config: RunConfig) -> Path:
-    env = os.environ.get("NS1D_OUT")
-    return Path(env) if env else Path(config.out_dir)
+def _out_dir(config: RunConfig, out_dir: Optional[Path] = None) -> Path:
+    """out_dir, else $NS1D_OUT, else output.directory; created."""
+    out = out_dir if out_dir is not None else Path(os.environ.get("NS1D_OUT") or config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +374,7 @@ def _resolve_out_dir(config: RunConfig) -> Path:
 def run(config: RunConfig, out_dir: Optional[Path] = None) -> RunSummary:
     """Execute one configured experiment, emit its outputs and return its summary;
     a numerical failure of the solve is recorded there (exit_status "error"), not raised."""
-    out = out_dir if out_dir is not None else _resolve_out_dir(config)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(config, out_dir)
     formats = output_formats(config)
     summary = RunSummary(config=config_to_flat(config), exit_status="ok")
     if config.preset == "mms":
@@ -392,29 +391,26 @@ def _run_pulse(config: RunConfig, out: Path, formats: set, summary: RunSummary):
     profiles, and fill summary, also after a failure of the solve."""
     model = make_model(config)
     grid = build_grid(config.grid_L, config.grid_N, config.grid_ghost_depth)
-    solver_config = make_solver_config(config)
     state = make_initial_data(config, grid)
     summary.initial_report = initial_data_report(state, grid).to_dict()
     collector = DiagnosticsCollector(model, grid)
 
-    profiles_dir = out / "profiles"
-    if "csv" in formats:
-        profiles_dir.mkdir(exist_ok=True)
+    profiles_dir = _out_dir(config, out / "profiles") if "csv" in formats else None
 
-    # profiles at the start, at each profile_every and at t_end, one file each
-    t0 = state.t
-    next_profile = [config.profile_every or math.inf]
+    # a profile at t0, at t_end and at the first record at or after each t0 + k*profile_every
+    t0, every, tol = state.t, config.profile_every, landing_tolerance(state.t, config.t_end)
+    last_k = 0
 
     def observer(s: State):
+        nonlocal last_k
         collector.observe(s)
-        due = s.t >= next_profile[0] - 1e-12
-        if due:
-            next_profile[0] += config.profile_every
-        if "csv" in formats and (due or s.t in (t0, config.t_end)):
-            _write_profile(s, grid, profiles_dir / f"profile_t{s.t:g}.csv")
+        k = math.floor((s.t - t0 + tol) / every) if every else 0
+        if "csv" in formats and (k > last_k or s.t in (t0, config.t_end)):
+            _write_profile(s, grid, profiles_dir / f"profile_t{_name(s.t)}.csv")
+        last_k = k
 
     try:
-        _, stats = advance(state, model, grid, solver_config, config.t_end,
+        _, stats = advance(state, model, grid, make_solver_config(config), config.t_end,
                            observer=observer, output_every=config.output_every,
                            on_step=collector.on_step)
         summary.steps = stats.steps
@@ -455,13 +451,12 @@ def _run_mms(config: RunConfig, summary: RunSummary):
 
 def sweep(base_config: RunConfig, parameter: str, values: List[float],
           out_dir: Optional[Path] = None) -> List[RunSummary]:
-    """Independent runs over one parameter.
+    """Independent runs over one parameter, each in its <parameter>_<value>/.
 
-    Every value is checked before the first run, and the first refused one
-    raises a ConfigError naming it, with nothing written.  The summaries are
-    what `run` returns, failed runs included, so each sweep_summary.json
-    entry equals its run's summary.json.  Only the pulse presets read
-    init.amplitude, so an amplitude sweep of another preset is refused.
+    Every value is checked before the first run: a refused one, or two values sharing a
+    directory, raise a ConfigError with nothing written.  The summaries are what `run` returns,
+    failed runs included, so each sweep_summary.json entry equals its run's summary.json.  Only
+    the pulse presets read init.amplitude, so an amplitude sweep of another preset is refused.
     """
     attr = SWEEP_PARAMETERS.get(parameter)
     if attr is None:
@@ -470,16 +465,17 @@ def sweep(base_config: RunConfig, parameter: str, values: List[float],
     if attr == "amplitude" and base_config.preset not in ("gauss-pulse", "two-bump"):
         raise ConfigError(f"the {base_config.preset} preset ignores init.amplitude; "
                           "sweep it on gauss-pulse or two-bump")
+    names = [f"{parameter}_{_name(value)}" for value in values]
+    if len(set(names)) < len(names):
+        raise ConfigError(f"{parameter} values share the directory {max(names, key=names.count)}/")
     configs = []
     for value in values:
         try:
             configs.append(validate_config(dataclasses.replace(base_config, **{attr: value})))
         except ConfigError as exc:
-            raise ConfigError(f"{parameter}={value:g}: {exc}") from exc
-    root = out_dir if out_dir is not None else _resolve_out_dir(base_config)
-    root.mkdir(parents=True, exist_ok=True)
-    summaries = [run(config, out_dir=root / f"{parameter}_{value:g}")
-                 for value, config in zip(values, configs)]
+            raise ConfigError(f"{parameter}={_name(value)}: {exc}") from exc
+    root = _out_dir(base_config, out_dir)
+    summaries = [run(config, out_dir=root / name) for name, config in zip(names, configs)]
     _json_dump([s.to_dict() for s in summaries], root / "sweep_summary.json")
     return summaries
 
@@ -491,7 +487,5 @@ def validate_h_config(config: RunConfig) -> AdmissibilityReport:
                             config.validate_samples)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-    out = _resolve_out_dir(config)
-    out.mkdir(parents=True, exist_ok=True)
-    _json_dump(report.to_dict(), out / "admissibility.json")
+    _json_dump(report.to_dict(), _out_dir(config) / "admissibility.json")
     return report

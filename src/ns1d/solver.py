@@ -33,7 +33,7 @@ from .grid import Grid, State, apply_farfield
 __all__ = [
     "SolverConfig", "StepStats", "AdvanceStats", "Stage", "make_stage",
     "rhs", "stable_dt", "advective_dt", "step_explicit", "step_imex", "advance",
-    "backward_euler_velocity", "backward_euler_theta",
+    "backward_euler_velocity", "backward_euler_theta", "landing_tolerance",
 ]
 
 # source callback: t -> (S_v on cells, S_u on nodes, S_theta on cells)
@@ -346,7 +346,9 @@ def step_imex(state: State, model: GasModel, grid: Grid, config: SolverConfig,
             theta_exp = theta_exp + h * sth / model.cv
 
         half = apply_farfield(State(s0.t + h, v_new, u_exp, theta_exp), grid)
-        _check_state_positive(half, config.positivity_floor)
+        _check_state_positive(half, config.positivity_floor)   # its min passes an inf
+        if not all(np.isfinite(a).all() for a in (half.v, half.u, half.theta)):
+            raise PositivityError(f"half-step state at t={half.t} has a non-finite entry")
 
         u_new, it_u, res_u = backward_euler_velocity(
             half.u, half.v, half.theta, model, grid, config, h)
@@ -358,6 +360,11 @@ def step_imex(state: State, model: GasModel, grid: Grid, config: SolverConfig,
                               max_residual=max(res_u, res_th))
 
     return _with_halving(attempt, s0.t, config, dt)
+
+
+def landing_tolerance(t0: float, t_end: float) -> float:
+    """How near an output time a step, a record or a profile lands on it: relative to the times."""
+    return 1e-12 * max(abs(t0), abs(t_end))
 
 
 def _landing_times(t0: float, t_end: float, output_every: Optional[float], eps: float):
@@ -391,13 +398,12 @@ def advance(state: State, model: GasModel, grid: Grid, config: SolverConfig,
         step, dt_fn = step_explicit, stable_dt
     state = make_stage(state, model, grid)
     stats = AdvanceStats()
-    t0 = state.t
-    eps = 1e-12 * max(abs(t0), abs(t_end))  # landing tolerance, relative to the times
+    eps = landing_tolerance(state.t, t_end)
 
     try:
         if observer is not None:
             observer(state.copy())
-        for target in _landing_times(t0, t_end, output_every, eps):
+        for target in _landing_times(state.t, t_end, output_every, eps):
             while True:  # at least one step per landing time, so none is swallowed
                 dt = min(dt_fn(state, model, grid, config), target - state.t)
                 state, sstats = step(state, model, grid, config, dt, sources)

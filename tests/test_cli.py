@@ -174,6 +174,8 @@ MMS_FAST = ["--set", "mms.levels=16,32,64", "--set", "mms.t_end=0.05"]
     ["run", "--set", "sweep.param=alpha"],
     ["run", "--set", "sweep.values=0.1"],
     ["run", "--set", "time.output_every=1e-300"],
+    ["run", "--set", "output.profile_every=1e-300"],
+    ["sweep", "--param", "alpha", "--values=0.1,0.1"],
     ["run", "--set", "strict=false"],
     ["run", "--set", "init.perturb=u", "--set", "grid.L=4.2", "--set", "grid.N=256"],
     ["mms", "--set", "output.formats=csv"],
@@ -241,6 +243,22 @@ def test_sweep_entries_are_their_runs_summaries(out_dir, capsys):
     assert entries == runs
     assert entries[1]["exit_status"] == "error"
     assert entries[1]["final_record"] is not None
+
+
+def test_close_sweep_values_get_their_own_directories(out_dir, capsys):
+    # one name at %g (alpha_0.123456); the second run overwrote the first
+    values = ("0.1234561", "0.1234562")
+    assert main(["sweep", "--param", "alpha", f"--values={','.join(values)}"] + FAST) == EXIT_OK
+    entries = json.loads((out_dir / "sweep_summary.json").read_text())
+    runs = [json.loads((out_dir / f"alpha_{v}" / "summary.json").read_text()) for v in values]
+    assert entries == runs
+    assert [e["config"]["gas.alpha"] for e in entries] == [float(v) for v in values]
+
+
+def test_sweep_values_sharing_a_directory_write_nothing(out_dir, capsys):
+    assert main(["sweep", "--param", "alpha", "--values=0.1,0.1"] + FAST) == EXIT_CONFIG
+    assert "share the directory alpha_0.1/" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_failed_mms_study_writes_its_summary(out_dir, capsys):

@@ -16,6 +16,7 @@ from ns1d.harness import (
     RunConfig,
     _check_support,
     _write_profile,
+    _write_timeseries,
     apply_overrides,
     config_to_flat,
     default_config,
@@ -29,6 +30,7 @@ from ns1d.harness import (
     validate_config,
     validate_h_config,
 )
+from ns1d.solver import AdvanceStats, SolverConfig
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -117,6 +119,14 @@ class TestValidation:
     def test_unknown_integrator(self):
         with pytest.raises(ConfigError, match="unknown integrator"):
             apply_overrides(default_config(), ["solver.integrator=rk4"])
+
+    def test_solver_keys_are_solver_config_fields(self):
+        # one copy of each solver default: SolverConfig's
+        run_fields = {f.name: f for f in dataclasses.fields(RunConfig)}
+        for f in dataclasses.fields(SolverConfig):
+            twin = run_fields[f.name]
+            assert twin.metadata["key"] == f"solver.{f.name}"
+            assert (twin.type, twin.default) == (f.type, f.default)
 
 
 class TestOverridesAndEcho:
@@ -292,6 +302,46 @@ class TestRun:
                      b",0.30000000000000004,", b",1e+308\r\n"):
             assert text in got
 
+    def test_timeseries_bytes_equal_csv_writer(self, tmp_path):
+        records = [DiagnosticsRecord(*(k + i / 7 for i in range(17))) for k in range(3)]
+        records[0].t = 0.35000000000000003
+        records[1].momentum = -0.0
+        records[1].min_v = 5e-324
+        records[2].eta_total = 0.1 + 0.2
+        records[2].h2_dev = 1e308
+        _write_timeseries(records, tmp_path / "ts.csv")
+        with (tmp_path / "want.csv").open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(DiagnosticsRecord.CSV_COLUMNS)
+            writer.writerows(rec.csv_row() for rec in records)
+        got = (tmp_path / "ts.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        for text in (b"0.35000000000000003,", b",-0.0,", b",5e-324,",
+                     b",0.30000000000000004,", b",1e+308\r\n"):
+            assert text in got
+
+    def test_long_run_profiles_at_the_first_record_after_each_multiple(self, tmp_path,
+                                                                      monkeypatch):
+        # records every 0.1 up to t = 200, a profile due every 0.3: each lands on
+        # record 3k, also past t ~ 178, where a summed 0.3 schedule runs late
+        def landing_records(state, model, grid, config, t_end, observer, output_every, on_step):
+            for t in [0.0] + [k * output_every for k in range(1, 2000)] + [t_end]:
+                state.t = t
+                observer(state)
+            return state, AdvanceStats(steps=2000)
+
+        written = []
+        monkeypatch.setattr(ns1d.harness, "advance", landing_records)
+        monkeypatch.setattr(ns1d.harness.DiagnosticsCollector, "observe", lambda self, s: None)
+        monkeypatch.setattr(ns1d.harness, "_write_profile",
+                            lambda state, grid, path: written.append((state.t, path.name)))
+        run(fast_config(preset="constant", grid_L=4.0, grid_N=8, t_end=200.0,
+                        output_every=0.1, profile_every=0.3), out_dir=tmp_path)
+        times = [k * 0.1 for k in range(0, 2000, 3)] + [200.0]
+        assert [t for t, _ in written] == times
+        assert len({name for _, name in written}) == len(times) == 668
+        assert written[-1][1] == "profile_t200.csv"
+
     def test_timeseries_row_count(self, tmp_path):
         run(fast_config(t_end=0.5, output_every=0.1), out_dir=tmp_path)
         rows = (tmp_path / "timeseries.csv").read_text().strip().splitlines()
@@ -386,6 +436,12 @@ class TestSweep:
     def test_refused_value_raises_before_anything_is_written(self, tmp_path):
         with pytest.raises(ConfigError, match="^gamma=1: gamma must exceed 1"):
             sweep(fast_config(), "gamma", [1.4, 1.0], out_dir=tmp_path / "sweep")
+        assert not (tmp_path / "sweep").exists()
+
+    def test_values_that_share_a_directory_are_refused(self, tmp_path):
+        # distinct floats, one name at 15 significant digits
+        with pytest.raises(ConfigError, match="share the directory alpha_0.3/"):
+            sweep(fast_config(), "alpha", [0.3, 0.1 + 0.2], out_dir=tmp_path / "sweep")
         assert not (tmp_path / "sweep").exists()
 
 

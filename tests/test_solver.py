@@ -753,3 +753,26 @@ class TestStage:
         monkeypatch.undo()
         ref, _ = step_explicit(s0, m, g, CFG, 0.5 * dt)
         assert np.array_equal(out.theta, ref.theta)
+
+    @pytest.mark.parametrize("field", ["v", "u", "theta"])
+    @pytest.mark.filterwarnings("error")
+    def test_inf_imex_half_state_rejected_and_dt_halved(self, field, monkeypatch):
+        # an inf passes the positivity check's min-reductions; the solves must not see it
+        g, m = build_grid(8.0, 64), self.MODEL
+        s0 = gauss_state(g, with_u=True)
+        cfg = dataclasses.replace(CFG, integrator="imex")
+        dt = 0.5 * stable_dt(s0, m, g, cfg)
+        real, seen = ns1d.solver.apply_farfield, []
+
+        def poison_first_half_state(state, grid):
+            if not seen:                    # the first state step_imex pins is the half state
+                getattr(state, field)[grid.ghost_depth + 3] = np.inf
+            seen.append(state.t)
+            return real(state, grid)
+
+        monkeypatch.setattr(ns1d.solver, "apply_farfield", poison_first_half_state)
+        out, stats = step_imex(s0, m, g, cfg, dt)
+        assert stats.rejected_substeps == 1 and stats.dt_used == 0.5 * dt
+        monkeypatch.undo()
+        ref, _ = step_imex(s0, m, g, cfg, 0.5 * dt)
+        assert np.array_equal(out.theta, ref.theta) and np.array_equal(out.u, ref.u)
