@@ -91,13 +91,11 @@ def _interior(state: State, grid: Grid):
     return state.v[ci], state.u[ni], state.theta[ci]
 
 
-def _deviation_norm(state: State, grid: Grid, kind: str) -> float:
-    """sqrt(|v-1|^2 + |u|^2 + |theta-1|^2) in the discrete `kind` norm, over
-    the interior: the size of the state's distance from (1, 0, 1)."""
-    v, u, theta = _interior(state, grid)
-    return float(np.sqrt(grid.discrete_norm(v - 1.0, kind) ** 2
-                         + grid.discrete_norm(u, kind) ** 2
-                         + grid.discrete_norm(theta - 1.0, kind) ** 2))
+def _deviation_norms(grid: Grid, dv: np.ndarray, u: np.ndarray, dtheta: np.ndarray):
+    """(H1, H2) size of the interior distance (dv, u, dtheta) = (v-1, u, theta-1)
+    from (1, 0, 1): sqrt(|v-1|^2 + |u|^2 + |theta-1|^2), one pass per field."""
+    norms = [grid.sobolev_norms(f) for f in (dv, u, dtheta)]
+    return tuple(float(np.sqrt(a ** 2 + b ** 2 + c ** 2)) for a, b, c in zip(*norms))
 
 
 def cell_kinetic_energy(state: State, grid: Grid) -> np.ndarray:
@@ -235,8 +233,8 @@ def decay_metrics(records: List[DiagnosticsRecord]) -> DecayReport:
 
 
 def initial_data_report(state: State, grid: Grid) -> InitialDataReport:
-    v, _, theta = _interior(state, grid)
-    return InitialDataReport(_deviation_norm(state, grid, "H2"),
+    v, u, theta = _interior(state, grid)
+    return InitialDataReport(_deviation_norms(grid, v - 1.0, u, theta - 1.0)[1],
                              float(v.min()), float(v.max()), float(theta.min()))
 
 
@@ -279,10 +277,10 @@ class DiagnosticsCollector:
         first observed record, or from itself when there is none yet."""
         grid, model = self.grid, self.model
         v, u, theta = _interior(state, grid)
+        dv, dtheta = v - 1.0, theta - 1.0
         mass_dev, momentum, energy_dev = conserved_totals(state, grid, model)
-        sup_dev = max(float(np.max(np.abs(v - 1.0))),
-                      float(np.max(np.abs(u))),
-                      float(np.max(np.abs(theta - 1.0))))
+        sup_dev = max(float(np.max(np.abs(f))) for f in (dv, u, dtheta))
+        h1_dev, h2_dev = _deviation_norms(grid, dv, u, dtheta)
         mu, _ = transport(model, state.v, state.theta)
         vx = _cell_gradient(grid, state.v)
         ci = grid.cell_interior
@@ -296,8 +294,7 @@ class DiagnosticsCollector:
             min_v=float(v.min()), max_v=float(v.max()),
             min_theta=float(theta.min()), max_theta=float(theta.max()),
             mu_vx_norm=mu_vx_norm, kanel_lhs=lhs, kanel_rhs=rhs_val,
-            h1_dev=_deviation_norm(state, grid, "H1"),
-            h2_dev=_deviation_norm(state, grid, "H2"))
+            h1_dev=h1_dev, h2_dev=h2_dev)
         record.identity_residual = energy_identity_residual(
             record, self.records[0] if self.records else record)
         return record

@@ -120,24 +120,25 @@ class Grid:
     # -- norms ----------------------------------------------------------------
 
     def discrete_norm(self, f: np.ndarray, kind: str = "L2") -> float:
-        """Discrete L2/Linf/H1/H2 norm of a flat field sampled at spacing dx.
-
-        H1/H2 add the L2 norms of first/second divided differences.
-        """
+        """Discrete L2/Linf/H1/H2 norm of a flat field sampled at spacing dx."""
         f = np.asarray(f, dtype=float)
         if kind == "Linf":
             return float(np.max(np.abs(f))) if f.size else 0.0
-        l2 = float(np.sqrt(np.sum(f * f) * self.dx))
         if kind == "L2":
-            return l2
-        d1 = np.diff(f) / self.dx
-        h1 = float(np.sqrt(l2 ** 2 + np.sum(d1 * d1) * self.dx))
-        if kind == "H1":
-            return h1
-        if kind == "H2":
-            d2 = np.diff(f, 2) / self.dx ** 2
-            return float(np.sqrt(h1 ** 2 + np.sum(d2 * d2) * self.dx))
+            return float(np.sqrt(np.sum(f * f) * self.dx))
+        if kind in ("H1", "H2"):
+            return self.sobolev_norms(f)[kind == "H2"]
         raise ArgumentError(f"unknown norm kind {kind!r}")
+
+    def sobolev_norms(self, f: np.ndarray) -> tuple:
+        """(H1, H2) norms of f from one pass: H1 adds to the L2 norm that of
+        the first divided differences, H2 adds to H1 that of the second."""
+        f = np.asarray(f, dtype=float)
+        dx = self.dx
+        diff1 = np.diff(f)
+        d1, d2 = diff1 / dx, np.diff(diff1) / dx ** 2
+        h1 = float(np.sqrt(self.discrete_norm(f) ** 2 + np.sum(d1 * d1) * dx))
+        return h1, float(np.sqrt(h1 ** 2 + np.sum(d2 * d2) * dx))
 
 
 def build_grid(L: float, N: int, ghost_depth: int = 2) -> Grid:

@@ -271,6 +271,8 @@ def make_initial_data(config: RunConfig, grid: Grid) -> State:
     a, w = config.amplitude, config.width
     if config.preset not in PRESETS:
         raise ConfigError(f"unknown preset {config.preset!r}; choose from {PRESETS}")
+    if config.preset == "mms":
+        raise ConfigError("the mms preset has no initial data here: its study builds its own")
     if a < 0 or (a >= 1.0 and config.preset != "constant"):
         raise ConfigError(f"amplitude must lie in [0, 1), got {a}")
     parts = set(parse_list(config.perturb))

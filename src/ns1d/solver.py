@@ -80,8 +80,6 @@ class StepStats:
 class AdvanceStats:
     steps: int = 0
     rejected_substeps: int = 0
-    max_newton_iters: int = 0
-    max_residual: float = 0.0
 
 
 def _check_state_positive(state: State, floor: float = 0.0):
@@ -229,13 +227,11 @@ def _solve_tridiag(lower, diag, upper, b):
     written, and the velocity solve may pass one array as both off-diagonals.
     A non-finite entry or a zero pivot raises NewtonDivergenceError.
     """
-    n = diag.size
     dl, du = lower[1:], upper[:-1]
     if not (np.isfinite(dl).all() and np.isfinite(diag).all()
             and np.isfinite(du).all() and np.isfinite(b).all()):
         raise NewtonDivergenceError("tridiagonal system has a non-finite entry")
-    k = max(n - 1, 1)   # f2py wants an entry in dl and du at n = 1, where LAPACK reads none
-    x, info = solve_banded(lower[n - k:], diag, upper[:k], b)[3:]
+    x, info = solve_banded(dl, diag, du, b)[3:]
     if info > 0:
         raise NewtonDivergenceError(f"tridiagonal system is singular: zero pivot in row {info}")
     return x
@@ -384,9 +380,10 @@ def advance(state: State, model: GasModel, grid: Grid, config: SolverConfig,
             on_step=None, sources: Sources = None):
     """March state to t_end, landing exactly on output times and on t_end.
 
-    observer(state_copy) fires at the start time and at each output time;
-    on_step(state, StepStats) fires after every accepted step.  The stage of
-    each accepted state feeds the next step size, the next step and on_step.
+    observer(stage) fires at the start time and at each output time with the
+    accepted stage itself, which it must not write to; on_step(stage,
+    StepStats) fires after every accepted step.  The stage of each accepted
+    state feeds the next step size, the next step, on_step and the observer.
     Deterministic: identical inputs give bitwise identical trajectories.  An
     Ns1dError raised on the way carries the number of steps accepted before it.
     """
@@ -402,22 +399,20 @@ def advance(state: State, model: GasModel, grid: Grid, config: SolverConfig,
 
     try:
         if observer is not None:
-            observer(state.copy())
+            observer(state)
         for target in _landing_times(state.t, t_end, output_every, eps):
             while True:  # at least one step per landing time, so none is swallowed
                 dt = min(dt_fn(state, model, grid, config), target - state.t)
                 state, sstats = step(state, model, grid, config, dt, sources)
                 stats.steps += 1
                 stats.rejected_substeps += sstats.rejected_substeps
-                stats.max_newton_iters = max(stats.max_newton_iters, sstats.newton_iters)
-                stats.max_residual = max(stats.max_residual, sstats.max_residual)
                 if on_step is not None:
                     on_step(state, sstats)
                 if state.t >= target - eps:
                     break
             state.t = target  # kill accumulated roundoff at landing times
             if observer is not None:
-                observer(state.copy())
+                observer(state)
     except Ns1dError as exc:
         exc.steps = stats.steps
         raise

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import ns1d.grid
 from ns1d.constitutive import GasModel, HProfile, kanel_potential
 from ns1d.diagnostics import (
     DiagnosticsCollector,
     DiagnosticsRecord,
     KanelEvaluator,
+    _deviation_norms,
     cell_kinetic_energy,
     conserved_totals,
     decay_metrics,
@@ -275,3 +280,51 @@ def test_mu_vx_norm_alpha0_constant_h_equals_scaled_gradient_norm():
     vx = g.cell_average_of_nodes(g.node_diff(s.v))
     want = g.discrete_norm(2.0 * vx[ci] / s.v[ci], "L2")
     assert rec.mu_vx_norm == pytest.approx(want, rel=1e-13)
+
+
+field_values = st.one_of(st.just(0.0), st.floats(-10.0, 10.0))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(n=st.integers(8, 64), data=st.data())
+@example(n=16, data=None)
+def test_deviation_pair_equals_per_kind_norms(n, data):
+    # one Sobolev pass per field gives the bits of sqrt(sum of squared kind norms), per kind
+    g = build_grid(3.0, n)
+    if data is None:                      # the state at (1, 0, 1)
+        fields = (np.zeros(n), np.zeros(n + 1), np.zeros(n))
+    else:
+        fields = tuple(data.draw(hnp.arrays(float, size, elements=field_values))
+                       for size in (n, n + 1, n))
+    want = [float(np.sqrt(sum(g.discrete_norm(f, kind) ** 2 for f in fields)))
+            for kind in ("H1", "H2")]
+    got = _deviation_norms(g, *fields)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_each_deviation_field_goes_through_one_sobolev_pass_per_record(monkeypatch):
+    g = build_grid(8.0, 64)
+    m = GasModel(5 / 3, alpha=0.1, h=HProfile.power_sum(1, 1))
+    x = g.all_cell_centers()
+    s = apply_farfield(State(0.0, 1.0 + 0.2 * np.exp(-(x ** 2)),
+                             0.1 * np.sin(g.all_node_positions()),
+                             1.0 - 0.1 * np.exp(-(x ** 2))), g)
+    real, seen = ns1d.grid.Grid.sobolev_norms, []
+
+    def counted(self, f):
+        seen.append(np.array(f))
+        return real(self, f)
+
+    monkeypatch.setattr(ns1d.grid.Grid, "sobolev_norms", counted)
+    coll = DiagnosticsCollector(m, g)
+    rec = coll.make_record(s)
+    ci, ni = g.cell_interior, g.node_interior
+    assert len(seen) == 3
+    for got, want in zip(seen, (s.v[ci] - 1.0, s.u[ni], s.theta[ci] - 1.0)):
+        assert np.array_equal(got, want)
+    assert (rec.h1_dev, rec.h2_dev) == _deviation_norms(g, *seen)
+
+    seen.clear()
+    advance(s, m, g, SolverConfig(), 0.05, observer=coll.observe, output_every=0.01,
+            on_step=coll.on_step)
+    assert len(coll.records) == 6 and len(seen) == 3 * 6

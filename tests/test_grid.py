@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ns1d.errors import ArgumentError
 from ns1d.grid import FARFIELD, State, apply_farfield, build_grid
@@ -124,6 +125,23 @@ class TestNorms:
         h1 = self.g.discrete_norm(f, "H1")
         h2 = self.g.discrete_norm(f, "H2")
         assert l2 <= h1 <= h2
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(f=hnp.arrays(float, st.integers(8, 80), elements=st.one_of(
+               st.just(0.0), st.floats(-10.0, 10.0))),
+           L=st.floats(0.5, 50.0))
+    @example(f=np.zeros(16), L=1.0)
+    def test_sobolev_pair_is_the_two_pass_chain(self, f, L):
+        # the written-out H1 and H2 formulas: L2, then H1 from L2^2, then H2 from H1^2
+        g = build_grid(L, f.size)
+        l2 = float(np.sqrt(np.sum(f * f) * g.dx))
+        d1 = np.diff(f) / g.dx
+        h1 = float(np.sqrt(l2 ** 2 + np.sum(d1 * d1) * g.dx))
+        d2 = np.diff(f, 2) / g.dx ** 2
+        h2 = float(np.sqrt(h1 ** 2 + np.sum(d2 * d2) * g.dx))
+        got = g.sobolev_norms(f)
+        assert np.array(got).tobytes() == np.array([h1, h2]).tobytes()
+        assert g.discrete_norm(f, "H1") == got[0] and g.discrete_norm(f, "H2") == got[1]
 
 
 def test_apply_farfield():

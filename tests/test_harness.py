@@ -174,6 +174,11 @@ class TestInitialData:
         with pytest.raises(ConfigError, match="unknown perturb"):
             make_initial_data(fast_config(perturb="rho"), self.g)
 
+    def test_mms_preset_refused(self):
+        # the MMS study builds its own data; there is no pulse to fall back on
+        with pytest.raises(ConfigError, match="mms preset"):
+            make_initial_data(fast_config(preset="mms"), self.g)
+
     def test_amplitude_range(self):
         with pytest.raises(ConfigError, match="amplitude"):
             make_initial_data(fast_config(amplitude=1.2), self.g)

@@ -392,7 +392,7 @@ class TestSolveTridiag:
     """One LAPACK gtsv call, the bits of solve_banded((1, 1), ...)."""
 
     @pytest.mark.parametrize("case", ["dominant", "pivoting", "velocity"])
-    @pytest.mark.parametrize("n", [1, 2, 65, 513, 4097])
+    @pytest.mark.parametrize("n", [2, 65, 513, 4097])
     def test_bitwise_equal_to_solve_banded(self, n, case):
         lower, diag, upper, b = tridiag_system(n, case)
         before = [a.copy() for a in (lower, diag, upper, b)]
@@ -721,7 +721,9 @@ class TestStage:
         assert np.array_equal(got.theta, s.theta)
         assert coll.records[-1].dissipation_accum == accum
 
-    def test_two_transport_calls_per_accepted_step(self, monkeypatch):
+    @pytest.mark.parametrize("observed", [False, True], ids=["unobserved", "observed"])
+    def test_two_transport_calls_per_accepted_step(self, observed, monkeypatch):
+        # observed: the records read the stage advance built, so the t0 rate builds none
         g, m = build_grid(8.0, 64), self.MODEL
         real, calls = ns1d.solver.transport, []
 
@@ -731,8 +733,10 @@ class TestStage:
 
         monkeypatch.setattr(ns1d.solver, "transport", counted)
         coll = DiagnosticsCollector(m, g)
-        _, stats = advance(gauss_state(g), m, g, CFG, 0.1, on_step=coll.on_step)
+        _, stats = advance(gauss_state(g), m, g, CFG, 0.1, on_step=coll.on_step,
+                           observer=coll.observe if observed else None)
         assert stats.steps > 10 and stats.rejected_substeps == 0
+        assert len(coll.records) == (2 if observed else 0)
         assert len(calls) == 2 * stats.steps + 1
 
     def test_nan_predictor_rejected_and_dt_halved(self, monkeypatch):
