@@ -11,6 +11,7 @@ A run or mms study that fails numerically writes its summary.json with
 exit_status "error" and the error, and prints one `numerical failure:` line.
 A refused sweep value, or two that share a directory, exits 2 and nothing runs;
 sweep_summary.json holds its runs' summaries, and it exits 3 if any run failed.
+Each warning shown is one `warning: <message>` line on stderr.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from .errors import ConfigError
 from .harness import (SWEEP_PARAMETERS, apply_overrides, default_config, load_config,
@@ -53,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mms = sub.add_parser("mms", help="manufactured-solution convergence study")
     _add_common(p_mms)
 
-    p_val = sub.add_parser("validate-h", help="empirical admissibility check of h")
+    p_val = sub.add_parser("validate-h",
+                           help="exact admissibility check of h, a sup over all v > 0")
     _add_common(p_val)
 
     return parser
@@ -68,37 +71,39 @@ def _load(args):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        config = _load(args)
-        if args.command in ("run", "mms"):
-            summary = run(config)
-            if summary.exit_status != "ok":
-                print(f"numerical failure: {summary.error}", file=sys.stderr)
-                return EXIT_NUMERICAL
-            if args.command == "mms":
-                print(json.dumps(summary.order_report, sort_keys=True, indent=2))
-            else:
-                print(f"run finished: status=ok steps={summary.steps}")
-            return EXIT_OK
-        if args.command == "sweep":
-            summaries = sweep(config, args.param, parse_list(args.values, float))
-            bad = [s for s in summaries if s.exit_status != "ok"]
-            print(f"sweep finished: {len(summaries) - len(bad)}/{len(summaries)} runs ok")
-            return EXIT_NUMERICAL if bad else EXIT_OK
-        if args.command == "validate-h":
-            report = validate_h_config(config)
-            print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
-            return EXIT_OK
-        raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except MemoryError as exc:
-        print(f"out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
-        return EXIT_IO
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            config = _load(args)
+            if args.command in ("run", "mms"):
+                summary = run(config)
+                if summary.exit_status != "ok":
+                    print(f"numerical failure: {summary.error}", file=sys.stderr)
+                    return EXIT_NUMERICAL
+                if args.command == "mms":
+                    print(json.dumps(summary.order_report, sort_keys=True, indent=2))
+                else:
+                    print(f"run finished: status=ok steps={summary.steps}")
+                return EXIT_OK
+            if args.command == "sweep":
+                summaries = sweep(config, args.param, parse_list(args.values, float))
+                bad = [s for s in summaries if s.exit_status != "ok"]
+                print(f"sweep finished: {len(summaries) - len(bad)}/{len(summaries)} runs ok")
+                return EXIT_NUMERICAL if bad else EXIT_OK
+            if args.command == "validate-h":
+                report = validate_h_config(config)
+                print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
+                return EXIT_OK
+            raise ConfigError(f"unknown command {args.command!r}")
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except OSError as exc:
+            print(f"I/O error: {exc}", file=sys.stderr)
+            return EXIT_IO
+        except MemoryError as exc:
+            print(f"out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
+            return EXIT_IO
 
 
 if __name__ == "__main__":

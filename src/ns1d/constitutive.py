@@ -1,5 +1,5 @@
 """Transport laws, the entropy function phi, the Kanel' potential, and
-admissibility checks of the volume profile h.
+the exact admissibility of the volume profile h.
 
 Everything here is a pure function of (v, theta) or of a volume profile h.
 Gas constants are normalized to unity; the reference state is (v, theta) = (1, 1)
@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ArgumentError, DomainError, QuadratureError
 
 __all__ = [
-    "HProfile", "GasModel", "AdmissibilityReport", "check_sample_range",
+    "HProfile", "GasModel", "AdmissibilityReport",
     "transport", "transport_derivatives", "phi", "kanel_potential", "validate_h",
     "adaptive_simpson",
 ]
@@ -43,7 +43,7 @@ class HProfile:
 
     @staticmethod
     def power_sum(ell1: float, ell2: float) -> "HProfile":
-        if ell1 < 0 or ell2 < 0:
+        if not (ell1 >= 0 and ell2 >= 0):
             raise ArgumentError("power-sum exponents must be nonnegative")
         return HProfile("power-sum", ell1, ell2, lambda v: v ** ell1 + v ** -ell2,
                         lambda v: ell1 * v ** (ell1 - 1) - ell2 * v ** (-ell2 - 1))
@@ -206,96 +206,95 @@ def kanel_potential(h: HProfile, v: float, tol: float = 1e-10) -> float:
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    """Empirical check of the two growth conditions on h over a sampled range."""
+    """The smallest C of each condition on h, a sup over all v > 0.
+
+    C_growth is the sup of (v**ell1 + v**-ell2) / h and C_slope the sup of
+    h'**2 v / h**3, attained at v_slope_argmax (0.0: the limit as v -> 0; None:
+    the requirement is 0 everywhere or unbounded).  An unbounded requirement has
+    C_* and C None and makes h inadmissible; the note names its condition and end.
+    """
 
     admissible: bool
-    C: float
+    C: Optional[float]
     ell1: float
     ell2: float
-    v_range: tuple
-    samples: int
-    C_growth: float          # smallest C with C*h >= v**ell1 + v**-ell2 on the grid
-    v_growth_argmax: float
-    C_slope: float           # smallest C with h'^2*v <= C*h^3 on the grid
-    v_slope_argmax: float
+    C_growth: Optional[float]
+    C_slope: Optional[float]
+    v_slope_argmax: Optional[float]
     note: str = ""
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
-def check_sample_range(v_range, samples: int):
-    """(lo, hi) of a validation range; DomainError unless 0 < lo < hi and samples >= 2."""
-    lo, hi = float(v_range[0]), float(v_range[1])
-    if not (0.0 < lo < hi) or samples < 2:
-        raise DomainError(f"invalid range {v_range} or samples {samples}")
-    return lo, hi
+def _finite(what: str, x) -> float:
+    if not math.isfinite(x):
+        raise DomainError(f"the {what} of the admissibility closed form is not finite "
+                          f"in float64 ({x}), so the required C is not finite")
+    return float(x)
 
 
-def validate_h(h: HProfile, v_range=(0.01, 100.0), samples: int = 100_000,
-               boundary_growth_factor: float = 1.5) -> AdmissibilityReport:
-    """Smallest empirical C satisfying both growth conditions on a log grid.
+def _power_sum_slope_sup(a: float, b: float):
+    """(sup, argmax) over v > 0 of r = h'**2 v / h**3 for h = v**a + v**-b, or None
+    when r grows without bound (which it can only do as v -> 0).
 
-    The conditions quantify over all v > 0, which a finite grid cannot
-    certify; the report records the sampled range.  A profile is flagged
-    inadmissible when the required C is attained at a range endpoint and has
-    grown by more than boundary_growth_factor over the final octave of v --
-    the signature of an unbounded requirement (approach to a finite
-    asymptote stays below the factor).  A requirement that overflows float64
-    (h too small on the range) raises DomainError.
+    With w = v**(a+b), r = v**(b-1) (a w - b)**2 / (w+1)**3, which tends to 0 as
+    v -> inf.  Its sup is the larger of its limit as v -> 0 and its value at each
+    positive root w of d ln r / d ln v = 0 multiplied out:
+    -a(a+1) w**2 + [(b-1)(a-b) + (a+b)(2a+3b)] w - b(b-1) = 0.
     """
-    lo, hi = check_sample_range(v_range, samples)
-    v = np.exp(np.linspace(math.log(lo), math.log(hi), samples))
-    hv = np.asarray(h.h(v), dtype=float)
-    if not _all_above(hv, 0.0):
-        raise DomainError("h(v) must be positive on the validation range")
-    dhv = np.asarray(h.dh(v), dtype=float)
+    if not (b >= 1 or (b == 0 and (a == 0 or a >= 0.5))):
+        return None
+    sup, argmax = (1.0, 0.0) if b == 1 else (0.25, 0.0) if (a, b) == (0.5, 0) else (0.0, None)
+    qa = _finite("coefficient", -a * (a + 1))
+    qb = _finite("coefficient", (b - 1) * (a - b) + (a + b) * (2 * a + 3 * b))
+    qc = _finite("coefficient", -b * (b - 1))
+    if qa == 0:
+        roots = [-qc / qb] if qb else []
+    else:
+        disc = _finite("discriminant", qb * qb - 4 * qa * qc)
+        # the cancellation-free pair of roots, q / qa and qc / q
+        q = -0.5 * (qb + math.copysign(math.sqrt(disc), qb)) if disc >= 0 else 0.0
+        roots = [q / qa, qc / q] if q else []
+    with np.errstate(all="ignore"):
+        for w in map(np.float64, roots):
+            if _finite("root", w) > 0:
+                r = _finite("requirement", w ** ((b - 1) / (a + b)) * (a * w - b) ** 2
+                            / (w + 1) ** 3)
+                if r > sup:
+                    sup, argmax = r, float(w ** (1 / (a + b)))
+    return sup, argmax
 
-    # an h small enough to overflow the ratios is refused below, not warned about
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        req_growth = (v ** h.ell1 + v ** (-h.ell2)) / hv
-        req_slope = dhv ** 2 * v / hv ** 3
-    i1 = int(np.argmax(req_growth))     # the first NaN, if there is one
-    i2 = int(np.argmax(req_slope))
-    c1 = float(req_growth[i1])
-    c2 = float(req_slope[i2])
-    if not (math.isfinite(c1) and math.isfinite(c2)):
-        raise DomainError(f"the required C is not finite on the validation range "
-                          f"(growth {c1}, slope {c2}): h(v) is too small for float64")
 
-    log_step = (math.log(hi) - math.log(lo)) / (samples - 1)
-    octave = max(1, int(round(math.log(2.0) / log_step)))
+def validate_h(h: HProfile) -> AdmissibilityReport:
+    """The exact admissibility of h, from the closed form of its kind.
 
-    def unbounded(req, imax):
-        # still growing geometrically at the range edge => requirement has no
-        # finite sup over v > 0 (approach to a finite asymptote passes)
-        if imax == samples - 1 and octave < samples:
-            inward = req[samples - 1 - octave]
-            return req[imax] > boundary_growth_factor * max(inward, 1e-300)
-        if imax == 0 and octave < samples:
-            inward = req[octave]
-            return req[imax] > boundary_growth_factor * max(inward, 1e-300)
-        return False
-
-    notes = []
-    bad = False
-    if unbounded(req_growth, i1):
-        bad = True
-        notes.append("growth condition requirement increases without bound at range edge")
-    if unbounded(req_slope, i2):
-        bad = True
-        notes.append("slope condition requirement increases without bound at range edge")
-
+    For the power-sum, C_growth is identically 1 and C_slope comes from
+    _power_sum_slope_sup.  For `constant c` (c read as h(1)) with its declared
+    exponents, C_slope is 0 and C_growth is 2/c when both exponents are 0;
+    otherwise v**ell1 + v**-ell2 outgrows c.  A coefficient, root or
+    requirement that is not finite in float64 raises DomainError.
+    """
+    growth, slope, condition = 1.0, (0.0, None), "slope"
+    if h.kind == "constant":
+        c = float(h(1.0))
+        if not c > 0:
+            raise DomainError(f"h(v) must be positive, got h(1) = {c}")
+        ends = " and as v -> ".join(end for end, ell in (("0", h.ell2), ("inf", h.ell1)) if ell)
+        growth = None if ends else _finite("requirement", 2.0 / _finite("coefficient", c))
+        condition = "growth"
+    else:
+        slope = _power_sum_slope_sup(h.ell1, h.ell2)
+        ends = "" if slope else "0"
+    c_slope, v_slope = slope or (None, None)
     return AdmissibilityReport(
-        admissible=not bad,
-        C=max(c1, c2),
+        admissible=not ends,
+        C=None if ends else max(growth, c_slope),
         ell1=h.ell1,
         ell2=h.ell2,
-        v_range=(lo, hi),
-        samples=samples,
-        C_growth=c1,
-        v_growth_argmax=float(v[i1]),
-        C_slope=c2,
-        v_slope_argmax=float(v[i2]),
-        note="; ".join(notes),
+        C_growth=growth,
+        C_slope=c_slope,
+        v_slope_argmax=v_slope,
+        note=(f"{condition} condition requirement grows without bound as v -> {ends}"
+              if ends else ""),
     )

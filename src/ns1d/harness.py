@@ -20,8 +20,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .constitutive import (GasModel, HProfile, AdmissibilityReport, _all_above,
-                           check_sample_range, validate_h)
+from .constitutive import GasModel, HProfile, AdmissibilityReport, _all_above, validate_h
 from .diagnostics import (DiagnosticsCollector, DiagnosticsRecord,
                           decay_metrics, initial_data_report, theta_floor_fit)
 from .errors import ArgumentError, ConfigError, DomainError, Ns1dError
@@ -83,10 +82,6 @@ class RunConfig:
     mms_t_end: float = _key("mms.t_end", 0.25)
     mms_L: float = _key("mms.L", 12.0)
     mms_amplitude: float = _key("mms.amplitude", 0.1)
-    # h validation range
-    validate_v_min: float = _key("validate.v_min", 0.01)
-    validate_v_max: float = _key("validate.v_max", 100.0)
-    validate_samples: int = _key("validate.samples", 100000)
     # output
     out_dir: str = _key("output.directory", "out")
     out_formats: str = _key("output.formats", "csv,json")
@@ -160,8 +155,6 @@ def validate_config(config: RunConfig) -> RunConfig:
     try:
         make_model(config)
         make_solver_config(config)
-        check_sample_range((config.validate_v_min, config.validate_v_max),
-                           config.validate_samples)
         if config.preset == "mms":
             levels = parse_list(config.mms_levels, int)
             check_levels(levels)
@@ -176,7 +169,7 @@ def validate_config(config: RunConfig) -> RunConfig:
     if config.h_kind == "power-sum" and (config.h_ell1 < 1.0 or config.h_ell2 < 1.0):
         warnings.warn(
             "the global-existence regime assumes ell1 >= 1 and ell2 >= 1; "
-            f"got ell1={config.h_ell1}, ell2={config.h_ell2}; run proceeds",
+            f"got ell1={config.h_ell1}, ell2={config.h_ell2}; proceeding",
             stacklevel=2)
     return config
 
@@ -485,8 +478,7 @@ def sweep(base_config: RunConfig, parameter: str, values: List[float],
 def validate_h_config(config: RunConfig) -> AdmissibilityReport:
     model = make_model(config)
     try:
-        report = validate_h(model.h, (config.validate_v_min, config.validate_v_max),
-                            config.validate_samples)
+        report = validate_h(model.h)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
     _json_dump(report.to_dict(), _out_dir(config) / "admissibility.json")

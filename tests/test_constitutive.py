@@ -112,9 +112,7 @@ def refuse_initial_data(entry, monkeypatch):
 
 
 def refuse_h_values(entry, monkeypatch):
-    h = dataclasses.replace(HProfile.constant(1.0),
-                            h=lambda v: np.r_[entry, np.ones(np.size(v) - 1)])
-    validate_h(h, (0.5, 2.0), 100)
+    validate_h(dataclasses.replace(HProfile.constant(1.0), h=lambda v: entry))
 
 
 # each check, with the exception class and message it raised before
@@ -273,35 +271,106 @@ class TestKanelPotential:
         assert val == pytest.approx(2.0, abs=1e-10)
 
 
+EXPONENTS = [0, 0.25, 0.5, 0.75, 1, 1.5, 2, 3, 5]
+
+
+def slope_requirement(h, v):
+    """h'^2 v / h^3 from the profile's own callables."""
+    return h.dh(v) ** 2 * v / h(v) ** 3
+
+
+def sampled_requirements(h):
+    """The largest slope and growth requirements on a log sample of [1e-20, 1e20]
+    (no overflow for exponents up to 5), refined around each sampled local max."""
+    x = np.linspace(-20 * math.log(10), 20 * math.log(10), 20001)
+    slope = slope_requirement(h, np.exp(x))
+    best = slope.max()
+    mid = slope[1:-1]
+    peaks = np.flatnonzero((mid >= slope[:-2]) & (mid >= slope[2:])
+                           & (mid > (1 + 1e-9) * np.minimum(slope[:-2], slope[2:]))) + 1
+    for i in peaks:
+        best = max(best, slope_requirement(h, np.exp(np.linspace(x[i - 1], x[i + 1], 2001))).max())
+    v = np.exp(x)
+    growth = ((v ** h.ell1 + v ** -h.ell2) / h(v)).max()
+    return best, growth
+
+
 class TestValidateH:
     def test_power_sum_growth_equality(self):
-        rep = validate_h(HProfile.power_sum(1, 1), (0.1, 10.0), 10000)
+        rep = validate_h(HProfile.power_sum(1, 1))
         assert rep.admissible
         assert rep.C_growth == pytest.approx(1.0, rel=1e-12)
 
     def test_power_sum_slope_bounded_by_one(self):
-        # grid search over 1e6 points: sup h'^2 v / h^3 stays below 1
-        rep = validate_h(HProfile.power_sum(1, 1), (0.01, 100.0), 1_000_000)
+        # the sup of h'^2 v / h^3 is 1, its limit as v -> 0
+        rep = validate_h(HProfile.power_sum(1, 1))
         assert rep.admissible
-        assert rep.C_slope <= 1.0 + 1e-12
+        assert rep.C_slope == pytest.approx(1.0, abs=1e-12)
+        assert rep.v_slope_argmax == 0.0
 
     def test_constant_declared_zero_exponents(self):
-        rep = validate_h(HProfile.constant(1.0), (0.5, 2.0), 1000)
+        rep = validate_h(HProfile.constant(1.0))
         assert rep.admissible
         assert rep.C == pytest.approx(2.0, rel=1e-12)
+        assert (rep.C_slope, rep.v_slope_argmax) == (0.0, None)
 
     def test_constant_with_unit_exponents_inadmissible(self):
         h = dataclasses.replace(HProfile.constant(1.0), ell1=1.0, ell2=1.0)
-        rep = validate_h(h, (0.01, 100.0), 100000)
+        rep = validate_h(h)
         assert not rep.admissible
         assert "without bound" in rep.note
-
-    def test_bad_range(self):
-        with pytest.raises(DomainError):
-            validate_h(HProfile.constant(1.0), (-1.0, 2.0), 100)
+        assert rep.C is None and rep.C_growth is None
 
     def test_report_serializes(self):
-        rep = validate_h(HProfile.power_sum(1, 1), (0.1, 10.0), 1000)
+        rep = validate_h(HProfile.power_sum(1, 1))
         d = rep.to_dict()
         assert isinstance(d["admissible"], bool)
         assert d["ell1"] == 1.0
+
+    @pytest.mark.parametrize("ell1", EXPONENTS)
+    @pytest.mark.parametrize("ell2", EXPONENTS)
+    def test_exact_sup_matches_a_dense_sample(self, ell1, ell2):
+        h = HProfile.power_sum(ell1, ell2)
+        rep = validate_h(h)
+        slope, growth = sampled_requirements(h)
+        if not rep.admissible:
+            # unbounded as v -> 0: the sampled requirement keeps growing there
+            assert "slope condition requirement grows without bound as v -> 0" == rep.note
+            assert rep.C is None and rep.C_slope is None and rep.v_slope_argmax is None
+            assert slope_requirement(h, 1e-20) > 10 * slope_requirement(h, 1e-10)
+            return
+        for exact, sampled in ((rep.C_slope, slope), (rep.C_growth, growth)):
+            assert exact == pytest.approx(sampled, rel=1e-6, abs=1e-300)
+            assert exact >= sampled * (1 - 1e-12)    # a sup is never below a sample
+        assert rep.C == max(rep.C_slope, rep.C_growth)
+
+    @pytest.mark.parametrize("ell1, ell2", [(1, 0.5), (1, 0.9), (1, 0.99), (0.4, 0),
+                                            (0.25, 0)])
+    def test_unbounded_slope_is_inadmissible(self, ell1, ell2):
+        rep = validate_h(HProfile.power_sum(ell1, ell2))
+        assert not rep.admissible
+        assert rep.C is None and rep.C_slope is None and rep.v_slope_argmax is None
+        assert "without bound" in rep.note
+
+    def test_half_zero_sup_is_its_limit_at_zero(self):
+        rep = validate_h(HProfile.power_sum(0.5, 0))
+        assert (rep.C_slope, rep.v_slope_argmax) == (pytest.approx(0.25, rel=1e-15), 0.0)
+
+    def test_interior_maximum(self):
+        rep = validate_h(HProfile.power_sum(2, 2))
+        assert rep.C_slope == pytest.approx(1.4746362511, rel=1e-10)
+        assert rep.v_slope_argmax == pytest.approx(0.473768, rel=1e-6)
+
+    @pytest.mark.parametrize("ell1, ell2, C", [(1, 400, 23727.36), (200, 1, 5896.44)])
+    def test_large_exponents_are_admissible(self, ell1, ell2, C):
+        # h is huge near its maximiser, not too small: C is finite
+        rep = validate_h(HProfile.power_sum(ell1, ell2))
+        assert rep.admissible
+        assert rep.C == pytest.approx(C, rel=1e-6)
+        assert math.isfinite(rep.v_slope_argmax)
+
+    @pytest.mark.parametrize("h", [HProfile.power_sum(1e308, 1), HProfile.constant(1e-320)],
+                             ids=["ell1=1e308", "c=1e-320"])
+    def test_non_finite_closed_form_refused(self, h):
+        with pytest.raises(DomainError, match="not finite"):
+            validate_h(h)

@@ -453,7 +453,7 @@ class TestSweep:
 class TestValidateH:
     def test_power_sum_admissible(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NS1D_OUT", str(tmp_path))
-        rep = validate_h_config(fast_config(validate_samples=20000))
+        rep = validate_h_config(fast_config())
         assert rep.admissible
         data = json.loads((tmp_path / "admissibility.json").read_text())
         assert data["admissible"] is True
@@ -462,14 +462,12 @@ class TestValidateH:
         # h = 1e-320 overflows the growth ratio and makes the slope ratio 0/0
         monkeypatch.setenv("NS1D_OUT", str(tmp_path))
         with pytest.raises(ConfigError, match="not finite"):
-            validate_h_config(fast_config(h_kind="constant", h_c=1e-320,
-                                          validate_samples=100))
+            validate_h_config(fast_config(h_kind="constant", h_c=1e-320))
         assert not (tmp_path / "admissibility.json").exists()
 
     def test_constant_kind(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NS1D_OUT", str(tmp_path))
-        rep = validate_h_config(fast_config(h_kind="constant", h_c=1.0,
-                                            validate_samples=5000))
+        rep = validate_h_config(fast_config(h_kind="constant", h_c=1.0))
         assert rep.admissible
 
 
@@ -523,8 +521,7 @@ class TestReportedNumbers:
         assert "wall_time" not in summaries[0].to_dict()
 
         monkeypatch.setenv("NS1D_OUT", str(tmp_path / "h"))
-        validate_h_config(fast_config(validate_samples=1000))
+        validate_h_config(fast_config())
         admissibility = json.loads((tmp_path / "h" / "admissibility.json").read_text())
-        assert set(admissibility) == {"admissible", "C", "ell1", "ell2", "v_range", "samples",
-                                      "C_growth", "v_growth_argmax", "C_slope",
+        assert set(admissibility) == {"admissible", "C", "ell1", "ell2", "C_growth", "C_slope",
                                       "v_slope_argmax", "note"}

@@ -45,7 +45,7 @@ def test_every_exported_function_is_reached(tmp_path, monkeypatch):
          "--set", "gas.h.kind=constant", "--set", "gas.alpha=0.1"] + TINY_RUN,
         ["mms", "--set", "mms.levels=16,32,64", "--set", "mms.t_end=0.01"],
         ["sweep", "--param", "alpha", "--values=0,0.1"] + TINY_RUN,
-        ["validate-h", "--set", "validate.samples=1000"],
+        ["validate-h"],
     ]
     called, codes = reached_code(argvs)
     assert codes == [EXIT_OK] * len(argvs)
