@@ -242,6 +242,7 @@ def _power_sum_slope_sup(a: float, b: float):
     v -> inf.  Its sup is the larger of its limit as v -> 0 and its value at each
     positive root w of d ln r / d ln v = 0 multiplied out:
     -a(a+1) w**2 + [(b-1)(a-b) + (a+b)(2a+3b)] w - b(b-1) = 0.
+    A root that overflows float64 is skipped: r -> 0 as w -> inf, so it holds no sup.
     """
     if not (b >= 1 or (b == 0 and (a == 0 or a >= 0.5))):
         return None
@@ -258,7 +259,7 @@ def _power_sum_slope_sup(a: float, b: float):
         roots = [q / qa, qc / q] if q else []
     with np.errstate(all="ignore"):
         for w in map(np.float64, roots):
-            if _finite("root", w) > 0:
+            if 0 < w < math.inf:
                 r = _finite("requirement", w ** ((b - 1) / (a + b)) * (a * w - b) ** 2
                             / (w + 1) ** 3)
                 if r > sup:
@@ -272,8 +273,8 @@ def validate_h(h: HProfile) -> AdmissibilityReport:
     For the power-sum, C_growth is identically 1 and C_slope comes from
     _power_sum_slope_sup.  For `constant c` (c read as h(1)) with its declared
     exponents, C_slope is 0 and C_growth is 2/c when both exponents are 0;
-    otherwise v**ell1 + v**-ell2 outgrows c.  A coefficient, root or
-    requirement that is not finite in float64 raises DomainError.
+    otherwise v**ell1 + v**-ell2 outgrows c.  A coefficient or requirement
+    that is not finite in float64 raises DomainError.
     """
     growth, slope, condition = 1.0, (0.0, None), "slope"
     if h.kind == "constant":

@@ -120,14 +120,13 @@ class Grid:
     # -- norms ----------------------------------------------------------------
 
     def discrete_norm(self, f: np.ndarray, kind: str = "L2") -> float:
-        """Discrete L2/Linf/H1/H2 norm of a flat field sampled at spacing dx."""
+        """Discrete L2 or Linf norm of a flat field sampled at spacing dx; the
+        H1 and H2 norms come from sobolev_norms."""
         f = np.asarray(f, dtype=float)
         if kind == "Linf":
             return float(np.max(np.abs(f))) if f.size else 0.0
         if kind == "L2":
             return float(np.sqrt(np.sum(f * f) * self.dx))
-        if kind in ("H1", "H2"):
-            return self.sobolev_norms(f)[kind == "H2"]
         raise ArgumentError(f"unknown norm kind {kind!r}")
 
     def sobolev_norms(self, f: np.ndarray) -> tuple:

@@ -14,7 +14,6 @@ summation order, so trajectories are bitwise reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -26,8 +25,8 @@ from scipy.linalg.lapack import dgtsv as solve_banded
 from .constitutive import GasModel, _all_above, _theta_pow, transport
 # not called here: perfbench/tracer.py patches it in this namespace by name
 from .constitutive import transport_derivatives  # noqa: F401
-from .errors import (ArgumentError, DomainError, NewtonDivergenceError, Ns1dError,
-                     PositivityError, PositivityExhaustedError)
+from .errors import (ArgumentError, NewtonDivergenceError, Ns1dError, PositivityError,
+                     PositivityExhaustedError)
 from .grid import Grid, State, apply_farfield
 
 __all__ = [
@@ -237,17 +236,17 @@ def _solve_tridiag(lower, diag, upper, b):
     return x
 
 
-def backward_euler_velocity(u_exp: np.ndarray, v: np.ndarray, theta: np.ndarray,
-                            model: GasModel, grid: Grid, config: SolverConfig, dt: float):
-    """Solve u = u_exp + dt*node_diff(mu*cell_diff(u)/v) with mu frozen at (v, theta).
+def backward_euler_velocity(half: Stage, config: SolverConfig, dt: float):
+    """Solve u = u* + dt*node_diff(mu*cell_diff(u)/v), mu and v read from half,
+    the Stage of the half state (v, u*, theta*).
 
-    mu does not depend on u, so one tridiagonal solve gives the correction
-    to u_exp from its residual; ghost nodes stay at u_exp, and momentum sums
-    stay exact to round-off.  Returns (u, 1, residual) and raises
-    NewtonDivergenceError if that residual exceeds newton_tol.
+    mu does not depend on u, so one tridiagonal solve gives the correction to
+    u* from its residual -dt*node_diff(a*ux); ghost nodes stay at u*, and
+    momentum sums stay exact to round-off.  Returns (u, 1, residual) and
+    raises NewtonDivergenceError if that residual exceeds newton_tol.
     """
-    mu, _ = transport(model, v, theta)
-    a = mu / v                              # cell diffusivity for u
+    grid, u_exp = half.grid, half.u
+    a = half.mu / half.v                    # cell diffusivity for u
     g = grid.ghost_depth
     lo, hi = g, g + grid.N + 1              # interior node unknowns [lo, hi)
     r = dt / grid.dx ** 2
@@ -259,7 +258,7 @@ def backward_euler_velocity(u_exp: np.ndarray, v: np.ndarray, theta: np.ndarray,
     diag = 1.0 + r * (a[lo:hi] + a[lo - 1:hi - 1])
     off = -r * a[lo - 1:hi]
     u = u_exp.copy()
-    u[lo:hi] += _solve_tridiag(off[:-1], diag, off[1:], -residual(u_exp))
+    u[lo:hi] += _solve_tridiag(off[:-1], diag, off[1:], dt * grid.node_diff(a * half.ux)[lo:hi])
     max_res = float(np.max(np.abs(residual(u))))
     if not max_res <= config.newton_tol:
         raise NewtonDivergenceError(
@@ -268,33 +267,31 @@ def backward_euler_velocity(u_exp: np.ndarray, v: np.ndarray, theta: np.ndarray,
     return u, 1, max_res
 
 
-def backward_euler_theta(theta_exp: np.ndarray, v: np.ndarray, model: GasModel,
-                         grid: Grid, config: SolverConfig, dt: float):
-    """Solve cv*(theta - theta_exp) = dt*cell_diff(face(kappa(v,theta)/v)*node_diff(theta)).
+def backward_euler_theta(half: Stage, config: SolverConfig, dt: float):
+    """Solve cv*(theta - theta*) = dt*cell_diff(face(kappa(v,theta)/v)*node_diff(theta))
+    for half, the Stage of the half state (v, u*, theta*).
 
     Nonlinear when alpha != 0; Newton with an analytic tridiagonal Jacobian
-    re-linearized each iteration.  v is fixed through the solve, so h(v) is
-    evaluated once: each pass forms kappa = (kappa_tilde*h(v))*theta^alpha and
-    d(kappa/v)/dtheta = alpha*kappa/theta/v, the arithmetic of transport and
-    transport_derivatives, so the iterates are bitwise theirs.
+    re-linearized each iteration.  The first pass reads kappa and theta_x of
+    the stage.  v is fixed, so h(v) is evaluated once: each later pass forms
+    kappa = (kappa_tilde*h(v))*theta^alpha, and each pass d(kappa/v)/dtheta =
+    alpha*kappa/theta/v, the arithmetic of transport and transport_derivatives,
+    so the iterates are bitwise theirs.
     """
-    if not _all_above(v, 0.0):
-        raise DomainError(f"v must be positive, got min {v.min()}")
+    model, grid, v, theta_exp = half.model, half.grid, half.v, half.theta
     g = grid.ghost_depth
     lo, hi = g, g + grid.N                  # interior cell unknowns [lo, hi)
-    cv, alpha = model.cv, model.alpha
+    cv, alpha, dx = model.cv, model.alpha, grid.dx
     kh = model.kappa_tilde * model.h(v)     # kappa / theta^alpha, fixed with v
     theta = theta_exp.copy()
-    dx = grid.dx
-    iters = 0
-    max_res = math.inf
+    kappa, grad = half.kappa, half.theta_x
     for iters in range(1, config.newton_max_iter + 1):
-        if not _all_above(theta, 0.0):
-            raise PositivityError("theta went nonpositive inside Newton iteration")
-        kappa = kh * _theta_pow(theta, alpha)
-        b = kappa / v                       # cell conductivity
-        b_face = grid.face_average(b)
-        grad = grid.node_diff(theta)
+        if iters > 1:
+            if not _all_above(theta, 0.0):
+                raise PositivityError("theta went nonpositive inside Newton iteration")
+            kappa = kh * _theta_pow(theta, alpha)
+            grad = grid.node_diff(theta)
+        b_face = grid.face_average(kappa / v)   # b = kappa/v at cells, face-averaged
         flux = b_face * grad
         res = cv * (theta[lo:hi] - theta_exp[lo:hi]) - dt * grid.cell_diff(flux)[lo:hi]
         max_res = float(np.max(np.abs(res)))
@@ -311,8 +308,7 @@ def backward_euler_theta(theta_exp: np.ndarray, v: np.ndarray, model: GasModel,
         diag = cv - dt / dx * (dfl_dleft[1:] - dfl_dright[:-1])
         upper = -dt / dx * dfl_dright[1:]
         lower = dt / dx * dfl_dleft[:-1]
-        dtheta = _solve_tridiag(lower, diag, upper, -res)
-        theta[lo:hi] += dtheta
+        theta[lo:hi] += _solve_tridiag(lower, diag, upper, -res)
     raise NewtonDivergenceError(
         f"temperature diffusion Newton stalled at residual {max_res:.3e} "
         f"after {config.newton_max_iter} iterations")
@@ -320,8 +316,8 @@ def backward_euler_theta(theta_exp: np.ndarray, v: np.ndarray, model: GasModel,
 
 def step_imex(state: State, model: GasModel, grid: Grid, config: SolverConfig,
               dt: float, sources: Sources = None):
-    """One IMEX step: explicit transport/pressure/heating, implicit diffusion.
-
+    """One IMEX step: explicit transport/pressure/heating give the half state
+    (v + h*ux, u*, theta*), whose Stage both implicit diffusion solves read.
     Returns (new_state, StepStats) like step_explicit.
     """
     s0 = make_stage(state, model, grid)
@@ -342,14 +338,13 @@ def step_imex(state: State, model: GasModel, grid: Grid, config: SolverConfig,
             theta_exp = theta_exp + h * sth / model.cv
 
         half = apply_farfield(State(s0.t + h, v_new, u_exp, theta_exp), grid)
-        _check_state_positive(half, config.positivity_floor)   # its min passes an inf
+        # a min-reduction passes an inf, and ux of an inf u would warn: refused first
         if not all(np.isfinite(a).all() for a in (half.v, half.u, half.theta)):
             raise PositivityError(f"half-step state at t={half.t} has a non-finite entry")
+        half = make_stage(half, model, grid, config.positivity_floor)
 
-        u_new, it_u, res_u = backward_euler_velocity(
-            half.u, half.v, half.theta, model, grid, config, h)
-        theta_new, it_th, res_th = backward_euler_theta(
-            half.theta, half.v, model, grid, config, h)
+        u_new, it_u, res_u = backward_euler_velocity(half, config, h)
+        theta_new, it_th, res_th = backward_euler_theta(half, config, h)
 
         out = _candidate(s0.t + h, half.v, u_new, theta_new, model, grid, config)
         return out, StepStats(dt_used=h, newton_iters=max(it_u, it_th),

@@ -22,8 +22,9 @@ from ns1d.diagnostics import kanel_bound_pair
 from ns1d.errors import ConfigError, DomainError, PositivityError
 from ns1d.grid import State, build_grid
 import ns1d.harness
+import ns1d.solver
 from ns1d.harness import RunConfig, make_initial_data
-from ns1d.solver import SolverConfig, backward_euler_theta
+from ns1d.solver import SolverConfig, backward_euler_theta, make_stage
 
 positive = st.floats(min_value=1e-3, max_value=1e3)
 
@@ -85,14 +86,19 @@ def with_entry(arr, entry):
     return out
 
 
-def refuse_v_in_theta_solve(entry, monkeypatch):
-    s = State.equilibrium(GRID)
-    backward_euler_theta(s.theta, with_entry(s.v, entry), model(), GRID, SolverConfig(), 1e-3)
-
-
 def refuse_theta_in_theta_solve(entry, monkeypatch):
+    # the first Newton correction leaves entry in one iterate (-0.0 lands on
+    # +0.0 there: a sum is -0 only when both of its terms are)
     s = State.equilibrium(GRID)
-    backward_euler_theta(with_entry(s.theta, entry), s.v, model(), GRID, SolverConfig(), 1e-3)
+    s.theta = with_entry(s.theta, 2.0)      # off equilibrium: the first pass corrects
+    solve = ns1d.solver._solve_tridiag
+
+    def spoiled(*args):
+        dtheta = solve(*args)
+        dtheta[3] = entry - 2.0             # unknown 3 is the cell with_entry sets
+        return dtheta
+    monkeypatch.setattr(ns1d.solver, "_solve_tridiag", spoiled)
+    backward_euler_theta(make_stage(s, model(), GRID), SolverConfig(), 1e-3)
 
 
 def refuse_kanel_pair(entry, monkeypatch):
@@ -117,7 +123,6 @@ def refuse_h_values(entry, monkeypatch):
 
 # each check, with the exception class and message it raised before
 REFUSALS = [
-    (refuse_v_in_theta_solve, DomainError, "v must be positive"),
     (refuse_theta_in_theta_solve, PositivityError, "theta went nonpositive"),
     (refuse_kanel_pair, PositivityError, "requires a positive state"),
     (refuse_initial_data, ConfigError, "initial data violate positivity"),
@@ -368,6 +373,16 @@ class TestValidateH:
         assert rep.admissible
         assert rep.C == pytest.approx(C, rel=1e-6)
         assert math.isfinite(rep.v_slope_argmax)
+
+    @pytest.mark.parametrize("ell1", [5e-324, 1e-310])
+    @pytest.mark.parametrize("ell2, C_slope", [(1, 1.0), (2, 1.0352166562), (3, 1.8369488842)])
+    def test_subnormal_ell1_is_the_small_ell1_limit(self, ell1, ell2, C_slope):
+        # the root near 1/ell1 overflows float64; r -> 0 there, so it holds no sup
+        rep = validate_h(HProfile.power_sum(ell1, ell2))
+        want = validate_h(HProfile.power_sum(1e-300, ell2))
+        assert rep.admissible and rep.C_slope == want.C_slope
+        assert rep.v_slope_argmax == want.v_slope_argmax
+        assert rep.C_slope == pytest.approx(C_slope, rel=1e-10)
 
     @pytest.mark.parametrize("h", [HProfile.power_sum(1e308, 1), HProfile.constant(1e-320)],
                              ids=["ell1=1e308", "c=1e-320"])

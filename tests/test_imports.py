@@ -1,6 +1,9 @@
-"""Guard on what `import ns1d` loads: scipy.interpolate (and scipy.optimize,
-which it pulls in) cost most of the package's import time and are not used."""
+"""Guards on the package's imports: what `import ns1d` loads (scipy.interpolate
+and scipy.optimize, which it pulls in, cost most of the package's import time
+and are not used), that every `__all__` entry resolves, and that no module
+imports a name it does not use."""
 
+import ast
 import importlib
 import json
 import os
@@ -30,3 +33,41 @@ def test_every_all_entry_resolves():
     stale = [f"{module.__name__}.{name}" for module in modules
              for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert not stale, f"__all__ entries that do not resolve: {stale}"
+
+
+def unused_imports(source: str) -> list:
+    """Names a module imports but neither uses nor lists in __all__; an import
+    statement carrying `# noqa: F401` and `from __future__` imports are exempt."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if name not in used:
+                unused.append(f"line {node.lineno}: {name}")
+    return unused
+
+
+def test_unused_import_guard_sees_an_unused_name():
+    assert unused_imports("import math\nfrom os import path, sep\nx = sep\n") == [
+        "line 1: math", "line 2: path"]
+    assert unused_imports("import os.path\nfrom os import sep  # noqa: F401\n"
+                          "__all__ = ['sep']\nos.getcwd()\n") == []
+
+
+def test_no_module_imports_an_unused_name():
+    found = {path.name: unused_imports(path.read_text())
+             for path in sorted((SRC / "ns1d").glob("*.py"))}
+    assert not {name: names for name, names in found.items() if names}, found

@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 import ns1d.solver
 from ns1d.constitutive import GasModel, HProfile, transport, transport_derivatives
 from ns1d.diagnostics import DiagnosticsCollector, dissipation_rate
-from ns1d.errors import DomainError, NewtonDivergenceError, PositivityError
+from ns1d.errors import NewtonDivergenceError, PositivityError
 from ns1d.grid import State, apply_farfield, build_grid
 from ns1d.solver import (
     SolverConfig,
@@ -296,7 +296,8 @@ class TestImexStep:
         theta = theta0.copy()
         nsteps = 50
         for _ in range(nsteps):
-            theta, _, _ = backward_euler_theta(theta, v, m, g, CFG, t_end / nsteps)
+            half = make_stage(State(0.0, v, np.zeros(g.nnodes), theta), m, g)
+            theta, _, _ = backward_euler_theta(half, CFG, t_end / nsteps)
 
         # oracle: fine-dt forward Euler for cv*theta_t = theta_xx
         fine = build_grid(8.0, 512)
@@ -337,8 +338,7 @@ class TestBackwardEulerVelocity:
         self.dt = 50.0 * stable_dt(self.s, self.MODEL, self.g, CFG)
 
     def solve(self, cfg=CFG):
-        s = self.s
-        return backward_euler_velocity(s.u, s.v, s.theta, self.MODEL, self.g, cfg, self.dt)
+        return backward_euler_velocity(make_stage(self.s, self.MODEL, self.g), cfg, self.dt)
 
     def test_one_solve_one_iteration(self, monkeypatch):
         real, calls = ns1d.solver.solve_banded, []
@@ -435,20 +435,18 @@ class TestSolveTridiag:
         g = build_grid(8.0, 64)
         s = gauss_state(g, with_u=True)
         model = GasModel(5 / 3, alpha=0.2, h=HProfile.power_sum(1, 1))
-        u_exp = s.u.copy()
-        u_exp[g.ghost_depth + 10] = np.nan
+        s.u[g.ghost_depth + 10] = np.nan
         with pytest.raises(NewtonDivergenceError, match="non-finite"):
-            backward_euler_velocity(u_exp, s.v, s.theta, model, g, CFG, 1e-2)
+            backward_euler_velocity(make_stage(s, model, g), CFG, 1e-2)
 
     def test_non_finite_theta_system_refused(self):
         g = build_grid(8.0, 64)
         s = gauss_state(g)
         model = GasModel(5 / 3, alpha=0.2, h=HProfile.power_sum(1, 1))
-        theta_exp = s.theta.copy()
-        theta_exp[g.ghost_depth + 10] = np.inf
+        s.theta[g.ghost_depth + 10] = np.inf
         with np.errstate(invalid="ignore"), \
                 pytest.raises(NewtonDivergenceError, match="non-finite"):
-            backward_euler_theta(theta_exp, s.v, model, g, CFG, 1e-2)
+            backward_euler_theta(make_stage(s, model, g), CFG, 1e-2)
 
     def test_imex_step_solves_once_per_theta_pass_plus_velocity(self, monkeypatch):
         # what the trace reports as solver.tridiag.solves_per_step
@@ -475,9 +473,10 @@ class TestSolveTridiag:
         assert len(solves) == (theta_iters[0] - 1) + 1
 
 
-def transport_form_theta_solve(theta_exp, v, model, grid, config, dt):
+def transport_form_theta_solve(half, config, dt):
     """The temperature Newton solve written through transport and
     transport_derivatives at every pass, as a reference."""
+    model, grid, v, theta_exp = half.model, half.grid, half.v, half.theta
     lo, hi = grid.ghost_depth, grid.ghost_depth + grid.N
     theta, dx = theta_exp.copy(), grid.dx
     for iters in range(1, config.newton_max_iter + 1):
@@ -520,9 +519,9 @@ class TestBackwardEulerTheta:
 
     @pytest.mark.parametrize("model", TRANSPORT_MODELS, ids=model_id)
     def test_bitwise_equal_to_transport_form(self, model):
-        s, g, dt = self.s, self.g, self.dt(model)
-        got = backward_euler_theta(s.theta, s.v, model, g, CFG, dt)
-        want = transport_form_theta_solve(s.theta, s.v, model, g, CFG, dt)
+        half, dt = make_stage(self.s, model, self.g), self.dt(model)
+        got = backward_euler_theta(half, CFG, dt)
+        want = transport_form_theta_solve(half, CFG, dt)
         assert got[1] == want[1] and got[1] >= 2
         assert got[2] == want[2]
         assert np.array_equal(got[0], want[0])
@@ -537,11 +536,23 @@ class TestBackwardEulerTheta:
         for name in ("v", "u", "theta", "mu", "kappa", "ux", "theta_x"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
-    def test_nonpositive_v_refused(self):
-        s, v = self.s, self.s.v.copy()
-        v[5] = 0.0
-        with pytest.raises(DomainError, match="v must be positive"):
-            backward_euler_theta(s.theta, v, TRANSPORT_MODELS[1], self.g, CFG, 1e-3)
+    def test_first_pass_reads_the_stage(self, monkeypatch):
+        # kappa and theta_x of the half state are the stage's: theta^alpha is
+        # taken once per later pass, and no array of the stage is written
+        model = TRANSPORT_MODELS[2]
+        half = make_stage(self.s, model, self.g)
+        before = {name: getattr(half, name).copy() for name in ("v", "u", "theta", "kappa")}
+        real, calls = ns1d.solver._theta_pow, []
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(ns1d.solver, "_theta_pow", counted)
+        _, iters, _ = backward_euler_theta(half, CFG, self.dt(model))
+        assert iters >= 2 and len(calls) == iters - 1
+        for name, old in before.items():
+            assert np.array_equal(getattr(half, name), old), name
 
     def test_imex_step_evaluates_h_at_most_three_times(self, monkeypatch):
         profile, arrays = HProfile.power_sum(1, 1), []
@@ -738,6 +749,35 @@ class TestStage:
         assert stats.steps > 10 and stats.rejected_substeps == 0
         assert len(coll.records) == (2 if observed else 0)
         assert len(calls) == 2 * stats.steps + 1
+
+    def test_imex_solves_read_the_half_stage(self, monkeypatch):
+        # the half state's stage makes one transport call, the new state's the
+        # other; neither implicit solve makes its own
+        g, m = build_grid(8.0, 64), self.MODEL
+        s0 = make_stage(gauss_state(g, a=0.4, with_u=True), m, g)
+        real, calls, inside = ns1d.solver.transport, [], []
+
+        def counted(*args):
+            calls.append(list(inside))
+            return real(*args)
+
+        def marked(name):
+            solve = getattr(ns1d.solver, name)
+
+            def wrapped(*args):
+                inside.append(name)
+                try:
+                    return solve(*args)
+                finally:
+                    inside.pop()
+            return wrapped
+
+        for name in ("backward_euler_velocity", "backward_euler_theta"):
+            monkeypatch.setattr(ns1d.solver, name, marked(name))
+        monkeypatch.setattr(ns1d.solver, "transport", counted)
+        _, stats = step_imex(s0, m, g, CFG, 50.0 * stable_dt(s0, m, g, CFG))
+        assert stats.rejected_substeps == 0 and stats.newton_iters >= 2
+        assert calls == [[], []]
 
     def test_nan_predictor_rejected_and_dt_halved(self, monkeypatch):
         g, m = build_grid(8.0, 64), self.MODEL
