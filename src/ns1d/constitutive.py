@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ArgumentError, DomainError, QuadratureError
+from .errors import ArgumentError, DomainError, PositivityError, QuadratureError
 
 __all__ = [
     "HProfile", "GasModel", "AdmissibilityReport",
@@ -43,15 +43,15 @@ class HProfile:
 
     @staticmethod
     def power_sum(ell1: float, ell2: float) -> "HProfile":
-        if not (ell1 >= 0 and ell2 >= 0):
-            raise ArgumentError("power-sum exponents must be nonnegative")
+        if not (0 <= ell1 < math.inf and 0 <= ell2 < math.inf):
+            raise ArgumentError("power-sum exponents must be finite and nonnegative")
         return HProfile("power-sum", ell1, ell2, lambda v: v ** ell1 + v ** -ell2,
                         lambda v: ell1 * v ** (ell1 - 1) - ell2 * v ** (-ell2 - 1))
 
     @staticmethod
     def constant(c: float) -> "HProfile":
-        if c <= 0:
-            raise ArgumentError("constant profile requires c > 0")
+        if not 0 < c < math.inf:
+            raise ArgumentError("constant profile requires a finite c > 0")
         return HProfile("constant", 0.0, 0.0,
                         lambda v: np.full_like(np.asarray(v, dtype=float), c) if np.ndim(v) else c,
                         lambda v: np.zeros_like(np.asarray(v, dtype=float)) + 0.0)
@@ -78,10 +78,12 @@ class GasModel:
     h: HProfile = field(default_factory=lambda: HProfile.constant(1.0))
 
     def __post_init__(self):
-        if not self.gamma > 1.0:
-            raise DomainError(f"gamma must exceed 1, got {self.gamma}")
-        if self.mu_tilde <= 0 or self.kappa_tilde <= 0:
-            raise DomainError("transport scales mu_tilde, kappa_tilde must be positive")
+        if not 1.0 < self.gamma < math.inf:
+            raise DomainError(f"gamma must exceed 1 and be finite, got {self.gamma}")
+        if not (0 < self.mu_tilde < math.inf and 0 < self.kappa_tilde < math.inf):
+            raise DomainError("transport scales mu_tilde, kappa_tilde must be positive and finite")
+        if not math.isfinite(self.alpha):
+            raise DomainError(f"alpha must be finite, got {self.alpha}")
 
     @property
     def cv(self) -> float:
@@ -94,13 +96,14 @@ def _all_above(arr: np.ndarray, floor: float) -> bool:
     return arr.size == 0 or np.minimum.reduce(arr, axis=None) > floor
 
 
-def _check_positive(**kwargs):
-    """DomainError naming the first argument with an entry that is not > 0
-    (NaN included); scalars and empty arrays of positive values pass."""
+def _check_positive(floor: float = 0.0, **kwargs):
+    """PositivityError naming the first argument with an entry that is not
+    > floor (NaN included); scalars and empty arrays pass when above it."""
     for name, val in kwargs.items():
         arr = np.asarray(val)
-        if not _all_above(arr, 0.0):
-            raise DomainError(f"{name} must be positive, got min {arr.min()}")
+        if not _all_above(arr, floor):
+            bound = "be positive" if floor == 0.0 else f"exceed {floor:.1e}"
+            raise PositivityError(f"{name} must {bound}, got min {arr.min()}")
 
 
 def _theta_pow(theta, alpha):
@@ -109,9 +112,10 @@ def _theta_pow(theta, alpha):
     return np.exp(alpha * np.log(theta))
 
 
-def transport(model: GasModel, v, theta):
-    """(mu, kappa) = (mu_tilde, kappa_tilde) * h(v) * theta^alpha."""
-    _check_positive(v=v, theta=theta)
+def transport(model: GasModel, v, theta, floor: float = 0.0):
+    """(mu, kappa) = (mu_tilde, kappa_tilde) * h(v) * theta^alpha, after the one
+    positivity check of the state: PositivityError unless v, theta > floor."""
+    _check_positive(floor, v=v, theta=theta)
     hv = model.h(v)
     ta = _theta_pow(theta, model.alpha)
     return model.mu_tilde * hv * ta, model.kappa_tilde * hv * ta

@@ -15,9 +15,9 @@ from typing import List, Optional
 import numpy as np
 
 # adaptive_simpson is unused here; the benchmark's tracer patches it by this name
-from .constitutive import (GasModel, HProfile, _all_above, adaptive_simpson,  # noqa: F401
+from .constitutive import (GasModel, HProfile, adaptive_simpson,  # noqa: F401
                            kanel_potential, phi, transport)
-from .errors import ArgumentError, PositivityError
+from .errors import ArgumentError
 from .grid import Grid, State
 from .solver import make_stage
 
@@ -171,13 +171,14 @@ class KanelEvaluator:
 
 
 def kanel_bound_pair(state: State, model: GasModel, grid: Grid):
-    """(max_x |Phi(v)|, ||sqrt(phi(v))|| * ||h(v)*v_x/v||), the Cauchy-Schwarz pair."""
-    if not (_all_above(state.v, 0.0) and _all_above(state.theta, 0.0)):
-        raise PositivityError("kanel_bound_pair requires a positive state")
+    """(max_x |Phi(v)|, ||sqrt(phi(v))|| * ||h(v)*v_x/v||), the Cauchy-Schwarz pair.
+
+    phi refuses v <= 0 and NaN with PositivityError before either quadrature;
+    theta is not read."""
     ci = grid.cell_interior
     v = state.v
-    lhs = KanelEvaluator(model.h)(v[ci])
     sqrt_phi = np.sqrt(phi(v[ci]))
+    lhs = KanelEvaluator(model.h)(v[ci])
     vx = _cell_gradient(grid, v)[ci]
     hv = np.asarray(model.h(v[ci]), dtype=float)
     rhs_val = (grid.discrete_norm(sqrt_phi, "L2")

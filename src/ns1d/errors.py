@@ -20,8 +20,11 @@ class QuadratureError(Ns1dError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
-class PositivityError(Ns1dError):
-    """A candidate state contains nonpositive v or theta."""
+class PositivityError(DomainError):
+    """An entry of v, theta or phi's argument is not above its floor (NaN
+    included): 0 in transport, phi and transport_derivatives, the solver's
+    positivity_floor for a trial stage.  The solver also raises it for a
+    non-finite half state, so that the step is retried with dt/2."""
 
 
 class PositivityExhaustedError(PositivityError):

@@ -81,22 +81,15 @@ class AdvanceStats:
     rejected_substeps: int = 0
 
 
-def _check_state_positive(state: State, floor: float = 0.0):
-    if not (_all_above(state.v, floor) and _all_above(state.theta, floor)):
-        raise PositivityError(
-            f"state at t={state.t} has min v={state.v.min():.3e}, "
-            f"min theta={state.theta.min():.3e} (floor {floor:.1e})")
-
-
 @dataclass
 class Stage(State):
     """A state plus what the rates, the step size and the dissipation rate
     need of it, computed once: ux = cell_diff(u), (mu, kappa) and
     theta_x = node_diff(theta).
 
-    make_stage checks v, theta > floor with one min-reduction per field, which
-    propagates NaN, so a NaN entry is refused like a nonpositive one; the
-    transport call checks v, theta > 0 again, the same way.
+    Its one transport call is its one positivity check: v, theta > floor with
+    one min-reduction per field, which propagates NaN, so a NaN entry is
+    refused like a nonpositive one.
 
     The cached fields describe the arrays as they were when the stage was
     built, so a stage's arrays are never written to.
@@ -111,20 +104,19 @@ class Stage(State):
 
 
 def make_stage(state: State, model: GasModel, grid: Grid, floor: float = 0.0) -> Stage:
-    """The stage of state: its one positivity check (v, theta > floor) and
-    its one transport call.  A stage built for the same model and grid is
-    returned as it is."""
+    """The stage of state, from one transport call, which refuses the state
+    with PositivityError unless v, theta > floor.  A stage built for the same
+    model and grid is returned as it is."""
     if isinstance(state, Stage) and state.model is model and state.grid is grid:
         return state
-    _check_state_positive(state, floor)
-    mu, kappa = transport(model, state.v, state.theta)
+    mu, kappa = transport(model, state.v, state.theta, floor)
     return Stage(state.t, state.v, state.u, state.theta, grid.cell_diff(state.u),
                  mu, kappa, grid.node_diff(state.theta), model, grid)
 
 
 def _candidate(t: float, v, u, theta, model: GasModel, grid: Grid,
                config: SolverConfig) -> Stage:
-    """Stage of a trial state, ghosts pinned; PositivityError below the floor."""
+    """Stage of a trial state, ghosts pinned; PositivityError at or below the floor."""
     state = apply_farfield(State(t, v, u, theta), grid)
     return make_stage(state, model, grid, config.positivity_floor)
 
@@ -216,21 +208,20 @@ def step_explicit(state: State, model: GasModel, grid: Grid, config: SolverConfi
 # IMEX: explicit advection/pressure/heating, backward-Euler diffusion
 # ---------------------------------------------------------------------------
 
-def _solve_tridiag(lower, diag, upper, b):
-    """Solve the tridiagonal system with sub-diagonal lower[1:], diagonal diag
-    and super-diagonal upper[:-1] (lower[0] and upper[-1] are padding).
+def _solve_tridiag(dl, d, du, b):
+    """Solve the tridiagonal system with sub-diagonal dl, diagonal d and
+    super-diagonal du (lengths n-1, n and n-1), as LAPACK gtsv takes them.
 
-    One LAPACK gtsv call (Gaussian elimination with partial pivoting) on the
-    inputs solve_banded((1, 1), ...) passes it, so the same bits, without
-    that wrapper's per-call cost.  gtsv works on copies, so no input is
-    written, and the velocity solve may pass one array as both off-diagonals.
-    A non-finite entry or a zero pivot raises NewtonDivergenceError.
+    One gtsv call (Gaussian elimination with partial pivoting) on the inputs
+    solve_banded((1, 1), ...) passes it, so the same bits, without that
+    wrapper's per-call cost.  gtsv works on copies, so no input is written,
+    and the velocity solve passes one array as both off-diagonals.  A
+    non-finite entry or a zero pivot raises NewtonDivergenceError.
     """
-    dl, du = lower[1:], upper[:-1]
-    if not (np.isfinite(dl).all() and np.isfinite(diag).all()
+    if not (np.isfinite(dl).all() and np.isfinite(d).all()
             and np.isfinite(du).all() and np.isfinite(b).all()):
         raise NewtonDivergenceError("tridiagonal system has a non-finite entry")
-    x, info = solve_banded(dl, diag, du, b)[3:]
+    x, info = solve_banded(dl, d, du, b)[3:]
     if info > 0:
         raise NewtonDivergenceError(f"tridiagonal system is singular: zero pivot in row {info}")
     return x
@@ -256,9 +247,9 @@ def backward_euler_velocity(half: Stage, config: SolverConfig, dt: float):
 
     # symmetric tridiagonal matrix: 1 + r*(a_j + a_{j-1}) on the diagonal, -r*a_j beside it
     diag = 1.0 + r * (a[lo:hi] + a[lo - 1:hi - 1])
-    off = -r * a[lo - 1:hi]
+    off = -r * a[lo:hi - 1]
     u = u_exp.copy()
-    u[lo:hi] += _solve_tridiag(off[:-1], diag, off[1:], dt * grid.node_diff(a * half.ux)[lo:hi])
+    u[lo:hi] += _solve_tridiag(off, diag, off, dt * grid.node_diff(a * half.ux)[lo:hi])
     max_res = float(np.max(np.abs(residual(u))))
     if not max_res <= config.newton_tol:
         raise NewtonDivergenceError(
@@ -306,8 +297,9 @@ def backward_euler_theta(half: Stage, config: SolverConfig, dt: float):
         dfl_dleft = -b_face[nodes] / dx + 0.5 * db[lo - 1:hi] * grad[nodes]
         # F_i = cv*(th_i - exp_i) - dt/dx*(flux_{i+1} - flux_i)
         diag = cv - dt / dx * (dfl_dleft[1:] - dfl_dright[:-1])
-        upper = -dt / dx * dfl_dright[1:]
-        lower = dt / dx * dfl_dleft[:-1]
+        # the off-diagonals couple neighbours across the n-1 interior faces
+        upper = -dt / dx * dfl_dright[1:-1]
+        lower = dt / dx * dfl_dleft[1:-1]
         theta[lo:hi] += _solve_tridiag(lower, diag, upper, -res)
     raise NewtonDivergenceError(
         f"temperature diffusion Newton stalled at residual {max_res:.3e} "

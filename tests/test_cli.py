@@ -161,6 +161,28 @@ def test_positivity_exhaustion_exit_code(capsys):
     assert "dt halvings" in capsys.readouterr().err
 
 
+def test_stalled_newton_exits_3(out_dir, capsys):
+    argv = ["run", "--set", "solver.integrator=imex", "--set", "solver.newton_max_iter=1"]
+    assert main(argv + FAST) == EXIT_NUMERICAL
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("numerical failure: NewtonDivergenceError: "
+                               "temperature diffusion Newton stalled")
+    data = json.loads((out_dir / "summary.json").read_text())
+    assert data["exit_status"] == "error"
+    assert lines[0] == f"numerical failure: {data['error']}"
+
+
+def test_unwritable_output_directory_exits_4(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("NS1D_OUT")          # so that output.directory is read
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    assert main(["run"] + FAST + ["--set", f"output.directory={blocker}/out"]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 MMS_FAST = ["--set", "mms.levels=16,32,64", "--set", "mms.t_end=0.05"]
 
 

@@ -19,7 +19,7 @@ from ns1d.constitutive import (
     validate_h,
 )
 from ns1d.diagnostics import kanel_bound_pair
-from ns1d.errors import ConfigError, DomainError, PositivityError
+from ns1d.errors import ArgumentError, ConfigError, DomainError, PositivityError
 from ns1d.grid import State, build_grid
 import ns1d.harness
 import ns1d.solver
@@ -124,7 +124,7 @@ def refuse_h_values(entry, monkeypatch):
 # each check, with the exception class and message it raised before
 REFUSALS = [
     (refuse_theta_in_theta_solve, PositivityError, "theta went nonpositive"),
-    (refuse_kanel_pair, PositivityError, "requires a positive state"),
+    (refuse_kanel_pair, PositivityError, "z must be positive"),
     (refuse_initial_data, ConfigError, "initial data violate positivity"),
     (refuse_h_values, DomainError, "h\\(v\\) must be positive"),
 ]
@@ -147,6 +147,23 @@ class TestEosBasics:
     def test_gamma_must_exceed_one(self):
         with pytest.raises(DomainError):
             GasModel(gamma=1.0)
+
+    @pytest.mark.parametrize("build,error", [
+        (lambda: HProfile.constant(math.nan), ArgumentError),
+        (lambda: HProfile.constant(math.inf), ArgumentError),
+        (lambda: HProfile.power_sum(math.inf, 1), ArgumentError),
+        (lambda: HProfile.power_sum(1, math.inf), ArgumentError),
+        (lambda: GasModel(math.inf), DomainError),
+        (lambda: GasModel(math.nan), DomainError),
+        (lambda: GasModel(5 / 3, mu_tilde=math.nan), DomainError),
+        (lambda: GasModel(5 / 3, kappa_tilde=math.inf), DomainError),
+        (lambda: GasModel(5 / 3, alpha=math.nan), DomainError),
+        (lambda: GasModel(5 / 3, alpha=-math.inf), DomainError),
+    ], ids=["c=nan", "c=inf", "ell1=inf", "ell2=inf", "gamma=inf", "gamma=nan",
+            "mu_tilde=nan", "kappa_tilde=inf", "alpha=nan", "alpha=-inf"])
+    def test_non_finite_parameter_refused(self, build, error):
+        with pytest.raises(error):
+            build()
 
 class TestTransport:
     def test_constant_coefficient(self):

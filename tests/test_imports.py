@@ -1,7 +1,8 @@
 """Guards on the package's imports: what `import ns1d` loads (scipy.interpolate
 and scipy.optimize, which it pulls in, cost most of the package's import time
-and are not used), that every `__all__` entry resolves, and that no module
-imports a name it does not use."""
+and are not used), that every `__all__` entry resolves, that no module
+imports a name it does not use, and that no private helper outlives its last
+reader."""
 
 import ast
 import importlib
@@ -71,3 +72,33 @@ def test_no_module_imports_an_unused_name():
     found = {path.name: unused_imports(path.read_text())
              for path in sorted((SRC / "ns1d").glob("*.py"))}
     assert not {name: names for name, names in found.items() if names}, found
+
+
+def unreferenced_helpers(sources: dict) -> list:
+    """Module-level `_private` functions and classes of sources (file name ->
+    text) whose name no expression in any of them reads: a helper left behind
+    by a deletion.  Imports do not count as reads."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{name}: {node.name}" for name, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and node.name not in read]
+
+
+def test_dead_helper_guard_sees_an_unreferenced_helper():
+    sources = {"a.py": "def _used():\n    pass\n\n\ndef _dead():\n    pass\n\n\nclass _Gone:\n"
+                       "    pass\n",
+               "b.py": "from a import _dead, _used\nimport a\nx = _used() or a._Gone\n"}
+    assert unreferenced_helpers(sources) == ["a.py: _dead"]
+
+
+def test_no_module_keeps_an_unreferenced_helper():
+    sources = {path.name: path.read_text() for path in sorted((SRC / "ns1d").glob("*.py"))}
+    assert not unreferenced_helpers(sources)

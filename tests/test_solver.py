@@ -9,14 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import ns1d.constitutive
 import ns1d.solver
 from ns1d.constitutive import GasModel, HProfile, transport, transport_derivatives
 from ns1d.diagnostics import DiagnosticsCollector, dissipation_rate
-from ns1d.errors import NewtonDivergenceError, PositivityError
+from ns1d.errors import ArgumentError, NewtonDivergenceError, PositivityError
 from ns1d.grid import State, apply_farfield, build_grid
 from ns1d.solver import (
     SolverConfig,
-    _check_state_positive,
     _landing_times,
     advance,
     backward_euler_theta,
@@ -241,8 +241,8 @@ def cell_field_pairs(draw):
 
 
 class TestStatePositivityCheck:
-    """The min-reduction check refuses exactly the states np.all(x > floor)
-    refused: NaN fails like a value at or below the floor."""
+    """The stage's check, transport's floor, refuses exactly the states
+    np.all(x > floor) refused: NaN fails like a value at or below the floor."""
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(fields=cell_field_pairs(), floor=st.sampled_from(FLOORS))
@@ -253,12 +253,12 @@ class TestStatePositivityCheck:
     def test_refuses_what_np_all_refused(self, fields, floor):
         v, theta = fields
         refused = not (np.all(v > floor) and np.all(theta > floor))
-        state = State(0.0, v, np.zeros(v.size + 1), theta)
-        if refused:
-            with pytest.raises(PositivityError):
-                _check_state_positive(state, floor)
-        else:
-            _check_state_positive(state, floor)
+        with np.errstate(all="ignore"):     # an inf entry passes, and theta**0 of it is NaN
+            if refused:
+                with pytest.raises(PositivityError):
+                    transport(GasModel(5 / 3), v, theta, floor)
+            else:
+                transport(GasModel(5 / 3), v, theta, floor)
 
 
 class TestImexStep:
@@ -375,17 +375,17 @@ class TestBackwardEulerVelocity:
 
 
 def tridiag_system(n, case, seed=0):
-    """(lower, diag, upper, b) in _solve_tridiag's padded form."""
+    """(dl, d, du, b) as gtsv takes them: lengths n - 1, n, n - 1 and n."""
     rng = np.random.default_rng(seed)
     b = rng.standard_normal(n)
     if case == "dominant":
-        return (rng.uniform(-1, 1, n), 4.0 + rng.random(n), rng.uniform(-1, 1, n), b)
+        return (rng.uniform(-1, 1, n - 1), 4.0 + rng.random(n), rng.uniform(-1, 1, n - 1), b)
     if case == "pivoting":
         # off-diagonals outweigh the diagonal, so gtsv swaps rows at most steps
-        return rng.uniform(2, 3, n), rng.uniform(-1, 1, n), rng.uniform(2, 3, n), b
-    # the velocity shape: off has n + 1 entries and off[1:-1] is both dl and du
-    off = -rng.random(n + 1)
-    return off[:-1], 1.0 + 2.0 * rng.random(n), off[1:], b
+        return rng.uniform(2, 3, n - 1), rng.uniform(-1, 1, n), rng.uniform(2, 3, n - 1), b
+    # the velocity shape: one array is both dl and du
+    off = -rng.random(n - 1)
+    return off, 1.0 + 2.0 * rng.random(n), off, b
 
 
 class TestSolveTridiag:
@@ -394,16 +394,16 @@ class TestSolveTridiag:
     @pytest.mark.parametrize("case", ["dominant", "pivoting", "velocity"])
     @pytest.mark.parametrize("n", [2, 65, 513, 4097])
     def test_bitwise_equal_to_solve_banded(self, n, case):
-        lower, diag, upper, b = tridiag_system(n, case)
-        before = [a.copy() for a in (lower, diag, upper, b)]
+        dl, d, du, b = tridiag_system(n, case)
+        before = [a.copy() for a in (dl, d, du, b)]
         ab = np.zeros((3, n))
-        ab[0, 1:] = upper[:-1]
-        ab[1] = diag
-        ab[2, :-1] = lower[1:]
+        ab[0, 1:] = du
+        ab[1] = d
+        ab[2, :-1] = dl
         want = scipy.linalg.solve_banded((1, 1), ab, b)
-        got = ns1d.solver._solve_tridiag(lower, diag, upper, b)
+        got = ns1d.solver._solve_tridiag(dl, d, du, b)
         assert got.shape == (n,) and got.tobytes() == want.tobytes()
-        for old, new in zip(before, (lower, diag, upper, b)):
+        for old, new in zip(before, (dl, d, du, b)):
             assert old.tobytes() == new.tobytes()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -414,18 +414,11 @@ class TestSolveTridiag:
         arrays = dict(zip(("lower", "diag", "upper", "b"), tridiag_system(65, "dominant")))
         arrays[name][index] = value
         with pytest.raises(NewtonDivergenceError, match="non-finite"):
-            ns1d.solver._solve_tridiag(**arrays)
-
-    def test_padding_entries_unread(self):
-        lower, diag, upper, b = tridiag_system(65, "dominant")
-        want = ns1d.solver._solve_tridiag(lower, diag, upper, b)
-        lower[0], upper[-1] = np.nan, np.inf
-        got = ns1d.solver._solve_tridiag(lower, diag, upper, b)
-        assert got.tobytes() == want.tobytes()
+            ns1d.solver._solve_tridiag(*arrays.values())
 
     def test_singular_system_refused(self):
         n = 8
-        lower, upper, b = np.zeros(n), np.zeros(n), np.ones(n)
+        lower, upper, b = np.zeros(n - 1), np.zeros(n - 1), np.ones(n)
         diag = np.ones(n)
         diag[3] = 0.0                       # a zero row: no pivot can fix it
         with pytest.raises(NewtonDivergenceError, match="singular"):
@@ -494,7 +487,7 @@ def transport_form_theta_solve(half, config, dt):
         dfl_dleft = -b_face[nodes] / dx + 0.5 * db[lo - 1:hi] * grad[nodes]
         diag = model.cv - dt / dx * (dfl_dleft[1:] - dfl_dright[:-1])
         theta[lo:hi] += ns1d.solver._solve_tridiag(
-            dt / dx * dfl_dleft[:-1], diag, -dt / dx * dfl_dright[1:], -res)
+            dt / dx * dfl_dleft[1:-1], diag, -dt / dx * dfl_dright[1:-1], -res)
     raise NewtonDivergenceError("reference Newton stalled")
 
 
@@ -600,6 +593,13 @@ class TestAdvance:
             advance(State(0.0, -State.equilibrium(g).v, np.zeros(g.nnodes),
                           State.equilibrium(g).theta), m, g, CFG, 0.05)
         assert info.value.steps == 0
+
+    def test_t_end_before_the_state_refused(self):
+        g = build_grid(2.0, 32)
+        s0 = gauss_state(g, a=0.1)
+        s0.t = 1.0
+        with pytest.raises(ArgumentError, match="precedes state time"):
+            advance(s0, GasModel(5 / 3), g, CFG, 0.5)
 
     def test_zero_interval(self):
         g = build_grid(2.0, 32)
@@ -749,6 +749,21 @@ class TestStage:
         assert stats.steps > 10 and stats.rejected_substeps == 0
         assert len(coll.records) == (2 if observed else 0)
         assert len(calls) == 2 * stats.steps + 1
+
+    @pytest.mark.parametrize("floor", [0.0, 1e-8], ids=["plain", "trial"])
+    def test_one_min_reduction_per_field(self, floor, monkeypatch):
+        # transport's floor is the stage's one positivity check
+        g, m = build_grid(8.0, 64), self.MODEL
+        real, calls = ns1d.constitutive._all_above, []
+
+        def counted(arr, bound):
+            calls.append(bound)
+            return real(arr, bound)
+
+        for module in (ns1d.constitutive, ns1d.solver):
+            monkeypatch.setattr(module, "_all_above", counted)
+        make_stage(gauss_state(g), m, g, floor)
+        assert calls == [floor, floor]
 
     def test_imex_solves_read_the_half_stage(self, monkeypatch):
         # the half state's stage makes one transport call, the new state's the
