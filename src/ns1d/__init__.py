@@ -4,10 +4,10 @@ Transport coefficients are mu_tilde*h(v)*theta^alpha (same for the heat
 conductivity up to its own scale), the gas is ideal polytropic with
 normalized constants, and the far-field state is (v, u, theta) = (1, 0, 1).
 The package provides a staggered-grid solver (explicit SSP-RK2 and an IMEX
-variant with backward-Euler diffusion: one linear tridiagonal solve for the
-velocity, Newton for the temperature), diagnostics for the
-exact energy-entropy balance and related functionals, manufactured-solution
-verification, and a batch CLI.
+variant with backward-Euler diffusion: one linear tridiagonal solve each for
+the velocity and the temperature, coefficients frozen at the half state),
+diagnostics for the exact energy-entropy balance and related functionals,
+manufactured-solution verification, and a batch CLI.
 """
 
 from .constitutive import (

@@ -32,7 +32,8 @@ class PositivityExhaustedError(PositivityError):
 
 
 class NewtonDivergenceError(Ns1dError):
-    """Newton iteration failed to reduce the residual below tolerance."""
+    """An implicit diffusion solve left a residual above newton_tol, or its
+    tridiagonal system had a non-finite entry or a zero pivot."""
 
 
 class ConfigError(Ns1dError, ValueError):

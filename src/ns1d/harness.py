@@ -66,7 +66,6 @@ class RunConfig:
     cfl_advective: float = _key("solver.cfl_advective", SolverConfig.cfl_advective)
     cfl_parabolic: float = _key("solver.cfl_parabolic", SolverConfig.cfl_parabolic)
     newton_tol: float = _key("solver.newton_tol", SolverConfig.newton_tol)
-    newton_max_iter: int = _key("solver.newton_max_iter", SolverConfig.newton_max_iter)
     positivity_floor: float = _key("solver.positivity_floor", SolverConfig.positivity_floor)
     max_dt_halvings: int = _key("solver.max_dt_halvings", SolverConfig.max_dt_halvings)
     dt_max: float = _key("solver.dt_max", SolverConfig.dt_max)

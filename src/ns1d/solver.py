@@ -1,5 +1,5 @@
 """Time integration: explicit SSP-RK2 (Heun) and IMEX with backward-Euler diffusion
-(one linear tridiagonal solve for u, Newton for theta).
+(one linear tridiagonal solve each for u and theta, coefficients frozen at the half state).
 
 The semidiscrete system on the staggered grid is
 
@@ -22,7 +22,7 @@ import numpy as np
 # calls; bound to this name because perfbench/tracer.py and the tests count solves by it
 from scipy.linalg.lapack import dgtsv as solve_banded
 
-from .constitutive import GasModel, _all_above, _theta_pow, transport
+from .constitutive import GasModel, transport
 # not called here: perfbench/tracer.py patches it in this namespace by name
 from .constitutive import transport_derivatives  # noqa: F401
 from .errors import (ArgumentError, NewtonDivergenceError, Ns1dError, PositivityError,
@@ -44,8 +44,7 @@ class SolverConfig:
     integrator: str = "explicit"          # "explicit" | "imex"
     cfl_advective: float = 0.4
     cfl_parabolic: float = 0.4
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 25
+    newton_tol: float = 1e-10             # max residual of each implicit diffusion solve
     positivity_floor: float = 1e-8
     max_dt_halvings: int = 20
     dt_max: float = 0.0                   # 0 disables the cap
@@ -55,13 +54,12 @@ class SolverConfig:
             raise ArgumentError(f"unknown integrator {self.integrator!r}")
         if not (0.0 < self.cfl_advective <= 1.0 and 0.0 < self.cfl_parabolic <= 1.0):
             raise ArgumentError("CFL factors must lie in (0, 1]")
-        if self.newton_tol <= 0:
+        # each comparison is written so that NaN fails it
+        if not self.newton_tol > 0:
             raise ArgumentError("newton_tol must be positive")
-        if self.newton_max_iter < 1:
-            raise ArgumentError("newton_max_iter must be at least 1")
-        if self.max_dt_halvings < 0:
-            raise ArgumentError("max_dt_halvings must be nonnegative")
-        if self.dt_max < 0:
+        if not (isinstance(self.max_dt_halvings, (int, np.integer)) and self.max_dt_halvings >= 0):
+            raise ArgumentError("max_dt_halvings must be a nonnegative integer")
+        if not self.dt_max >= 0:
             raise ArgumentError("dt_max must be nonnegative (0 disables the cap)")
         if not (0.0 < self.positivity_floor < 1.0):
             raise ArgumentError("positivity_floor must lie in (0, 1)")
@@ -70,9 +68,8 @@ class SolverConfig:
 @dataclass
 class StepStats:
     dt_used: float
-    newton_iters: int = 0
     rejected_substeps: int = 0
-    max_residual: float = 0.0
+    max_residual: float = 0.0             # the larger of an IMEX step's two solve residuals
 
 
 @dataclass
@@ -215,7 +212,7 @@ def _solve_tridiag(dl, d, du, b):
     One gtsv call (Gaussian elimination with partial pivoting) on the inputs
     solve_banded((1, 1), ...) passes it, so the same bits, without that
     wrapper's per-call cost.  gtsv works on copies, so no input is written,
-    and the velocity solve passes one array as both off-diagonals.  A
+    and each implicit solve passes one array as both off-diagonals.  A
     non-finite entry or a zero pivot raises NewtonDivergenceError.
     """
     if not (np.isfinite(dl).all() and np.isfinite(d).all()
@@ -227,90 +224,63 @@ def _solve_tridiag(dl, d, du, b):
     return x
 
 
-def backward_euler_velocity(half: Stage, config: SolverConfig, dt: float):
-    """Solve u = u* + dt*node_diff(mu*cell_diff(u)/v), mu and v read from half,
-    the Stage of the half state (v, u*, theta*).
+def _implicit_diffusion(x_star, grad_star, a, c: float, config: SolverConfig, dt: float,
+                        grid: Grid, name: str):
+    """Solve c*(x - x*) = dt*D_a x for the interior unknowns x[lo:hi], lo the ghost
+    depth, their neighbours held at x*.  a[k] and grad_star[k] are the coefficient
+    and x*'s divided difference on the link into unknown lo+k (k = 0 .. hi-lo), and
+    D_a x differences a times x's divided differences across each unknown, over dx.
 
-    mu does not depend on u, so one tridiagonal solve gives the correction to
-    u* from its residual -dt*node_diff(a*ux); ghost nodes stay at u*, and
-    momentum sums stay exact to round-off.  Returns (u, 1, residual) and
-    raises NewtonDivergenceError if that residual exceeds newton_tol.
+    One symmetric tridiagonal solve for the correction to x*: c + r*(a[k] + a[k+1])
+    on the diagonal, -r*a[k+1] beside it, r = dt/dx**2.  With c, a > 0 it is an
+    M-matrix, so x stays between the extremes of x* (discrete maximum principle).
+    Returns (x, 1, residual); NewtonDivergenceError if the residual exceeds newton_tol.
     """
-    grid, u_exp = half.grid, half.u
-    a = half.mu / half.v                    # cell diffusivity for u
-    g = grid.ghost_depth
-    lo, hi = g, g + grid.N + 1              # interior node unknowns [lo, hi)
-    r = dt / grid.dx ** 2
-
-    def residual(u):
-        return u[lo:hi] - u_exp[lo:hi] - dt * grid.node_diff(a * grid.cell_diff(u))[lo:hi]
-
-    # symmetric tridiagonal matrix: 1 + r*(a_j + a_{j-1}) on the diagonal, -r*a_j beside it
-    diag = 1.0 + r * (a[lo:hi] + a[lo - 1:hi - 1])
-    off = -r * a[lo:hi - 1]
-    u = u_exp.copy()
-    u[lo:hi] += _solve_tridiag(off, diag, off, dt * grid.node_diff(a * half.ux)[lo:hi])
-    max_res = float(np.max(np.abs(residual(u))))
+    dx, lo = grid.dx, grid.ghost_depth
+    hi = lo + len(a) - 1
+    r = dt / dx ** 2
+    off = -r * a[1:-1]
+    flux = a * grad_star
+    x = x_star.copy()
+    x[lo:hi] += _solve_tridiag(off, c + r * (a[:-1] + a[1:]), off,
+                               dt * ((flux[1:] - flux[:-1]) / dx))
+    flux = a * ((x[lo:hi + 1] - x[lo - 1:hi]) / dx)
+    res = c * (x[lo:hi] - x_star[lo:hi]) - dt * ((flux[1:] - flux[:-1]) / dx)
+    max_res = float(np.max(np.abs(res)))
     if not max_res <= config.newton_tol:
-        raise NewtonDivergenceError(
-            f"velocity diffusion solve left residual {max_res:.3e} "
-            f"above newton_tol {config.newton_tol:.1e}")
-    return u, 1, max_res
+        raise NewtonDivergenceError(f"{name} diffusion solve left residual {max_res:.3e} "
+                                    f"above newton_tol {config.newton_tol:.1e}")
+    return x, 1, max_res
+
+
+def backward_euler_velocity(half: Stage, config: SolverConfig, dt: float):
+    """Solve u = u* + dt*node_diff(mu*cell_diff(u)/v) on the interior nodes, with
+    mu, v and ux read from half, the Stage of the half state (v, u*, theta*).
+    Ghost nodes stay at u*, so momentum sums stay exact to round-off."""
+    g = half.grid.ghost_depth
+    links = slice(g - 1, g + half.grid.N + 1)   # cell j joins nodes j and j+1
+    return _implicit_diffusion(half.u, half.ux[links], half.mu[links] / half.v[links], 1.0,
+                               config, dt, half.grid, "velocity")
 
 
 def backward_euler_theta(half: Stage, config: SolverConfig, dt: float):
-    """Solve cv*(theta - theta*) = dt*cell_diff(face(kappa(v,theta)/v)*node_diff(theta))
-    for half, the Stage of the half state (v, u*, theta*).
-
-    Nonlinear when alpha != 0; Newton with an analytic tridiagonal Jacobian
-    re-linearized each iteration.  The first pass reads kappa and theta_x of
-    the stage.  v is fixed, so h(v) is evaluated once: each later pass forms
-    kappa = (kappa_tilde*h(v))*theta^alpha, and each pass d(kappa/v)/dtheta =
-    alpha*kappa/theta/v, the arithmetic of transport and transport_derivatives,
-    so the iterates are bitwise theirs.
-    """
-    model, grid, v, theta_exp = half.model, half.grid, half.v, half.theta
-    g = grid.ghost_depth
-    lo, hi = g, g + grid.N                  # interior cell unknowns [lo, hi)
-    cv, alpha, dx = model.cv, model.alpha, grid.dx
-    kh = model.kappa_tilde * model.h(v)     # kappa / theta^alpha, fixed with v
-    theta = theta_exp.copy()
-    kappa, grad = half.kappa, half.theta_x
-    for iters in range(1, config.newton_max_iter + 1):
-        if iters > 1:
-            if not _all_above(theta, 0.0):
-                raise PositivityError("theta went nonpositive inside Newton iteration")
-            kappa = kh * _theta_pow(theta, alpha)
-            grad = grid.node_diff(theta)
-        b_face = grid.face_average(kappa / v)   # b = kappa/v at cells, face-averaged
-        flux = b_face * grad
-        res = cv * (theta[lo:hi] - theta_exp[lo:hi]) - dt * grid.cell_diff(flux)[lo:hi]
-        max_res = float(np.max(np.abs(res)))
-        if max_res <= config.newton_tol:
-            return theta, iters, max_res
-        db = alpha * kappa / theta / v      # d(kappa/v)/dtheta at cells
-        # flux at node j: 0.5*(b_{j-1}+b_j)*(th_j - th_{j-1})/dx
-        # dflux_j/dth_j   =  b_face_j/dx + 0.5*db_j*grad_j
-        # dflux_j/dth_{j-1} = -b_face_j/dx + 0.5*db_{j-1}*grad_j
-        nodes = slice(lo, hi + 1)           # nodes bounding interior cells
-        dfl_dright = b_face[nodes] / dx + 0.5 * db[lo:hi + 1] * grad[nodes]
-        dfl_dleft = -b_face[nodes] / dx + 0.5 * db[lo - 1:hi] * grad[nodes]
-        # F_i = cv*(th_i - exp_i) - dt/dx*(flux_{i+1} - flux_i)
-        diag = cv - dt / dx * (dfl_dleft[1:] - dfl_dright[:-1])
-        # the off-diagonals couple neighbours across the n-1 interior faces
-        upper = -dt / dx * dfl_dright[1:-1]
-        lower = dt / dx * dfl_dleft[1:-1]
-        theta[lo:hi] += _solve_tridiag(lower, diag, upper, -res)
-    raise NewtonDivergenceError(
-        f"temperature diffusion Newton stalled at residual {max_res:.3e} "
-        f"after {config.newton_max_iter} iterations")
+    """Solve cv*(theta - theta*) = dt*cell_diff(face(kappa/v)*node_diff(theta)) on the
+    interior cells, with kappa, v and theta_x read from half, the Stage of the half
+    state: kappa is frozen there, so the solve is linear for every alpha."""
+    grid = half.grid
+    links = grid.node_interior                  # node i joins cells i-1 and i
+    return _implicit_diffusion(half.theta, half.theta_x[links],
+                               grid.face_average(half.kappa / half.v)[links], half.model.cv,
+                               config, dt, grid, "temperature")
 
 
 def step_imex(state: State, model: GasModel, grid: Grid, config: SolverConfig,
               dt: float, sources: Sources = None):
     """One IMEX step: explicit transport/pressure/heating give the half state
-    (v + h*ux, u*, theta*), whose Stage both implicit diffusion solves read.
-    Returns (new_state, StepStats) like step_explicit.
+    (v + h*ux, u*, theta*), whose Stage both implicit diffusion solves read:
+    mu and kappa are frozen there, so each is one linear tridiagonal solve.
+    An attempt makes 2 transport calls (half state, new state), so h runs on
+    arrays twice.  Returns (new_state, StepStats) like step_explicit.
     """
     s0 = make_stage(state, model, grid)
     v, u, theta, ux, mu = s0.v, s0.u, s0.theta, s0.ux, s0.mu
@@ -335,12 +305,11 @@ def step_imex(state: State, model: GasModel, grid: Grid, config: SolverConfig,
             raise PositivityError(f"half-step state at t={half.t} has a non-finite entry")
         half = make_stage(half, model, grid, config.positivity_floor)
 
-        u_new, it_u, res_u = backward_euler_velocity(half, config, h)
-        theta_new, it_th, res_th = backward_euler_theta(half, config, h)
+        u_new, _, res_u = backward_euler_velocity(half, config, h)
+        theta_new, _, res_th = backward_euler_theta(half, config, h)
 
         out = _candidate(s0.t + h, half.v, u_new, theta_new, model, grid, config)
-        return out, StepStats(dt_used=h, newton_iters=max(it_u, it_th),
-                              max_residual=max(res_u, res_th))
+        return out, StepStats(dt_used=h, max_residual=max(res_u, res_th))
 
     return _with_halving(attempt, s0.t, config, dt)
 

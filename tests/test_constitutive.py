@@ -22,9 +22,7 @@ from ns1d.diagnostics import kanel_bound_pair
 from ns1d.errors import ArgumentError, ConfigError, DomainError, PositivityError
 from ns1d.grid import State, build_grid
 import ns1d.harness
-import ns1d.solver
 from ns1d.harness import RunConfig, make_initial_data
-from ns1d.solver import SolverConfig, backward_euler_theta, make_stage
 
 positive = st.floats(min_value=1e-3, max_value=1e3)
 
@@ -86,21 +84,6 @@ def with_entry(arr, entry):
     return out
 
 
-def refuse_theta_in_theta_solve(entry, monkeypatch):
-    # the first Newton correction leaves entry in one iterate (-0.0 lands on
-    # +0.0 there: a sum is -0 only when both of its terms are)
-    s = State.equilibrium(GRID)
-    s.theta = with_entry(s.theta, 2.0)      # off equilibrium: the first pass corrects
-    solve = ns1d.solver._solve_tridiag
-
-    def spoiled(*args):
-        dtheta = solve(*args)
-        dtheta[3] = entry - 2.0             # unknown 3 is the cell with_entry sets
-        return dtheta
-    monkeypatch.setattr(ns1d.solver, "_solve_tridiag", spoiled)
-    backward_euler_theta(make_stage(s, model(), GRID), SolverConfig(), 1e-3)
-
-
 def refuse_kanel_pair(entry, monkeypatch):
     s = State.equilibrium(GRID)
     s.v = with_entry(s.v, entry)
@@ -123,7 +106,6 @@ def refuse_h_values(entry, monkeypatch):
 
 # each check, with the exception class and message it raised before
 REFUSALS = [
-    (refuse_theta_in_theta_solve, PositivityError, "theta went nonpositive"),
     (refuse_kanel_pair, PositivityError, "z must be positive"),
     (refuse_initial_data, ConfigError, "initial data violate positivity"),
     (refuse_h_values, DomainError, "h\\(v\\) must be positive"),

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 import ns1d.constitutive
 import ns1d.solver
-from ns1d.constitutive import GasModel, HProfile, transport, transport_derivatives
+from ns1d.constitutive import GasModel, HProfile, transport
 from ns1d.diagnostics import DiagnosticsCollector, dissipation_rate
 from ns1d.errors import ArgumentError, NewtonDivergenceError, PositivityError
 from ns1d.grid import State, apply_farfield, build_grid
@@ -267,7 +267,6 @@ class TestImexStep:
         m = GasModel(5 / 3, alpha=0.2, h=HProfile.power_sum(1, 1))
         s, stats = step_imex(State.equilibrium(g), m, g, CFG, 1e-2)
         assert np.all(s.v == 1.0) and np.all(s.u == 0.0) and np.all(s.theta == 1.0)
-        assert stats.newton_iters == 1
         assert stats.max_residual == 0.0
 
     def test_sources_evaluated_once_per_step_across_rejections(self):
@@ -461,34 +460,9 @@ class TestSolveTridiag:
         monkeypatch.setattr(ns1d.solver, "solve_banded", counted_solve)
         monkeypatch.setattr(ns1d.solver, "backward_euler_theta", recorded_theta)
         _, stats = step_imex(s, model, g, CFG, 50.0 * stable_dt(s, model, g, CFG))
-        assert stats.rejected_substeps == 0 and theta_iters[0] >= 3
-        # the last Newton pass meets the tolerance and solves nothing
-        assert len(solves) == (theta_iters[0] - 1) + 1
-
-
-def transport_form_theta_solve(half, config, dt):
-    """The temperature Newton solve written through transport and
-    transport_derivatives at every pass, as a reference."""
-    model, grid, v, theta_exp = half.model, half.grid, half.v, half.theta
-    lo, hi = grid.ghost_depth, grid.ghost_depth + grid.N
-    theta, dx = theta_exp.copy(), grid.dx
-    for iters in range(1, config.newton_max_iter + 1):
-        _, kappa = transport(model, v, theta)
-        b_face = grid.face_average(kappa / v)
-        grad = grid.node_diff(theta)
-        res = (model.cv * (theta[lo:hi] - theta_exp[lo:hi])
-               - dt * grid.cell_diff(b_face * grad)[lo:hi])
-        max_res = float(np.max(np.abs(res)))
-        if max_res <= config.newton_tol:
-            return theta, iters, max_res
-        db = transport_derivatives(model, v, theta)[3] / v
-        nodes = slice(lo, hi + 1)
-        dfl_dright = b_face[nodes] / dx + 0.5 * db[lo:hi + 1] * grad[nodes]
-        dfl_dleft = -b_face[nodes] / dx + 0.5 * db[lo - 1:hi] * grad[nodes]
-        diag = model.cv - dt / dx * (dfl_dleft[1:] - dfl_dright[:-1])
-        theta[lo:hi] += ns1d.solver._solve_tridiag(
-            dt / dx * dfl_dleft[1:-1], diag, -dt / dx * dfl_dright[1:-1], -res)
-    raise NewtonDivergenceError("reference Newton stalled")
+        # the temperature solve is linear: one pass, one solve, like the velocity's
+        assert stats.rejected_substeps == 0 and theta_iters == [1]
+        assert len(solves) == 2
 
 
 TRANSPORT_MODELS = [GasModel(5 / 3, mu_tilde=1.3, kappa_tilde=0.7, alpha=alpha, h=h)
@@ -496,12 +470,8 @@ TRANSPORT_MODELS = [GasModel(5 / 3, mu_tilde=1.3, kappa_tilde=0.7, alpha=alpha, 
                     for h in (HProfile.power_sum(1, 1), HProfile.constant(1.7))]
 
 
-def model_id(model):
-    return f"alpha={model.alpha}-{model.h.kind}"
-
-
 class TestBackwardEulerTheta:
-    """v is frozen through the solve: one h(v), no transport calls per pass."""
+    """kappa is frozen at the half stage: no h(v), theta^alpha or transport call in the solve."""
 
     def setup_method(self):
         self.g = build_grid(8.0, 64)
@@ -510,40 +480,21 @@ class TestBackwardEulerTheta:
     def dt(self, model):
         return 50.0 * stable_dt(self.s, model, self.g, CFG)
 
-    @pytest.mark.parametrize("model", TRANSPORT_MODELS, ids=model_id)
-    def test_bitwise_equal_to_transport_form(self, model):
-        half, dt = make_stage(self.s, model, self.g), self.dt(model)
-        got = backward_euler_theta(half, CFG, dt)
-        want = transport_form_theta_solve(half, CFG, dt)
-        assert got[1] == want[1] and got[1] >= 2
-        assert got[2] == want[2]
-        assert np.array_equal(got[0], want[0])
-
-    @pytest.mark.parametrize("model", TRANSPORT_MODELS, ids=model_id)
-    def test_imex_step_bitwise_equal_to_transport_form(self, model, monkeypatch):
-        s, g, dt = self.s, self.g, self.dt(model)
-        got, got_stats = step_imex(s, model, g, CFG, dt)
-        monkeypatch.setattr(ns1d.solver, "backward_euler_theta", transport_form_theta_solve)
-        want, want_stats = step_imex(s, model, g, CFG, dt)
-        assert got_stats == want_stats
-        for name in ("v", "u", "theta", "mu", "kappa", "ux", "theta_x"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
-
     def test_first_pass_reads_the_stage(self, monkeypatch):
-        # kappa and theta_x of the half state are the stage's: theta^alpha is
-        # taken once per later pass, and no array of the stage is written
+        # kappa and theta_x of the half state are the stage's: the one pass
+        # takes no theta^alpha and writes no array of the stage
         model = TRANSPORT_MODELS[2]
-        half = make_stage(self.s, model, self.g)
+        half, dt = make_stage(self.s, model, self.g), self.dt(model)
         before = {name: getattr(half, name).copy() for name in ("v", "u", "theta", "kappa")}
-        real, calls = ns1d.solver._theta_pow, []
+        real, calls = ns1d.constitutive._theta_pow, []
 
         def counted(*args):
             calls.append(1)
             return real(*args)
 
-        monkeypatch.setattr(ns1d.solver, "_theta_pow", counted)
-        _, iters, _ = backward_euler_theta(half, CFG, self.dt(model))
-        assert iters >= 2 and len(calls) == iters - 1
+        monkeypatch.setattr(ns1d.constitutive, "_theta_pow", counted)
+        _, iters, _ = backward_euler_theta(half, CFG, dt)
+        assert iters == 1 and calls == []
         for name, old in before.items():
             assert np.array_equal(getattr(half, name), old), name
 
@@ -562,8 +513,147 @@ class TestBackwardEulerTheta:
         monkeypatch.setattr(ns1d.solver, "transport_derivatives", refused)
         arrays.clear()
         _, stats = step_imex(s0, model, self.g, CFG, dt)
-        assert stats.newton_iters >= 2 and stats.rejected_substeps == 0
-        assert sum(arrays) <= 3             # velocity solve, theta solve, new stage
+        assert stats.rejected_substeps == 0
+        assert sum(arrays) <= 3             # half stage, new stage
+
+
+def dense_correction(half, dt, name):
+    """(x*, x - x*) for the implicit solve c*(x - x*) = dt*D x: the correction
+    is np.linalg.solve of c - dt*D applied to dt*D(x*), where D is the solve's
+    diffusion operator written with the grid's stencils, and its matrix is
+    assembled column by column on the interior unknowns."""
+    g = half.grid
+    if name == "velocity":
+        a = half.mu / half.v
+        c, x_star, interior = 1.0, half.u, g.node_interior
+
+        def D(x):
+            return g.node_diff(a * g.cell_diff(x))
+    else:
+        b = g.face_average(half.kappa / half.v)
+        c, x_star, interior = half.model.cv, half.theta, g.cell_interior
+
+        def D(x):
+            return g.cell_diff(b * g.node_diff(x))
+    columns = []
+    for k in np.arange(x_star.size)[interior]:
+        e = np.zeros_like(x_star)
+        e[k] = 1.0
+        columns.append(D(e)[interior])
+    matrix = c * np.eye(len(columns)) - dt * np.array(columns).T
+    correction = np.zeros_like(x_star)
+    correction[interior] = np.linalg.solve(matrix, dt * D(x_star)[interior])
+    return x_star, correction
+
+
+SOLVES = {"velocity": backward_euler_velocity, "theta": backward_euler_theta}
+
+
+class TestImplicitSolves:
+    """Both implicit solves: one linear tridiagonal system each, coefficients
+    frozen at the half stage."""
+
+    MODEL = GasModel(5 / 3, mu_tilde=1.3, kappa_tilde=0.7, alpha=0.3,
+                     h=HProfile.power_sum(1, 1))
+
+    @pytest.mark.parametrize("name", sorted(SOLVES))
+    @pytest.mark.parametrize("r", [1e-2, 1.0, 1e2, 1e4])
+    def test_equals_dense_solve(self, name, r):
+        g = build_grid(8.0, 64)
+        rng = np.random.default_rng(7)
+        for _ in range(3):                  # random positive coefficients
+            s = apply_farfield(State(0.0, rng.uniform(0.5, 2.0, g.ncells),
+                                     rng.standard_normal(g.nnodes),
+                                     rng.uniform(0.5, 2.0, g.ncells)), g)
+            half = make_stage(s, self.MODEL, g)
+            got, iters, residual = SOLVES[name](half, CFG, r * g.dx ** 2)
+            x_star, want = dense_correction(half, r * g.dx ** 2, name)
+            assert iters == 1 and residual <= CFG.newton_tol
+            assert np.max(np.abs(got - x_star - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_maximum_principle(self):
+        # an interior minimum of 1e-6 beside values of 10, at r = dt/dx^2 = 1e4:
+        # each result stays between the extremes of its x* and the far field
+        g = build_grid(8.0, 64)
+        model = dataclasses.replace(self.MODEL, alpha=1.0)
+        interior = np.arange(g.ncells)[g.cell_interior]
+        theta = np.ones(g.ncells)
+        theta[interior] = 10.0
+        theta[interior[20]] = 1e-6
+        u = np.zeros(g.nnodes)
+        u[g.node_interior] = 10.0 * np.sin(np.arange(g.N + 1))
+        u[g.ghost_depth + 20] = -1e-6
+        half = make_stage(apply_farfield(State(0.0, np.ones(g.ncells), u, theta), g), model, g)
+        # terms of dt*D(theta) reach 1e6 here, so round-off alone leaves a residual near 1e-10
+        cfg, dt = dataclasses.replace(CFG, newton_tol=1e-8), 1e4 * g.dx ** 2
+        theta_new, _, _ = backward_euler_theta(half, cfg, dt)
+        u_new, _, _ = backward_euler_velocity(half, cfg, dt)
+        assert min(theta.min(), 1.0) <= theta_new.min() and theta_new.max() <= max(theta.max(), 1.0)
+        assert min(u.min(), 0.0) <= u_new.min() and u_new.max() <= max(u.max(), 0.0)
+        assert theta_new[interior[20]] > 1.0    # the dip is filled from its neighbours
+
+    def test_counts_per_attempt(self, monkeypatch):
+        # the first attempt is refused at its new state, so the step makes two;
+        # each makes 2 solves, 2 transport calls and 2 array evaluations of h,
+        # and neither solve evaluates h or theta^alpha
+        profile, events, inside = HProfile.power_sum(1, 1), [], []
+
+        def counted_h(v):
+            if np.ndim(v):
+                events.append(("h", bool(inside)))
+            return profile.h(v)
+
+        def counted(name, fn):
+            def wrapped(*args):
+                events.append((name, bool(inside)))
+                return fn(*args)
+            return wrapped
+
+        def marked(fn):
+            def wrapped(*args):
+                inside.append(1)
+                try:
+                    return fn(*args)
+                finally:
+                    inside.pop()
+            return wrapped
+
+        real_candidate = ns1d.solver._candidate
+
+        def refuse_first(*args):
+            out = real_candidate(*args)
+            if not any(name == "refused" for name, _ in events):
+                events.append(("refused", False))
+                raise PositivityError("on purpose")
+            return out
+
+        g = build_grid(8.0, 64)
+        model = GasModel(5 / 3, alpha=0.1, h=dataclasses.replace(profile, h=counted_h))
+        s0 = make_stage(gauss_state(g, a=0.4, with_u=True), model, g)
+        dt = 50.0 * stable_dt(s0, model, g, CFG)
+        events.clear()
+        for name in ("solve_banded", "transport"):
+            monkeypatch.setattr(ns1d.solver, name, counted(name, getattr(ns1d.solver, name)))
+        monkeypatch.setattr(ns1d.constitutive, "_theta_pow",
+                            counted("theta_pow", ns1d.constitutive._theta_pow))
+        for name in SOLVES.values():
+            monkeypatch.setattr(ns1d.solver, name.__name__, marked(name))
+        monkeypatch.setattr(ns1d.solver, "_candidate", refuse_first)
+        _, stats = step_imex(s0, model, g, CFG, dt)
+        assert stats.rejected_substeps == 1
+        names = [name for name, _ in events]
+        assert {name: names.count(name) for name in set(names)} == {
+            "solve_banded": 4, "transport": 4, "h": 4, "theta_pow": 4, "refused": 1}
+        assert not any(in_solve for name, in_solve in events
+                       if name in ("h", "theta_pow", "transport"))
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("field,value", [("newton_tol", math.nan), ("dt_max", math.nan),
+                                             ("max_dt_halvings", 2.5)])
+    def test_refused(self, field, value):
+        with pytest.raises(ArgumentError, match=field):
+            SolverConfig(**{field: value})
 
 
 class TestAdvance:
@@ -760,8 +850,7 @@ class TestStage:
             calls.append(bound)
             return real(arr, bound)
 
-        for module in (ns1d.constitutive, ns1d.solver):
-            monkeypatch.setattr(module, "_all_above", counted)
+        monkeypatch.setattr(ns1d.constitutive, "_all_above", counted)
         make_stage(gauss_state(g), m, g, floor)
         assert calls == [floor, floor]
 
@@ -791,7 +880,7 @@ class TestStage:
             monkeypatch.setattr(ns1d.solver, name, marked(name))
         monkeypatch.setattr(ns1d.solver, "transport", counted)
         _, stats = step_imex(s0, m, g, CFG, 50.0 * stable_dt(s0, m, g, CFG))
-        assert stats.rejected_substeps == 0 and stats.newton_iters >= 2
+        assert stats.rejected_substeps == 0
         assert calls == [[], []]
 
     def test_nan_predictor_rejected_and_dt_halved(self, monkeypatch):
