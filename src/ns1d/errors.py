@@ -32,8 +32,8 @@ class PositivityExhaustedError(PositivityError):
 
 
 class NewtonDivergenceError(Ns1dError):
-    """An implicit diffusion solve left a residual above newton_tol, or its
-    tridiagonal system had a non-finite entry or a zero pivot."""
+    """An implicit diffusion solve met a zero pivot, or its normwise backward error
+    (NaN or inf for a non-finite entry) exceeded the solver's constant bound."""
 
 
 class ConfigError(Ns1dError, ValueError):

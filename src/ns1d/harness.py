@@ -65,7 +65,6 @@ class RunConfig:
     integrator: str = _key("solver.integrator", SolverConfig.integrator)
     cfl_advective: float = _key("solver.cfl_advective", SolverConfig.cfl_advective)
     cfl_parabolic: float = _key("solver.cfl_parabolic", SolverConfig.cfl_parabolic)
-    newton_tol: float = _key("solver.newton_tol", SolverConfig.newton_tol)
     positivity_floor: float = _key("solver.positivity_floor", SolverConfig.positivity_floor)
     max_dt_halvings: int = _key("solver.max_dt_halvings", SolverConfig.max_dt_halvings)
     dt_max: float = _key("solver.dt_max", SolverConfig.dt_max)

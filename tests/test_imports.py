@@ -1,8 +1,8 @@
 """Guards on the package's imports: what `import ns1d` loads (scipy.interpolate
 and scipy.optimize, which it pulls in, cost most of the package's import time
 and are not used), that every `__all__` entry resolves, that no module
-imports a name it does not use, and that no private helper outlives its last
-reader."""
+imports a name it does not use, that no private helper outlives its last
+reader, and that no configuration field outlives its last reader."""
 
 import ast
 import importlib
@@ -102,3 +102,39 @@ def test_dead_helper_guard_sees_an_unreferenced_helper():
 def test_no_module_keeps_an_unreferenced_helper():
     sources = {path.name: path.read_text() for path in sorted((SRC / "ns1d").glob("*.py"))}
     assert not unreferenced_helpers(sources)
+
+
+CONFIG_CLASSES = ("SolverConfig", "RunConfig")
+
+
+def unread_fields(sources: dict, classes=CONFIG_CLASSES) -> list:
+    """Fields of the dataclasses named in classes whose name no attribute read in
+    sources (file name -> text) takes, outside the class bodies (defaults and
+    validation) and make_solver_config (which copies every field by name): a
+    knob whose last reader is gone."""
+    fields, read = {}, set()
+    for tree in (ast.parse(text) for text in sources.values()):
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name in classes:
+                fields[node.name] = [stmt.target.id for stmt in node.body
+                                     if isinstance(stmt, ast.AnnAssign)]
+            elif not (isinstance(node, ast.FunctionDef) and node.name == "make_solver_config"):
+                read |= {sub.attr for sub in ast.walk(node)
+                         if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+    assert set(fields) == set(classes), f"classes not found: {set(classes) - set(fields)}"
+    return [f"{cls}.{name}" for cls, names in fields.items() for name in names
+            if name not in read]
+
+
+def test_unread_field_guard_sees_a_knob_without_a_reader():
+    sources = {"a.py": "class SolverConfig:\n    tol: float = 1.0\n    cfl: float = 0.4\n\n"
+                       "    def __post_init__(self):\n        assert self.tol > 0\n",
+               "b.py": "class RunConfig:\n    tol: float = 1.0\n\n\n"
+                       "def make_solver_config(config):\n    return config.tol\n\n\n"
+                       "def step(config):\n    config.tol = 2.0\n    return config.cfl\n"}
+    assert unread_fields(sources) == ["SolverConfig.tol", "RunConfig.tol"]
+
+
+def test_no_configuration_field_outlives_its_last_reader():
+    sources = {path.name: path.read_text() for path in sorted((SRC / "ns1d").glob("*.py"))}
+    assert not unread_fields(sources)

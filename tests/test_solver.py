@@ -16,7 +16,9 @@ from ns1d.diagnostics import DiagnosticsCollector, dissipation_rate
 from ns1d.errors import ArgumentError, NewtonDivergenceError, PositivityError
 from ns1d.grid import State, apply_farfield, build_grid
 from ns1d.solver import (
+    BACKWARD_ERROR_TOL,
     SolverConfig,
+    _implicit_diffusion,
     _landing_times,
     advance,
     backward_euler_theta,
@@ -269,6 +271,22 @@ class TestImexStep:
         assert np.all(s.v == 1.0) and np.all(s.u == 0.0) and np.all(s.theta == 1.0)
         assert stats.max_residual == 0.0
 
+    def test_max_residual_is_the_larger_backward_error(self, monkeypatch):
+        g = build_grid(8.0, 128)
+        m = GasModel(5 / 3, alpha=0.1, h=HProfile.power_sum(1, 1))
+        s = gauss_state(g, with_u=True)
+        errors = []
+        for name in SOLVES.values():
+            def recorded(*args, solve=name):
+                out = solve(*args)
+                errors.append(out[2])
+                return out
+            monkeypatch.setattr(ns1d.solver, name.__name__, recorded)
+        _, stats = step_imex(s, m, g, CFG, 50.0 * stable_dt(s, m, g, CFG))
+        assert stats.rejected_substeps == 0 and len(errors) == 2
+        assert stats.max_residual == max(errors)
+        assert 0.0 < stats.max_residual <= 1e-15
+
     def test_sources_evaluated_once_per_step_across_rejections(self):
         g = build_grid(4.0, 64)
         m = GasModel(5 / 3, alpha=0.1, h=HProfile.power_sum(1, 1))
@@ -296,7 +314,7 @@ class TestImexStep:
         nsteps = 50
         for _ in range(nsteps):
             half = make_stage(State(0.0, v, np.zeros(g.nnodes), theta), m, g)
-            theta, _, _ = backward_euler_theta(half, CFG, t_end / nsteps)
+            theta, _, _ = backward_euler_theta(half, t_end / nsteps)
 
         # oracle: fine-dt forward Euler for cv*theta_t = theta_xx
         fine = build_grid(8.0, 512)
@@ -336,8 +354,8 @@ class TestBackwardEulerVelocity:
         self.s = gauss_state(self.g, with_u=True)
         self.dt = 50.0 * stable_dt(self.s, self.MODEL, self.g, CFG)
 
-    def solve(self, cfg=CFG):
-        return backward_euler_velocity(make_stage(self.s, self.MODEL, self.g), cfg, self.dt)
+    def solve(self):
+        return backward_euler_velocity(make_stage(self.s, self.MODEL, self.g), self.dt)
 
     def test_one_solve_one_iteration(self, monkeypatch):
         real, calls = ns1d.solver.solve_banded, []
@@ -368,9 +386,17 @@ class TestBackwardEulerVelocity:
         got, _, _ = self.solve()
         assert got == pytest.approx(want, rel=1e-12)
 
-    def test_residual_above_tol_raises(self):
-        with pytest.raises(NewtonDivergenceError, match="residual"):
-            self.solve(dataclasses.replace(CFG, newton_tol=1e-300))
+    def test_residual_above_tol_raises(self, monkeypatch):
+        # a correction off by one part in 1e9 leaves a backward error far above the bound
+        real = ns1d.solver.solve_banded
+
+        def perturbed(*args):
+            out = real(*args)
+            return out[:3] + (out[3] * (1.0 + 1e-9),) + out[4:]
+
+        monkeypatch.setattr(ns1d.solver, "solve_banded", perturbed)
+        with pytest.raises(NewtonDivergenceError, match="residual .* backward error above 1e-12"):
+            self.solve()
 
 
 def tridiag_system(n, case, seed=0):
@@ -387,12 +413,28 @@ def tridiag_system(n, case, seed=0):
     return off, 1.0 + 2.0 * rng.random(n), off, b
 
 
+def velocity_system(n=65):
+    """(x*, grad*, a) of a velocity solve with n unknowns: a random positive
+    coefficient, x* with two ghosts a side and grad* its divided differences."""
+    rng = np.random.default_rng(3)
+    x_star = rng.standard_normal(n + 4)
+    return x_star, np.diff(x_star[1:-1]) / 0.1, rng.uniform(0.5, 2.0, n + 1)
+
+
+def diffuse(x_star, grad_star, a, c=1.0, dt=0.5):
+    """_implicit_diffusion on a grid of ghost depth 2 and dx = 0.1."""
+    grid = build_grid(0.05 * (len(x_star) - 5), len(x_star) - 5)
+    return _implicit_diffusion(x_star, grad_star, a, c, dt, grid, "velocity")
+
+
 class TestSolveTridiag:
-    """One LAPACK gtsv call, the bits of solve_banded((1, 1), ...)."""
+    """The tridiagonal solve of _implicit_diffusion: one call of the module's gtsv
+    binding, whose result the backward-error check judges."""
 
     @pytest.mark.parametrize("case", ["dominant", "pivoting", "velocity"])
     @pytest.mark.parametrize("n", [2, 65, 513, 4097])
     def test_bitwise_equal_to_solve_banded(self, n, case):
+        # the binding is the routine solve_banded((1, 1), ...) calls: the same bits
         dl, d, du, b = tridiag_system(n, case)
         before = [a.copy() for a in (dl, d, du, b)]
         ab = np.zeros((3, n))
@@ -400,8 +442,8 @@ class TestSolveTridiag:
         ab[1] = d
         ab[2, :-1] = dl
         want = scipy.linalg.solve_banded((1, 1), ab, b)
-        got = ns1d.solver._solve_tridiag(dl, d, du, b)
-        assert got.shape == (n,) and got.tobytes() == want.tobytes()
+        got, info = ns1d.solver.solve_banded(dl, d, du, b)[3:]
+        assert info == 0 and got.shape == (n,) and got.tobytes() == want.tobytes()
         for old, new in zip(before, (dl, d, du, b)):
             assert old.tobytes() == new.tobytes()
 
@@ -409,27 +451,34 @@ class TestSolveTridiag:
     @pytest.mark.parametrize("name,index", [("lower", 1), ("lower", -1), ("diag", 0),
                                             ("diag", 32), ("upper", 0), ("upper", -2),
                                             ("b", 0), ("b", -1)])
-    def test_non_finite_entry_refused(self, name, index, value):
-        arrays = dict(zip(("lower", "diag", "upper", "b"), tridiag_system(65, "dominant")))
-        arrays[name][index] = value
-        with pytest.raises(NewtonDivergenceError, match="non-finite"):
-            ns1d.solver._solve_tridiag(*arrays.values())
+    def test_non_finite_entry_refused(self, name, index, value, monkeypatch):
+        # whichever entry of the system gtsv is handed goes bad, the check,
+        # which recomputes the residual from the solve's own inputs, refuses x
+        real = ns1d.solver.solve_banded
+
+        def poisoned(*arrays):
+            arrays = dict(zip(("lower", "diag", "upper", "b"), (a.copy() for a in arrays)))
+            arrays[name][index] = value
+            return real(*arrays.values())
+
+        monkeypatch.setattr(ns1d.solver, "solve_banded", poisoned)
+        with np.errstate(all="ignore"), pytest.raises(NewtonDivergenceError):
+            diffuse(*velocity_system(65))
 
     def test_singular_system_refused(self):
-        n = 8
-        lower, upper, b = np.zeros(n - 1), np.zeros(n - 1), np.ones(n)
-        diag = np.ones(n)
-        diag[3] = 0.0                       # a zero row: no pivot can fix it
-        with pytest.raises(NewtonDivergenceError, match="singular"):
-            ns1d.solver._solve_tridiag(lower, diag, upper, b)
+        # c = 0 and a = 0: a zero diagonal, so gtsv meets a zero pivot in row 1
+        x_star, grad_star, a = velocity_system(9)
+        with pytest.raises(NewtonDivergenceError, match="singular: zero pivot in row 1"):
+            diffuse(x_star, grad_star, np.zeros_like(a), c=0.0)
 
     def test_non_finite_velocity_system_refused(self):
         g = build_grid(8.0, 64)
         s = gauss_state(g, with_u=True)
         model = GasModel(5 / 3, alpha=0.2, h=HProfile.power_sum(1, 1))
         s.u[g.ghost_depth + 10] = np.nan
-        with pytest.raises(NewtonDivergenceError, match="non-finite"):
-            backward_euler_velocity(make_stage(s, model, g), CFG, 1e-2)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NewtonDivergenceError, match="residual nan"):
+            backward_euler_velocity(make_stage(s, model, g), 1e-2)
 
     def test_non_finite_theta_system_refused(self):
         g = build_grid(8.0, 64)
@@ -437,8 +486,28 @@ class TestSolveTridiag:
         model = GasModel(5 / 3, alpha=0.2, h=HProfile.power_sum(1, 1))
         s.theta[g.ghost_depth + 10] = np.inf
         with np.errstate(invalid="ignore"), \
-                pytest.raises(NewtonDivergenceError, match="non-finite"):
-            backward_euler_theta(make_stage(s, model, g), CFG, 1e-2)
+                pytest.raises(NewtonDivergenceError, match="residual nan"):
+            backward_euler_theta(make_stage(s, model, g), 1e-2)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("position", ["first", "interior", "last"])
+    @pytest.mark.parametrize("field", ["a", "x_star", "grad_star"])
+    def test_non_finite_input_refused(self, field, position, value):
+        inputs = dict(zip(("x_star", "grad_star", "a"), velocity_system(65)))
+        array = inputs[field]
+        array[{"first": 0, "interior": len(array) // 2, "last": -1}[position]] = value
+        with np.errstate(all="ignore"), pytest.raises(NewtonDivergenceError):
+            diffuse(**inputs)
+
+    def test_half_stage_unwritten(self):
+        g, model = build_grid(8.0, 64), GasModel(5 / 3, alpha=0.2, h=HProfile.power_sum(1, 1))
+        half = make_stage(gauss_state(g, a=0.4, with_u=True), model, g)
+        names = ("v", "u", "theta", "ux", "mu", "kappa", "theta_x")
+        before = {name: getattr(half, name).copy() for name in names}
+        for solve in (backward_euler_velocity, backward_euler_theta):
+            solve(half, 50.0 * stable_dt(half, model, g, CFG))
+        for name in names:
+            assert getattr(half, name).tobytes() == before[name].tobytes(), name
 
     def test_imex_step_solves_once_per_theta_pass_plus_velocity(self, monkeypatch):
         # what the trace reports as solver.tridiag.solves_per_step
@@ -493,7 +562,7 @@ class TestBackwardEulerTheta:
             return real(*args)
 
         monkeypatch.setattr(ns1d.constitutive, "_theta_pow", counted)
-        _, iters, _ = backward_euler_theta(half, CFG, dt)
+        _, iters, _ = backward_euler_theta(half, dt)
         assert iters == 1 and calls == []
         for name, old in before.items():
             assert np.array_equal(getattr(half, name), old), name
@@ -566,14 +635,14 @@ class TestImplicitSolves:
                                      rng.standard_normal(g.nnodes),
                                      rng.uniform(0.5, 2.0, g.ncells)), g)
             half = make_stage(s, self.MODEL, g)
-            got, iters, residual = SOLVES[name](half, CFG, r * g.dx ** 2)
+            got, iters, residual = SOLVES[name](half, r * g.dx ** 2)
             x_star, want = dense_correction(half, r * g.dx ** 2, name)
-            assert iters == 1 and residual <= CFG.newton_tol
+            assert iters == 1 and residual <= BACKWARD_ERROR_TOL
             assert np.max(np.abs(got - x_star - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_maximum_principle(self):
-        # an interior minimum of 1e-6 beside values of 10, at r = dt/dx^2 = 1e4:
-        # each result stays between the extremes of its x* and the far field
+    def dip_stage(self):
+        """An interior minimum of 1e-6 beside values of 10 (alpha = 1, so kappa
+        up to 14), and the dt of r = dt/dx^2 = 1e4."""
         g = build_grid(8.0, 64)
         model = dataclasses.replace(self.MODEL, alpha=1.0)
         interior = np.arange(g.ncells)[g.cell_interior]
@@ -584,13 +653,27 @@ class TestImplicitSolves:
         u[g.node_interior] = 10.0 * np.sin(np.arange(g.N + 1))
         u[g.ghost_depth + 20] = -1e-6
         half = make_stage(apply_farfield(State(0.0, np.ones(g.ncells), u, theta), g), model, g)
-        # terms of dt*D(theta) reach 1e6 here, so round-off alone leaves a residual near 1e-10
-        cfg, dt = dataclasses.replace(CFG, newton_tol=1e-8), 1e4 * g.dx ** 2
-        theta_new, _, _ = backward_euler_theta(half, cfg, dt)
-        u_new, _, _ = backward_euler_velocity(half, cfg, dt)
+        return half, 1e4 * g.dx ** 2
+
+    def test_maximum_principle(self):
+        # each result stays between the extremes of its x* and the far field
+        half, dt = self.dip_stage()
+        theta, u = half.theta, half.u
+        theta_new, _, _ = backward_euler_theta(half, dt)
+        u_new, _, _ = backward_euler_velocity(half, dt)
         assert min(theta.min(), 1.0) <= theta_new.min() and theta_new.max() <= max(theta.max(), 1.0)
         assert min(u.min(), 0.0) <= u_new.min() and u_new.max() <= max(u.max(), 0.0)
-        assert theta_new[interior[20]] > 1.0    # the dip is filled from its neighbours
+        assert theta_new[half.grid.ghost_depth + 20] > 1.0    # the dip is filled from its neighbours
+
+    def test_large_r_exact_solve_accepted(self):
+        # terms of dt*D(theta) reach 1e6 here, so round-off alone leaves an absolute
+        # residual near 5e-10; relative to ||A||*||x|| it is round-off
+        half, dt = self.dip_stage()
+        for name, solve in SOLVES.items():
+            got, _, backward_error = solve(half, dt)
+            x_star, want = dense_correction(half, dt, name)
+            assert 0.0 < backward_error <= BACKWARD_ERROR_TOL
+            assert np.max(np.abs(got - x_star - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_counts_per_attempt(self, monkeypatch):
         # the first attempt is refused at its new state, so the step makes two;
@@ -649,8 +732,7 @@ class TestImplicitSolves:
 
 
 class TestSolverConfig:
-    @pytest.mark.parametrize("field,value", [("newton_tol", math.nan), ("dt_max", math.nan),
-                                             ("max_dt_halvings", 2.5)])
+    @pytest.mark.parametrize("field,value", [("dt_max", math.nan), ("max_dt_halvings", 2.5)])
     def test_refused(self, field, value):
         with pytest.raises(ArgumentError, match=field):
             SolverConfig(**{field: value})
