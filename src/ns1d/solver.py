@@ -1,6 +1,11 @@
 """Time integration: explicit SSP-RK2 (Heun) and IMEX with backward-Euler diffusion
 (one linear tridiagonal solve each for u and theta, coefficients frozen at the half state).
 
+Both take one two-stage step: the predictor, or half state, is forward Euler on the
+step's explicit rates k0 (sources included), refused unless every entry is finite;
+a corrector then gives the new state, Heun's from rhs at the predictor, IMEX's from
+the two implicit solves at its stage.  A refused attempt is retried with dt/2.
+
 The semidiscrete system on the staggered grid is
 
     dv/dt     = cell_diff(u)
@@ -15,6 +20,7 @@ is checked by its normwise backward error, against a constant, not a setting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -128,13 +134,15 @@ def rhs(state: State, model: GasModel, grid: Grid, sources: Sources = None):
     du_dt = grid.node_diff(stress)
     heat_flux = grid.face_average(s.kappa / v) * s.theta_x
     dtheta_dt = (grid.cell_diff(heat_flux) - theta * ux / v + mu_ux * ux / v) / model.cv
+    return _add_sources((dv_dt, du_dt, dtheta_dt), s.t, model, sources)
 
-    if sources is not None:
-        sv, su, sth = sources(s.t)
-        dv_dt = dv_dt + sv
-        du_dt = du_dt + su
-        dtheta_dt = dtheta_dt + sth / model.cv
-    return dv_dt, du_dt, dtheta_dt
+
+def _add_sources(rates, t: float, model: GasModel, sources: Sources):
+    """rates plus sources(t), the theta source over cv."""
+    if sources is None:
+        return rates
+    sv, su, sth = sources(t)
+    return rates[0] + sv, rates[1] + su, rates[2] + sth / model.cv
 
 
 def _dt(state: State, model: GasModel, grid: Grid, config: SolverConfig,
@@ -161,18 +169,31 @@ def advective_dt(state: State, model: GasModel, grid: Grid, config: SolverConfig
     return _dt(state, model, grid, config, parabolic=False)
 
 
-def _with_halving(attempt, t: float, config: SolverConfig, dt: float):
-    """attempt(dt) -> (Stage, StepStats), retried with dt/2 on PositivityError."""
+def _step(s0: Stage, config: SolverConfig, dt: float, k0, correct):
+    """One two-stage step from s0, retried with dt/2 on PositivityError.
+
+    The predictor is s0 + h*k0, ghosts pinned, refused if an entry is not
+    finite, staged at the positivity floor; correct(stage, h) -> (v, u, theta,
+    residual) turns its stage into the new state.  Returns (new Stage, StepStats).
+    """
     for rejected in range(config.max_dt_halvings + 1):
         try:
-            out, stats = attempt(dt)
+            pred = apply_farfield(State(s0.t + dt, s0.v + dt * k0[0], s0.u + dt * k0[1],
+                                        s0.theta + dt * k0[2]), s0.grid)
+            # a min-reduction passes an inf, and transport or ux of an inf would warn: refused
+            # first, by one dot per field, whose overflow (entries near 1e154) is refused too
+            if not math.isfinite(pred.v.dot(pred.v) + pred.u.dot(pred.u)
+                                 + pred.theta.dot(pred.theta)):
+                raise PositivityError(f"predictor at t={pred.t} has a non-finite entry")
+            v, u, theta, residual = correct(
+                make_stage(pred, s0.model, s0.grid, config.positivity_floor), dt)
+            out = _candidate(pred.t, v, u, theta, s0.model, s0.grid, config)
         except PositivityError:
             dt *= 0.5
             continue
-        stats.rejected_substeps = rejected
-        return out, stats
+        return out, StepStats(dt, rejected, residual)
     raise PositivityExhaustedError(
-        f"positivity still violated after {config.max_dt_halvings} dt halvings at t={t}")
+        f"positivity still violated after {config.max_dt_halvings} dt halvings at t={s0.t}")
 
 
 def step_explicit(state: State, model: GasModel, grid: Grid, config: SolverConfig,
@@ -183,19 +204,14 @@ def step_explicit(state: State, model: GasModel, grid: Grid, config: SolverConfi
     state and stats.dt_used is the step actually taken.
     """
     s0 = make_stage(state, model, grid)
-    k1 = rhs(s0, model, grid, sources)
+    k0 = rhs(s0, model, grid, sources)
 
-    def attempt(h):
-        s1 = _candidate(s0.t + h, s0.v + h * k1[0], s0.u + h * k1[1],
-                        s0.theta + h * k1[2], model, grid, config)
-        k2 = rhs(s1, model, grid, sources)
-        out = _candidate(s0.t + h,
-                         s0.v + 0.5 * h * (k1[0] + k2[0]),
-                         s0.u + 0.5 * h * (k1[1] + k2[1]),
-                         s0.theta + 0.5 * h * (k1[2] + k2[2]), model, grid, config)
-        return out, StepStats(dt_used=h)
+    def heun(s1, h):
+        k1 = rhs(s1, model, grid, sources)
+        return (s0.v + 0.5 * h * (k0[0] + k1[0]), s0.u + 0.5 * h * (k0[1] + k1[1]),
+                s0.theta + 0.5 * h * (k0[2] + k1[2]), 0.0)
 
-    return _with_halving(attempt, s0.t, config, dt)
+    return _step(s0, config, dt, k0, heun)
 
 
 # ---------------------------------------------------------------------------
@@ -262,42 +278,24 @@ def backward_euler_theta(half: Stage, dt: float):
 
 def step_imex(state: State, model: GasModel, grid: Grid, config: SolverConfig,
               dt: float, sources: Sources = None):
-    """One IMEX step: explicit transport/pressure/heating give the half state
-    (v + h*ux, u*, theta*), whose Stage both implicit diffusion solves read:
-    mu and kappa are frozen there, so each is one linear tridiagonal solve.
-    An attempt makes 2 transport calls (half state, new state), so h runs on
-    arrays twice.  Returns (new_state, StepStats) like step_explicit.
+    """One IMEX step: the explicit rates k0 (advection, pressure and heating,
+    plus the sources, all at t_n) give the predictor s0 + h*k0 = (v*, u*, theta*),
+    whose Stage both implicit diffusion solves read: mu and kappa are frozen
+    there, so each is one linear tridiagonal solve.  An attempt makes 2
+    transport calls (predictor, new state), so h runs on arrays twice.
+    Returns (new_state, StepStats) like step_explicit.
     """
     s0 = make_stage(state, model, grid)
-    v, u, theta, ux, mu = s0.v, s0.u, s0.theta, s0.ux, s0.mu
-    # the explicit rates do not depend on the sub-step h: once per step
-    du_dt = grid.node_diff(-(theta / v))
-    dtheta_dt = -theta * ux / v + mu * ux * ux / v
-    if sources is not None:
-        sv, su, sth = sources(s0.t)
+    v, theta, ux = s0.v, s0.theta, s0.ux
+    k0 = _add_sources((ux, grid.node_diff(-(theta / v)),
+                       (-theta * ux / v + s0.mu * ux * ux / v) / model.cv), s0.t, model, sources)
 
-    def attempt(h):
-        v_new = v + h * ux
-        u_exp = u + h * du_dt
-        theta_exp = theta + h / model.cv * dtheta_dt
-        if sources is not None:
-            v_new = v_new + h * sv
-            u_exp = u_exp + h * su
-            theta_exp = theta_exp + h * sth / model.cv
-
-        half = apply_farfield(State(s0.t + h, v_new, u_exp, theta_exp), grid)
-        # a min-reduction passes an inf, and ux of an inf u would warn: refused first
-        if not all(np.isfinite(a).all() for a in (half.v, half.u, half.theta)):
-            raise PositivityError(f"half-step state at t={half.t} has a non-finite entry")
-        half = make_stage(half, model, grid, config.positivity_floor)
-
+    def backward_euler(half, h):
         u_new, _, res_u = backward_euler_velocity(half, h)
         theta_new, _, res_th = backward_euler_theta(half, h)
+        return half.v, u_new, theta_new, max(res_u, res_th)
 
-        out = _candidate(s0.t + h, half.v, u_new, theta_new, model, grid, config)
-        return out, StepStats(dt_used=h, max_residual=max(res_u, res_th))
-
-    return _with_halving(attempt, s0.t, config, dt)
+    return _step(s0, config, dt, k0, backward_euler)
 
 
 def landing_tolerance(t0: float, t_end: float) -> float:

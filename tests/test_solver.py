@@ -21,6 +21,7 @@ from ns1d.solver import (
     _implicit_diffusion,
     _landing_times,
     advance,
+    advective_dt,
     backward_euler_theta,
     backward_euler_velocity,
     make_stage,
@@ -29,6 +30,7 @@ from ns1d.solver import (
     step_explicit,
     step_imex,
 )
+from ns1d.verification import default_case, exact_state, make_source_fn
 
 CFG = SolverConfig()
 
@@ -131,6 +133,33 @@ class TestExplicitStep:
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
         assert all(1.8 <= o <= 2.2 for o in orders), orders
 
+    def test_sources_at_t_n_once_per_step_across_rejections(self):
+        # k0 holds sources(t_n), formed once per step; an attempt whose predictor
+        # is accepted calls sources(t_n + h) once, for rhs at that predictor
+        g = build_grid(4.0, 64)
+        m = GasModel(5 / 3, alpha=0.1, h=HProfile.power_sum(1, 1))
+        s0 = make_stage(gauss_state(g, a=0.3, with_u=True), m, g)
+        times = []
+
+        def sources(t):
+            times.append(t)
+            return np.zeros(g.ncells), np.zeros(g.nnodes), np.zeros(g.ncells)
+
+        _, stats = step_explicit(s0, m, g, CFG, 20.0, sources)
+        k0, accepted = rhs(s0, m, g), []
+        for k in range(stats.rejected_substeps + 1):
+            h = 20.0 * 0.5 ** k
+            pred = apply_farfield(State(h, s0.v + h * k0[0], s0.u + h * k0[1],
+                                        s0.theta + h * k0[2]), g)
+            try:
+                make_stage(pred, m, g, CFG.positivity_floor)
+            except PositivityError:
+                continue
+            accepted.append(h)
+        # some attempts fail at the predictor, and one at least after it
+        assert 2 <= len(accepted) < stats.rejected_substeps + 1
+        assert times == [0.0] + accepted
+
     def test_rejection_then_exhaustion(self):
         g = build_grid(2.0, 32)
         m = GasModel(5 / 3, h=HProfile.constant(1.0))
@@ -188,6 +217,47 @@ def reference_explicit_step(s0, model, grid, dt):
                                 s0.theta + 0.5 * dt * (k1[2] + k2[2])), grid)
 
 
+def reference_implicit_solve(x_star, grad_star, a, c, dt, grid):
+    """x = x* + d on the interior unknowns, where (c - dt*D_a) d = dt*D_a x*:
+    D_a differences a times the divided differences across each unknown, over
+    dx, so the matrix has c + r*(a_k + a_k+1) on its diagonal and -r*a_k+1
+    beside it, r = dt/dx^2.  Solved by scipy.linalg.solve_banded."""
+    lo, r = grid.ghost_depth, dt / grid.dx ** 2
+    ab = np.zeros((3, len(a) - 1))
+    ab[0, 1:] = -r * a[1:-1]
+    ab[1] = c + r * (a[:-1] + a[1:])
+    ab[2, :-1] = -r * a[1:-1]
+    flux = a * grad_star
+    x = x_star.copy()
+    x[lo:lo + len(a) - 1] += scipy.linalg.solve_banded((1, 1), ab,
+                                                       dt * ((flux[1:] - flux[:-1]) / grid.dx))
+    return x
+
+
+def reference_imex_step(s0, model, grid, dt, sources=None):
+    """One IMEX step without rejection: the predictor s0 + dt*k0 on the explicit
+    rates, then backward-Euler diffusion of u and theta with mu and kappa
+    frozen at the predictor."""
+    v, theta, cv = s0.v, s0.theta, model.cv
+    mu, _ = reference_transport(model, v, theta)
+    ux = grid.cell_diff(s0.u)
+    k0 = [ux, grid.node_diff(-theta / v), (-theta * ux / v + mu * ux * ux / v) / cv]
+    if sources is not None:
+        sv, su, sth = sources(s0.t)
+        k0 = [k0[0] + sv, k0[1] + su, k0[2] + sth / cv]
+    pred = apply_farfield(State(s0.t + dt, v + dt * k0[0], s0.u + dt * k0[1],
+                                theta + dt * k0[2]), grid)
+    mu, kappa = reference_transport(model, pred.v, pred.theta)
+    g = grid.ghost_depth
+    cells = slice(g - 1, g + grid.N + 1)         # the cells beside the interior nodes
+    u = reference_implicit_solve(pred.u, grid.cell_diff(pred.u)[cells],
+                                 mu[cells] / pred.v[cells], 1.0, dt, grid)
+    nodes = grid.node_interior                   # the nodes beside the interior cells
+    theta = reference_implicit_solve(pred.theta, grid.node_diff(pred.theta)[nodes],
+                                     grid.face_average(kappa / pred.v)[nodes], cv, dt, grid)
+    return apply_farfield(State(s0.t + dt, pred.v, u, theta), grid)
+
+
 def reference_dissipation_rate(s, model, grid):
     v, theta = s.v, s.theta
     mu, kappa = reference_transport(model, v, theta)
@@ -224,6 +294,32 @@ class TestExplicitStepBits:
             assert dissipation_rate(got, model, g) == reference_dissipation_rate(want, model, g)
         assert np.max(np.abs(got.theta - 1.0)) > 0.1    # the pulse is still there
         assert model.h(1.7) == reference_h(model.h, 1.7)  # scalars, as kanel_potential passes
+
+
+class TestImexStepBits:
+    """step_imex keeps the arithmetic of the reference IMEX step above to the last bit."""
+
+    @pytest.mark.parametrize("sourced", [False, True], ids=["plain", "mms"])
+    @pytest.mark.parametrize("model", BITS_MODELS,
+                             ids=lambda m: f"alpha={m.alpha}-ell=({m.h.ell1},{m.h.ell2})")
+    def test_twenty_steps_bitwise_equal_to_reference(self, model, sourced):
+        g = build_grid(8.0, 128)
+        if sourced:
+            case = default_case()
+            got, sources = exact_state(case, g, 0.0), make_source_fn(case, model, g)
+        else:
+            got, sources = gauss_state(g, a=0.3, with_u=True), None
+        want = got.copy()
+        for _ in range(20):
+            dt = advective_dt(got, model, g, CFG)
+            got, stats = step_imex(got, model, g, CFG, dt, sources)
+            want = reference_imex_step(want, model, g, dt, sources)
+            assert stats.rejected_substeps == 0
+            for name in ("v", "u", "theta"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert got.t == want.t
+        assert dt > 10.0 * stable_dt(got, model, g, CFG)   # beyond the explicit limit
+        assert np.max(np.abs(got.theta - 1.0)) > 1e-3      # the data are still there
 
 
 FLOORS = [0.0, 1e-8, 0.5, 0.95]
@@ -1006,3 +1102,26 @@ class TestStage:
         monkeypatch.undo()
         ref, _ = step_imex(s0, m, g, cfg, 0.5 * dt)
         assert np.array_equal(out.theta, ref.theta) and np.array_equal(out.u, ref.u)
+
+    @pytest.mark.parametrize("field", ["v", "u", "theta"])
+    @pytest.mark.filterwarnings("error")
+    def test_inf_explicit_predictor_rejected_and_dt_halved(self, field, monkeypatch):
+        # Heun's predictor is refused like the IMEX half state: rhs must not see the inf
+        g, m = build_grid(8.0, 64), self.MODEL
+        s0 = gauss_state(g, with_u=True)
+        dt = 0.5 * stable_dt(s0, m, g, CFG)
+        real, seen = ns1d.solver.apply_farfield, []
+
+        def poison_first_predictor(state, grid):
+            if not seen:                    # the first state step_explicit pins is the predictor
+                getattr(state, field)[grid.ghost_depth + 3] = np.inf
+            seen.append(state.t)
+            return real(state, grid)
+
+        monkeypatch.setattr(ns1d.solver, "apply_farfield", poison_first_predictor)
+        out, stats = step_explicit(s0, m, g, CFG, dt)
+        assert stats.rejected_substeps == 1 and stats.dt_used == 0.5 * dt
+        monkeypatch.undo()
+        ref, _ = step_explicit(s0, m, g, CFG, 0.5 * dt)
+        for name in ("v", "u", "theta"):
+            assert np.array_equal(getattr(out, name), getattr(ref, name)), name
