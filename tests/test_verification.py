@@ -8,7 +8,7 @@ import ns1d.verification
 from ns1d.constitutive import GasModel, HProfile
 from ns1d.errors import ArgumentError, NewtonDivergenceError
 from ns1d.grid import State, apply_farfield, build_grid
-from ns1d.solver import SolverConfig, step_explicit
+from ns1d.solver import SolverConfig, advance, step_explicit, step_imex
 from ns1d.verification import (
     check_support,
     convergence_study,
@@ -235,6 +235,104 @@ class TestSources:
         assert sv.shape == (g.ncells,)
         assert su.shape == (g.nnodes,)
         assert sth.shape == (g.ncells,)
+
+
+def half_grid_sources(case, model, grid, t):
+    """A fresh mms_sources call on the half-grid at t, sliced as make_source_fn slices it."""
+    x = np.empty(grid.nnodes + grid.ncells)
+    x[0::2] = grid.all_node_positions()
+    x[1::2] = grid.all_cell_centers()
+    sv, su, sth = mms_sources(case, model, t, x)
+    return sv[1::2], su[0::2], sth[1::2]
+
+
+@pytest.fixture
+def mms_times(monkeypatch):
+    """The t of every mms_sources call, in order."""
+    real, times = ns1d.verification.mms_sources, []
+
+    def counted(case, model, t, x):
+        times.append(t)
+        return real(case, model, t, x)
+
+    monkeypatch.setattr(ns1d.verification, "mms_sources", counted)
+    return times
+
+
+class TestSourceMemo:
+    """make_source_fn evaluates each distinct t once, and returns read-only arrays."""
+
+    def test_revisited_times_equal_fresh_calls(self):
+        g, c = build_grid(12.0, 64), default_case(0.1)
+        fn = make_source_fn(c, MODEL, g)
+        for t in (0.0, 0.3, 0.3, 0.0, 0.37, 0.3):
+            for got, want in zip(fn(t), half_grid_sources(c, MODEL, g, t)):
+                assert np.array_equal(got, want)
+
+    def test_signed_zero_times_are_two_times(self):
+        # S_v holds -0.0 at t = -0.0 where it holds 0.0 at t = 0.0
+        g, c = build_grid(12.0, 64), default_case(0.1)
+        fn = make_source_fn(c, MODEL, g)
+        for t in (0.0, -0.0):
+            for got, want in zip(fn(t), half_grid_sources(c, MODEL, g, t)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_sources_are_read_only(self):
+        g, c = build_grid(12.0, 64), default_case(0.1)
+        fn = make_source_fn(c, MODEL, g)
+        for got in fn(0.3):
+            with pytest.raises(ValueError):
+                got[0] = 1.0
+            with pytest.raises(ValueError):
+                got.flags.writeable = True
+        for got, want in zip(fn(0.3), half_grid_sources(c, MODEL, g, 0.3)):
+            assert np.array_equal(got, want)    # what the next call at 0.3 returns
+
+    @pytest.mark.parametrize("integrator", ["explicit", "imex"])
+    def test_advance_bitwise_equals_fresh_closures(self, integrator):
+        # a fresh closure per call never hits, so every t is evaluated anew
+        g, c = build_grid(12.0, 64), default_case(0.1)
+        config = SolverConfig(integrator=integrator)
+        s0 = exact_state(c, g, 0.0)
+        memo = make_source_fn(c, MODEL, g)
+        got, got_stats = advance(s0, MODEL, g, config, 0.5, output_every=0.2, sources=memo)
+        want, want_stats = advance(s0, MODEL, g, config, 0.5, output_every=0.2,
+                                   sources=lambda t: make_source_fn(c, MODEL, g)(t))
+        assert got_stats.steps == want_stats.steps > 3
+        for name in ("t", "v", "u", "theta"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_explicit_steps_call_once_per_distinct_time(self, mms_times):
+        g, c = build_grid(12.0, 64), default_case(0.1)
+        sources, s = make_source_fn(c, MODEL, g), exact_state(c, g, 0.0)
+        times = [s.t]
+        for _ in range(3):
+            s, stats = step_explicit(s, MODEL, g, SolverConfig(), 1e-3, sources)
+            assert stats.rejected_substeps == 0
+            times.append(s.t)
+        assert mms_times == times           # t0 .. t3: each predictor's is the next k0's
+
+    def test_imex_steps_call_once_per_step(self, mms_times):
+        g, c = build_grid(12.0, 64), default_case(0.1)
+        sources, s = make_source_fn(c, MODEL, g), exact_state(c, g, 0.0)
+        times = []
+        for _ in range(3):
+            times.append(s.t)
+            s, stats = step_imex(s, MODEL, g, SolverConfig(integrator="imex"), 1e-2, sources)
+            assert stats.rejected_substeps == 0
+        assert mms_times == times
+
+    def test_rejected_attempts_call_at_their_predictor_times(self, mms_times):
+        g, c = build_grid(12.0, 64), default_case(0.1)
+        sources = make_source_fn(c, MODEL, g)
+        s, stats = step_explicit(exact_state(c, g, 0.0), MODEL, g, SolverConfig(), 20.0,
+                                 sources)
+        # h = 20 is refused at its predictor, before rhs; h = 10 after rhs at its
+        # predictor; h = 5 is accepted
+        assert stats.rejected_substeps == 2 and s.t == 5.0
+        assert mms_times == [0.0, 10.0, 5.0]
+        s, _ = step_explicit(s, MODEL, g, SolverConfig(), 1e-3, sources)
+        assert mms_times == [0.0, 10.0, 5.0, 5.0 + 1e-3]   # its k0, at t = 5, is a hit
 
 
 class TestExactState:
