@@ -123,14 +123,13 @@ def conserved_totals(state: State, grid: Grid, model: GasModel):
 def dissipation_rate(state: State, model: GasModel, grid: Grid) -> float:
     """Sum over interior cells of [mu*u_x^2/(v*theta) + kappa*theta_x^2/(v*theta^2)]*dx.
 
-    Read off the stage of state: u_x is the same cell difference the
-    solver's heating term uses.
+    Read off the stage of state as (mu_v*u_x^2 + kappa_v*theta_x^2/theta)/theta:
+    u_x is the same cell difference the solver's heating term uses, and theta_x
+    is the stage's node difference averaged to cells.
     """
     s = make_stage(state, model, grid)
-    v, theta, ux = s.v, s.theta, s.ux
-    thx = grid.cell_average_of_nodes(s.theta_x)
-    v_theta = v * theta                   # in both terms
-    integrand = s.mu * ux * ux / v_theta + s.kappa * thx * thx / (v_theta * theta)
+    ux, thx = s.ux, grid.cell_average_of_nodes(s.theta_x)
+    integrand = (s.mu_v * ux * ux + s.kappa_v * thx * thx / s.theta) / s.theta
     return float(np.sum(integrand[grid.cell_interior]) * grid.dx)
 
 

@@ -9,13 +9,14 @@ the two implicit solves at its stage.  A refused attempt is retried with dt/2.
 The semidiscrete system on the staggered grid is
 
     dv/dt     = cell_diff(u)
-    du/dt     = node_diff(-P + mu*u_x/v)          (cells -> nodes)
-    dtheta/dt = (-theta*u_x/v + cell_diff(kappa/v * theta_x) + mu*u_x^2/v) / cv
+    du/dt     = node_diff(sigma)                  (cells -> nodes)
+    dtheta/dt = (cell_diff(kappa/v * theta_x) + sigma*u_x) / cv
 
-with u_x = cell_diff(u), kappa/v face-averaged to nodes, and ghost entries
-pinned to the far field after every stage.  All reductions keep a fixed
-summation order, so trajectories are bitwise reproducible.  Each implicit solve
-is checked by its normwise backward error, against a constant, not a setting.
+with u_x = cell_diff(u), the stress sigma = mu/v*u_x - P on cells (P = theta/v; sigma*u_x
+is compression work plus viscous heating), kappa/v face-averaged to nodes, and ghost
+entries pinned to the far field after every stage.  All reductions keep a fixed summation
+order, so trajectories are bitwise reproducible.  Each implicit solve is checked by its
+normwise backward error, against a constant, not a setting.
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ class AdvanceStats:
 @dataclass
 class Stage(State):
     """A state plus what the rates, the step size and the dissipation rate
-    need of it, computed once: ux = cell_diff(u), (mu, kappa) and
-    theta_x = node_diff(theta).
+    need of it, computed once: ux = cell_diff(u), the coefficients the
+    equations read, mu_v = mu/v and kappa_v = kappa/v, and theta_x = node_diff(theta).
 
     Its one transport call is its one positivity check: v, theta > floor with
     one min-reduction per field, which propagates NaN, so a NaN entry is
@@ -96,8 +97,8 @@ class Stage(State):
     """
 
     ux: np.ndarray
-    mu: np.ndarray
-    kappa: np.ndarray
+    mu_v: np.ndarray
+    kappa_v: np.ndarray
     theta_x: np.ndarray
     model: GasModel
     grid: Grid
@@ -105,13 +106,13 @@ class Stage(State):
 
 def make_stage(state: State, model: GasModel, grid: Grid, floor: float = 0.0) -> Stage:
     """The stage of state, from one transport call, which refuses the state
-    with PositivityError unless v, theta > floor.  A stage built for the same
-    model and grid is returned as it is."""
+    with PositivityError unless v, theta > floor; mu and kappa are divided by v
+    here, once.  A stage built for the same model and grid is returned as it is."""
     if isinstance(state, Stage) and state.model is model and state.grid is grid:
         return state
     mu, kappa = transport(model, state.v, state.theta, floor)
     return Stage(state.t, state.v, state.u, state.theta, grid.cell_diff(state.u),
-                 mu, kappa, grid.node_diff(state.theta), model, grid)
+                 mu / state.v, kappa / state.v, grid.node_diff(state.theta), model, grid)
 
 
 def _candidate(t: float, v, u, theta, model: GasModel, grid: Grid,
@@ -121,20 +122,20 @@ def _candidate(t: float, v, u, theta, model: GasModel, grid: Grid,
     return make_stage(state, model, grid, config.positivity_floor)
 
 
+def _pressure_stress(s: Stage):
+    """(P, sigma) on cells: the pressure theta/v and the stress mu_v*u_x - P."""
+    P = s.theta / s.v
+    return P, s.mu_v * s.ux - P
+
+
 def rhs(state: State, model: GasModel, grid: Grid, sources: Sources = None):
     """Semidiscrete rates (dv_dt cells, du_dt nodes, dtheta_dt cells)."""
     s = make_stage(state, model, grid)
-    v, theta, ux, mu = s.v, s.theta, s.ux, s.mu
-    P = theta / v
-    mu_ux = mu * ux                       # in the stress and in the heating
-
-    dv_dt = ux.copy()
-    # no negated arrays: x - y is exactly -y + x, in the bits too
-    stress = mu_ux / v - P
-    du_dt = grid.node_diff(stress)
-    heat_flux = grid.face_average(s.kappa / v) * s.theta_x
-    dtheta_dt = (grid.cell_diff(heat_flux) - theta * ux / v + mu_ux * ux / v) / model.cv
-    return _add_sources((dv_dt, du_dt, dtheta_dt), s.t, model, sources)
+    _, sigma = _pressure_stress(s)
+    heat_flux = grid.face_average(s.kappa_v) * s.theta_x
+    return _add_sources((s.ux.copy(), grid.node_diff(sigma),
+                         (grid.cell_diff(heat_flux) + sigma * s.ux) / model.cv),
+                        s.t, model, sources)
 
 
 def _add_sources(rates, t: float, model: GasModel, sources: Sources):
@@ -151,7 +152,7 @@ def _dt(state: State, model: GasModel, grid: Grid, config: SolverConfig,
     c = np.sqrt(model.gamma * s.theta) / s.v
     dt = config.cfl_advective * grid.dx / float(c.max())
     if parabolic:
-        diff_rate = np.maximum(s.mu / s.v, s.kappa / (model.cv * s.v))
+        diff_rate = np.maximum(s.mu_v, s.kappa_v / model.cv)
         dt = min(dt, config.cfl_parabolic * grid.dx ** 2 / (2.0 * float(diff_rate.max())))
     if config.dt_max > 0.0:
         dt = min(dt, config.dt_max)
@@ -254,41 +255,40 @@ def _implicit_diffusion(x_star, grad_star, a, c: float, dt: float, grid: Grid, n
 
 
 def backward_euler_velocity(half: Stage, dt: float):
-    """Solve u = u* + dt*node_diff(mu*cell_diff(u)/v) on the interior nodes, with
-    mu, v and ux read from half, the Stage of the half state (v, u*, theta*).
+    """Solve u = u* + dt*node_diff(mu/v*cell_diff(u)) on the interior nodes, with
+    mu/v and ux read from half, the Stage of the half state (v, u*, theta*).
     Ghost nodes stay at u*, so momentum sums stay exact to round-off.
     Returns (u, 1, backward error) from _implicit_diffusion."""
     g = half.grid.ghost_depth
     links = slice(g - 1, g + half.grid.N + 1)   # cell j joins nodes j and j+1
-    return _implicit_diffusion(half.u, half.ux[links], half.mu[links] / half.v[links], 1.0,
-                               dt, half.grid, "velocity")
+    return _implicit_diffusion(half.u, half.ux[links], half.mu_v[links], 1.0, dt, half.grid,
+                               "velocity")
 
 
 def backward_euler_theta(half: Stage, dt: float):
     """Solve cv*(theta - theta*) = dt*cell_diff(face(kappa/v)*node_diff(theta)) on the
-    interior cells, with kappa, v and theta_x read from half, the Stage of the half
+    interior cells, with kappa/v and theta_x read from half, the Stage of the half
     state: kappa is frozen there, so the solve is linear for every alpha.
     Returns (theta, 1, backward error) from _implicit_diffusion."""
     grid = half.grid
     links = grid.node_interior                  # node i joins cells i-1 and i
     return _implicit_diffusion(half.theta, half.theta_x[links],
-                               grid.face_average(half.kappa / half.v)[links], half.model.cv,
+                               grid.face_average(half.kappa_v)[links], half.model.cv,
                                dt, grid, "temperature")
 
 
 def step_imex(state: State, model: GasModel, grid: Grid, config: SolverConfig,
               dt: float, sources: Sources = None):
-    """One IMEX step: the explicit rates k0 (advection, pressure and heating,
-    plus the sources, all at t_n) give the predictor s0 + h*k0 = (v*, u*, theta*),
-    whose Stage both implicit diffusion solves read: mu and kappa are frozen
+    """One IMEX step: the explicit rates k0 = (u_x, node_diff(-P), sigma*u_x/cv),
+    plus the sources, all at t_n, give the predictor s0 + h*k0 = (v*, u*, theta*),
+    whose Stage both implicit diffusion solves read: mu/v and kappa/v are frozen
     there, so each is one linear tridiagonal solve.  An attempt makes 2
     transport calls (predictor, new state), so h runs on arrays twice.
     Returns (new_state, StepStats) like step_explicit.
     """
     s0 = make_stage(state, model, grid)
-    v, theta, ux = s0.v, s0.theta, s0.ux
-    k0 = _add_sources((ux, grid.node_diff(-(theta / v)),
-                       (-theta * ux / v + s0.mu * ux * ux / v) / model.cv), s0.t, model, sources)
+    P, sigma = _pressure_stress(s0)
+    k0 = _add_sources((s0.ux, grid.node_diff(-P), sigma * s0.ux / model.cv), s0.t, model, sources)
 
     def backward_euler(half, h):
         u_new, _, res_u = backward_euler_velocity(half, h)

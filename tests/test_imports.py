@@ -105,13 +105,15 @@ def test_no_module_keeps_an_unreferenced_helper():
 
 
 CONFIG_CLASSES = ("SolverConfig", "RunConfig")
+# and the Stage, each of whose fields is work done once per state
+CHECKED_CLASSES = CONFIG_CLASSES + ("Stage",)
 
 
 def unread_fields(sources: dict, classes=CONFIG_CLASSES) -> list:
     """Fields of the dataclasses named in classes whose name no attribute read in
     sources (file name -> text) takes, outside the class bodies (defaults and
     validation) and make_solver_config (which copies every field by name): a
-    knob whose last reader is gone."""
+    knob whose last reader is gone, or a stage field computed for nothing."""
     fields, read = {}, set()
     for tree in (ast.parse(text) for text in sources.values()):
         for node in tree.body:
@@ -135,6 +137,14 @@ def test_unread_field_guard_sees_a_knob_without_a_reader():
     assert unread_fields(sources) == ["SolverConfig.tol", "RunConfig.tol"]
 
 
+def test_unread_field_guard_sees_a_stage_field_without_a_reader():
+    sources = {path.name: path.read_text() for path in sorted((SRC / "ns1d").glob("*.py"))}
+    field = "    theta_x: np.ndarray\n"
+    assert sources["solver.py"].count(field) == 1
+    sources["solver.py"] = sources["solver.py"].replace(field, field + "    spare: np.ndarray\n")
+    assert unread_fields(sources, CHECKED_CLASSES) == ["Stage.spare"]
+
+
 def test_no_configuration_field_outlives_its_last_reader():
     sources = {path.name: path.read_text() for path in sorted((SRC / "ns1d").glob("*.py"))}
-    assert not unread_fields(sources)
+    assert not unread_fields(sources, CHECKED_CLASSES)

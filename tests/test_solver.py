@@ -15,6 +15,7 @@ from ns1d.constitutive import GasModel, HProfile, transport
 from ns1d.diagnostics import DiagnosticsCollector, dissipation_rate
 from ns1d.errors import ArgumentError, NewtonDivergenceError, PositivityError
 from ns1d.grid import State, apply_farfield, build_grid
+from ns1d.harness import RunConfig, make_initial_data, make_model
 from ns1d.solver import (
     BACKWARD_ERROR_TOL,
     SolverConfig,
@@ -185,8 +186,25 @@ def reference_transport(model, v, theta):
     return model.mu_tilde * hv * ta, model.kappa_tilde * hv * ta
 
 
+def reference_stress(s, model, grid):
+    """(u_x, mu/v, kappa/v, P, sigma): the stress sigma = mu/v*u_x - P on cells."""
+    mu, kappa = reference_transport(model, s.v, s.theta)
+    ux, mu_v, kappa_v, P = grid.cell_diff(s.u), mu / s.v, kappa / s.v, s.theta / s.v
+    return ux, mu_v, kappa_v, P, mu_v * ux - P
+
+
 def reference_rhs(s, model, grid):
-    """The semidiscrete rates with every product formed where it is used."""
+    """The semidiscrete rates in energy form: node_diff(sigma) drives u, and
+    sigma*u_x is the theta rate's compression work plus viscous heating."""
+    ux, _, kappa_v, _, sigma = reference_stress(s, model, grid)
+    heat_flux = grid.face_average(kappa_v) * grid.node_diff(s.theta)
+    return (ux.copy(), grid.node_diff(sigma),
+            (grid.cell_diff(heat_flux) + sigma * ux) / model.cv)
+
+
+def termwise_rhs(s, model, grid):
+    """The semidiscrete rates with every product formed where it is used: the
+    pressure work -theta*u_x/v and the heating mu*u_x^2/v as separate terms."""
     v, theta = s.v, s.theta
     mu, kappa = reference_transport(model, v, theta)
     ux = grid.cell_diff(s.u)
@@ -198,10 +216,10 @@ def reference_rhs(s, model, grid):
 
 
 def reference_stable_dt(s, model, grid, config):
-    mu, kappa = reference_transport(model, s.v, s.theta)
+    _, mu_v, kappa_v, _, _ = reference_stress(s, model, grid)
     c = np.sqrt(model.gamma * s.theta) / s.v
     dt = config.cfl_advective * grid.dx / float(c.max())
-    diff_rate = np.maximum(mu / s.v, kappa / (model.cv * s.v))
+    diff_rate = np.maximum(mu_v, kappa_v / model.cv)
     return min(dt, config.cfl_parabolic * grid.dx ** 2 / (2.0 * float(diff_rate.max())))
 
 
@@ -234,36 +252,46 @@ def reference_implicit_solve(x_star, grad_star, a, c, dt, grid):
     return x
 
 
+def reference_imex_rates(s, model, grid):
+    """The IMEX explicit rates: u_x, the pressure gradient and sigma*u_x/cv."""
+    ux, _, _, P, sigma = reference_stress(s, model, grid)
+    return [ux, grid.node_diff(-P), sigma * ux / model.cv]
+
+
+def termwise_imex_rates(s, model, grid):
+    """The IMEX explicit rates with the pressure work and the heating as separate terms."""
+    v, theta = s.v, s.theta
+    mu, _ = reference_transport(model, v, theta)
+    ux = grid.cell_diff(s.u)
+    return [ux, grid.node_diff(-theta / v), (-theta * ux / v + mu * ux * ux / v) / model.cv]
+
+
 def reference_imex_step(s0, model, grid, dt, sources=None):
     """One IMEX step without rejection: the predictor s0 + dt*k0 on the explicit
-    rates, then backward-Euler diffusion of u and theta with mu and kappa
+    rates, then backward-Euler diffusion of u and theta with mu/v and kappa/v
     frozen at the predictor."""
-    v, theta, cv = s0.v, s0.theta, model.cv
-    mu, _ = reference_transport(model, v, theta)
-    ux = grid.cell_diff(s0.u)
-    k0 = [ux, grid.node_diff(-theta / v), (-theta * ux / v + mu * ux * ux / v) / cv]
+    cv = model.cv
+    k0 = reference_imex_rates(s0, model, grid)
     if sources is not None:
         sv, su, sth = sources(s0.t)
         k0 = [k0[0] + sv, k0[1] + su, k0[2] + sth / cv]
-    pred = apply_farfield(State(s0.t + dt, v + dt * k0[0], s0.u + dt * k0[1],
-                                theta + dt * k0[2]), grid)
-    mu, kappa = reference_transport(model, pred.v, pred.theta)
+    pred = apply_farfield(State(s0.t + dt, s0.v + dt * k0[0], s0.u + dt * k0[1],
+                                s0.theta + dt * k0[2]), grid)
+    ux, mu_v, kappa_v, _, _ = reference_stress(pred, model, grid)
     g = grid.ghost_depth
     cells = slice(g - 1, g + grid.N + 1)         # the cells beside the interior nodes
-    u = reference_implicit_solve(pred.u, grid.cell_diff(pred.u)[cells],
-                                 mu[cells] / pred.v[cells], 1.0, dt, grid)
+    u = reference_implicit_solve(pred.u, ux[cells], mu_v[cells], 1.0, dt, grid)
     nodes = grid.node_interior                   # the nodes beside the interior cells
     theta = reference_implicit_solve(pred.theta, grid.node_diff(pred.theta)[nodes],
-                                     grid.face_average(kappa / pred.v)[nodes], cv, dt, grid)
+                                     grid.face_average(kappa_v)[nodes], cv, dt, grid)
     return apply_farfield(State(s0.t + dt, pred.v, u, theta), grid)
 
 
 def reference_dissipation_rate(s, model, grid):
-    v, theta = s.v, s.theta
-    mu, kappa = reference_transport(model, v, theta)
-    ux = grid.cell_diff(s.u)
+    ux, mu_v, kappa_v, _, _ = reference_stress(s, model, grid)
+    theta = s.theta
     thx = grid.cell_average_of_nodes(grid.node_diff(theta))
-    integrand = mu * ux * ux / (v * theta) + kappa * thx * thx / (v * theta * theta)
+    integrand = (mu_v * ux * ux + kappa_v * thx * thx / theta) / theta
     return float(np.sum(integrand[grid.cell_interior]) * grid.dx)
 
 
@@ -320,6 +348,56 @@ class TestImexStepBits:
             assert got.t == want.t
         assert dt > 10.0 * stable_dt(got, model, g, CFG)   # beyond the explicit limit
         assert np.max(np.abs(got.theta - 1.0)) > 1e-3      # the data are still there
+
+
+class TestEnergyForm:
+    """rhs and step_imex's explicit rates regroup the term-by-term rates: the
+    stress sigma = mu/v*u_x - P drives u, and sigma*u_x stands for the pressure
+    work -theta*u_x/v plus the heating mu*u_x^2/v.  Equal to round-off, so the
+    scheme is the same."""
+
+    @pytest.mark.parametrize("a", [0.3, 0.9])
+    @pytest.mark.parametrize("model", BITS_MODELS,
+                             ids=lambda m: f"alpha={m.alpha}-ell=({m.h.ell1},{m.h.ell2})")
+    def test_rates_equal_termwise_rates_to_round_off(self, model, a, monkeypatch):
+        g = build_grid(8.0, 128)
+        s = gauss_state(g, a=a, with_u=True)
+        s.theta = gauss_state(g, a=a, w=0.5).theta     # so that P = theta/v is not constant
+        real_step, imex_k0 = ns1d.solver._step, []
+
+        def recorded(s0, config, dt, k0, correct):
+            imex_k0.append(k0)
+            return real_step(s0, config, dt, k0, correct)
+
+        monkeypatch.setattr(ns1d.solver, "_step", recorded)
+        step_imex(s, model, g, CFG, advective_dt(s, model, g, CFG))
+        for got, want in ((rhs(s, model, g), termwise_rhs(s, model, g)),
+                          (imex_k0[0], termwise_imex_rates(s, model, g))):
+            for name, x, y in zip(("v", "u", "theta"), got, want):
+                assert np.max(np.abs(x - y)) <= 1e-14 * np.max(np.abs(y)), name
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    def test_entropy_rate_of_rhs_is_minus_the_discrete_dissipation(self, alpha):
+        # <eta', rhs> with eta = phi(v) + u^2/2 + cv*phi(theta), the edge nodes at
+        # half weight as in eta_total; by summation by parts it is -D_m, the
+        # dissipation read from the stage, while the edges sit at the far field
+        rc = dataclasses.replace(RunConfig(), preset="gauss-pulse", perturb="v,u,theta",
+                                 grid_N=512, gas_alpha=alpha)
+        model, g = make_model(rc), build_grid(rc.grid_L, rc.grid_N, rc.grid_ghost_depth)
+        s = make_stage(make_initial_data(rc, g), model, g)
+        v_t, u_t, theta_t = rhs(s, model, g)
+        ci, ni = g.cell_interior, g.node_interior
+        w = np.ones(g.N + 1)
+        w[[0, -1]] = 0.5
+        v, u, theta = s.v[ci], s.u[ni], s.theta[ci]
+        entropy_rate = g.dx * (np.sum((1.0 - 1.0 / v) * v_t[ci]) + np.sum(w * u * u_t[ni])
+                               + model.cv * np.sum((1.0 - 1.0 / theta) * theta_t[ci]))
+        lo, hi, th_x = g.ghost_depth, g.ghost_depth + g.N + 1, s.theta_x[ni]
+        beside = s.theta[lo:hi] * s.theta[lo - 1:hi - 1]     # theta_j*theta_(j-1) at node j
+        d_m = g.dx * (np.sum(s.mu_v[ci] * s.ux[ci] ** 2 / theta)
+                      + np.sum(g.face_average(s.kappa_v)[ni] * th_x * th_x / beside))
+        assert d_m > 0.0
+        assert abs(entropy_rate + d_m) <= 1e-14 * d_m
 
 
 FLOORS = [0.0, 1e-8, 0.5, 0.95]
@@ -598,7 +676,7 @@ class TestSolveTridiag:
     def test_half_stage_unwritten(self):
         g, model = build_grid(8.0, 64), GasModel(5 / 3, alpha=0.2, h=HProfile.power_sum(1, 1))
         half = make_stage(gauss_state(g, a=0.4, with_u=True), model, g)
-        names = ("v", "u", "theta", "ux", "mu", "kappa", "theta_x")
+        names = ("v", "u", "theta", "ux", "mu_v", "kappa_v", "theta_x")
         before = {name: getattr(half, name).copy() for name in names}
         for solve in (backward_euler_velocity, backward_euler_theta):
             solve(half, 50.0 * stable_dt(half, model, g, CFG))
@@ -646,11 +724,11 @@ class TestBackwardEulerTheta:
         return 50.0 * stable_dt(self.s, model, self.g, CFG)
 
     def test_first_pass_reads_the_stage(self, monkeypatch):
-        # kappa and theta_x of the half state are the stage's: the one pass
+        # kappa/v and theta_x of the half state are the stage's: the one pass
         # takes no theta^alpha and writes no array of the stage
         model = TRANSPORT_MODELS[2]
         half, dt = make_stage(self.s, model, self.g), self.dt(model)
-        before = {name: getattr(half, name).copy() for name in ("v", "u", "theta", "kappa")}
+        before = {name: getattr(half, name).copy() for name in ("v", "u", "theta", "kappa_v")}
         real, calls = ns1d.constitutive._theta_pow, []
 
         def counted(*args):
@@ -689,13 +767,13 @@ def dense_correction(half, dt, name):
     assembled column by column on the interior unknowns."""
     g = half.grid
     if name == "velocity":
-        a = half.mu / half.v
+        a = half.mu_v
         c, x_star, interior = 1.0, half.u, g.node_interior
 
         def D(x):
             return g.node_diff(a * g.cell_diff(x))
     else:
-        b = g.face_average(half.kappa / half.v)
+        b = g.face_average(half.kappa_v)
         c, x_star, interior = half.model.cv, half.theta, g.cell_interior
 
         def D(x):

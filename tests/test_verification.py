@@ -226,7 +226,9 @@ class TestSources:
         _, stats = step_explicit(exact_state(c, g, 0.0), MODEL, g, SolverConfig(), 1e-3,
                                  sources)
         assert stats.rejected_substeps == 0
-        assert len(calls) == 2              # one per rhs call of the SSP-RK2 step
+        # one per distinct time: k0 at t_n and Heun's corrector at t_n + h (a next
+        # step's k0 at t_n + h would be a hit, not a third call)
+        assert len(calls) == 2
 
     def test_source_fn_shapes(self):
         g = build_grid(6.0, 64)
