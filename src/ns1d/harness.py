@@ -14,6 +14,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Dict, List, Optional
@@ -336,21 +337,27 @@ def _name(x: float) -> str:
 
 
 def _write_csv(path: Path, header, rows):
-    """Stream rows of Python numbers as csv.writer would: str of each cell, "\r\n" line ends."""
-    line = ",".join(["{}"] * len(header)) + "\r\n"
+    """Stream rows of str cells as csv.writer writes numbers: joined by ",", "\r\n" ends."""
     with path.open("w", newline="") as fh:
-        fh.writelines(line.format(*row) for row in chain([header], rows))
+        fh.writelines(",".join(row) + "\r\n" for row in chain([header], rows))
 
 
 def _write_timeseries(records: List[DiagnosticsRecord], path: Path):
-    _write_csv(path, DiagnosticsRecord.CSV_COLUMNS, (rec.csv_row() for rec in records))
+    _write_csv(path, DiagnosticsRecord.CSV_COLUMNS, (map(str, rec.csv_row()) for rec in records))
+
+
+@lru_cache(maxsize=1)
+def _x_text(grid: Grid) -> tuple:
+    """The x column of grid's profiles as text, formatted once per grid."""
+    return tuple(map(str, grid.cell_centers.tolist()))
 
 
 def _write_profile(state: State, grid: Grid, path: Path):
     ci = grid.cell_interior
-    columns = [c.tolist() for c in (grid.cell_centers, state.v[ci],
-                                    grid.cell_average_of_nodes(state.u)[ci], state.theta[ci])]
-    _write_csv(path, ("t", "x", "v", "u", "theta"), zip(repeat(str(state.t)), *columns))
+    v, u, theta = (map(str, c[ci].tolist()) for c in
+                   (state.v, grid.cell_average_of_nodes(state.u), state.theta))
+    _write_csv(path, ("t", "x", "v", "u", "theta"),
+               zip(repeat(str(state.t)), _x_text(grid), v, u, theta))
 
 
 def _out_dir(config: RunConfig, out_dir: Optional[Path] = None) -> Path:

@@ -15,8 +15,9 @@ The semidiscrete system on the staggered grid is
 with u_x = cell_diff(u), the stress sigma = mu/v*u_x - P on cells (P = theta/v; sigma*u_x
 is compression work plus viscous heating), kappa/v face-averaged to nodes, and ghost
 entries pinned to the far field after every stage.  All reductions keep a fixed summation
-order, so trajectories are bitwise reproducible.  Each implicit solve is checked by its
-normwise backward error, against a constant, not a setting.
+order, so trajectories are bitwise reproducible.  With v, theta > floor each implicit
+matrix is symmetric positive definite, so LAPACK ptsv's LDL^T needs no pivoting.  Each
+implicit solve is checked by its normwise backward error, against a constant, not a setting.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-# the LAPACK routine solve_banded((1, 1), ...) calls; perfbench/tracer.py and tests count it by name
-from scipy.linalg.lapack import dgtsv as solve_banded
+# LAPACK's positive-definite tridiagonal solver; perfbench/tracer.py and tests count it by name
+from scipy.linalg.lapack import dptsv as solve_banded
 
 from .constitutive import GasModel, transport
 # not called here: perfbench/tracer.py patches it in this namespace by name
@@ -228,21 +229,22 @@ def _implicit_diffusion(x_star, grad_star, a, c: float, dt: float, grid: Grid, n
     and x*'s divided difference on the link into unknown lo+k (k = 0 .. hi-lo), and
     D_a x differences a times x's divided differences across each unknown, over dx.
 
-    One symmetric tridiagonal gtsv solve for the correction to x*: c + r*(a[k] + a[k+1])
-    on the diagonal, -r*a[k+1] beside it, r = dt/dx**2.  With c, a > 0 it is an M-matrix,
-    so x stays between the extremes of x* (maximum principle): ||A||*||x|| <= B =
-    (c + 4*r*max a)*max|x*|.  Returns (x, 1, max|residual|/B), the normwise backward
-    error; NewtonDivergenceError on a zero pivot or unless it is <= BACKWARD_ERROR_TOL.
+    One symmetric tridiagonal ptsv solve for the correction to x*, on fresh arrays it may
+    overwrite: c + r*(a[k] + a[k+1]) on the diagonal, -r*a[k+1] beside it, r = dt/dx**2.
+    With c, a > 0 it is a diagonally dominant M-matrix, so positive definite (LDL^T needs no
+    pivoting) and x stays between the extremes of x* (maximum principle): ||A||*||x|| <= B =
+    (c + 4*r*max a)*max|x*|.  Returns (x, 1, max|residual|/B), the normwise backward error;
+    NewtonDivergenceError on a non-positive pivot or unless it is <= BACKWARD_ERROR_TOL.
     """
     dx, lo = grid.dx, grid.ghost_depth
     hi = lo + len(a) - 1
     r = dt / dx ** 2
-    off = -r * a[1:-1]
     flux = a * grad_star
-    correction, info = solve_banded(off, c + r * (a[:-1] + a[1:]), off,
-                                    dt * ((flux[1:] - flux[:-1]) / dx))[3:]
+    correction, info = solve_banded(c + r * (a[:-1] + a[1:]), -r * a[1:-1],
+                                    dt * ((flux[1:] - flux[:-1]) / dx),
+                                    overwrite_d=1, overwrite_e=1, overwrite_b=1)[2:]
     if info > 0:
-        raise NewtonDivergenceError(f"{name} system is singular: zero pivot in row {info}")
+        raise NewtonDivergenceError(f"{name} system is not positive definite: pivot {info}")
     x = x_star.copy()
     x[lo:hi] += correction
     flux = a * ((x[lo:hi + 1] - x[lo - 1:hi]) / dx)

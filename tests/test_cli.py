@@ -186,9 +186,9 @@ def test_stalled_newton_exits_3(out_dir, capsys, monkeypatch):
     # a correction off by one part in 1e9 fails the backward-error check of the first solve
     real = ns1d.solver.solve_banded
 
-    def perturbed(*args):
-        out = real(*args)
-        return out[:3] + (out[3] * (1.0 + 1e-9),) + out[4:]
+    def perturbed(*args, **flags):
+        out = real(*args, **flags)
+        return out[:2] + (out[2] * (1.0 + 1e-9),) + out[3:]
 
     monkeypatch.setattr(ns1d.solver, "solve_banded", perturbed)
     assert main(["run", "--set", "solver.integrator=imex"] + FAST) == EXIT_NUMERICAL

@@ -6,11 +6,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import ns1d.harness
 from ns1d.diagnostics import DiagnosticsRecord, energy_identity_residual
 from ns1d.errors import ConfigError
-from ns1d.grid import build_grid
+from ns1d.grid import State, build_grid
 from ns1d.harness import (
     KEYMAP,
     RunConfig,
@@ -44,6 +47,25 @@ def fast_config(**kw):
                 output_every=0.1, amplitude=0.2)
     base.update(kw)
     return dataclasses.replace(RunConfig(), **base)
+
+
+def csv_writer_profile(state, grid, path):
+    """The bytes csv.writer writes for the profile of state: the reference."""
+    ci = grid.cell_interior
+    columns = [c.tolist() for c in (grid.cell_centers, state.v[ci],
+                                    (0.5 * (state.u[:-1] + state.u[1:]))[ci],
+                                    state.theta[ci])]
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "x", "v", "u", "theta"])
+        writer.writerows([state.t, *row] for row in zip(*columns))
+    return path.read_bytes()
+
+
+# signed zeros, subnormals, and values whose shortest repr switches notation or is long
+FORMAT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-5, -1e-5, 1e16, 0.1 + 0.2, 1e308, -1e308]
+csv_floats = st.one_of(st.sampled_from(FORMAT_EDGES),
+                       st.floats(allow_nan=False, allow_infinity=False))
 
 
 class TestParsing:
@@ -293,19 +315,40 @@ class TestRun:
         state.v[g + 8] = 0.1 + 0.2
         state.theta[g + 9] = 1e308
         _write_profile(state, grid, tmp_path / "p.csv")
-        ci = grid.cell_interior
-        columns = [c.tolist() for c in (grid.cell_centers, state.v[ci],
-                                        (0.5 * (state.u[:-1] + state.u[1:]))[ci],
-                                        state.theta[ci])]
-        with (tmp_path / "want.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "x", "v", "u", "theta"])
-            writer.writerows([state.t, *row] for row in zip(*columns))
         got = (tmp_path / "p.csv").read_bytes()
-        assert got == (tmp_path / "want.csv").read_bytes()
+        assert got == csv_writer_profile(state, grid, tmp_path / "want.csv")
         for text in (b"0.35000000000000003,", b",-0.0,", b",5e-324,",
                      b",0.30000000000000004,", b",1e+308\r\n"):
             assert text in got
+
+    def test_profile_x_text_follows_the_grid(self, tmp_path):
+        # the x column is formatted once per grid: each grid in turn, and one met
+        # before, still writes its own x (the same N on another L included)
+        for L, N in ((16.0, 64), (16.0, 128), (16.0, 64), (8.0, 64)):
+            grid = build_grid(L, N)
+            state = make_initial_data(fast_config(grid_L=L, grid_N=N, perturb="v,u,theta"), grid)
+            state.t = 0.1 * N
+            _write_profile(state, grid, tmp_path / "p.csv")
+            got = (tmp_path / "p.csv").read_bytes()
+            assert got == csv_writer_profile(state, grid, tmp_path / "want.csv"), (L, N)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(t=csv_floats, fields=st.tuples(*(hnp.arrays(np.float64, n, elements=csv_floats)
+                                            for n in (12, 13, 12))))
+    def test_profile_rows_are_format_of_each_cell(self, tmp_path, t, fields):
+        # each row is "{}".format of each cell, joined by commas, for any float
+        grid = build_grid(1.0, 8)
+        state = State(t, *fields)
+        with np.errstate(over="ignore"):     # the mean of two nodes near 1e308 is inf
+            _write_profile(state, grid, tmp_path / "p.csv")
+            u = grid.cell_average_of_nodes(state.u)
+        lines = (tmp_path / "p.csv").read_bytes().decode().split("\r\n")
+        ci = grid.cell_interior
+        columns = (grid.cell_centers, state.v[ci], u[ci], state.theta[ci])
+        want = [",".join("{}".format(cell) for cell in (t, *row))
+                for row in zip(*(c.tolist() for c in columns))]
+        assert lines == ["t,x,v,u,theta", *want, ""]
 
     def test_timeseries_bytes_equal_csv_writer(self, tmp_path):
         records = [DiagnosticsRecord(*(k + i / 7 for i in range(17))) for k in range(3)]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.lapack import dptsv
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -239,16 +240,14 @@ def reference_implicit_solve(x_star, grad_star, a, c, dt, grid):
     """x = x* + d on the interior unknowns, where (c - dt*D_a) d = dt*D_a x*:
     D_a differences a times the divided differences across each unknown, over
     dx, so the matrix has c + r*(a_k + a_k+1) on its diagonal and -r*a_k+1
-    beside it, r = dt/dx^2.  Solved by scipy.linalg.solve_banded."""
+    beside it, r = dt/dx^2.  Symmetric positive definite: solved by LAPACK dptsv."""
     lo, r = grid.ghost_depth, dt / grid.dx ** 2
-    ab = np.zeros((3, len(a) - 1))
-    ab[0, 1:] = -r * a[1:-1]
-    ab[1] = c + r * (a[:-1] + a[1:])
-    ab[2, :-1] = -r * a[1:-1]
     flux = a * grad_star
+    d, info = dptsv(c + r * (a[:-1] + a[1:]), -r * a[1:-1],
+                    dt * ((flux[1:] - flux[:-1]) / grid.dx))[2:]
+    assert info == 0
     x = x_star.copy()
-    x[lo:lo + len(a) - 1] += scipy.linalg.solve_banded((1, 1), ab,
-                                                       dt * ((flux[1:] - flux[:-1]) / grid.dx))
+    x[lo:lo + len(a) - 1] += d
     return x
 
 
@@ -309,6 +308,7 @@ class TestExplicitStepBits:
     def test_twenty_steps_bitwise_equal_to_reference(self, model):
         g = build_grid(8.0, 128)
         got = gauss_state(g, a=0.3, with_u=True)
+        got.theta = gauss_state(g, a=0.3, w=0.5).theta   # so that P = theta/v is not constant
         want = got.copy()
         for _ in range(20):
             dt = stable_dt(got, model, g, CFG)
@@ -337,6 +337,7 @@ class TestImexStepBits:
             got, sources = exact_state(case, g, 0.0), make_source_fn(case, model, g)
         else:
             got, sources = gauss_state(g, a=0.3, with_u=True), None
+            got.theta = gauss_state(g, a=0.3, w=0.5).theta   # so that P = theta/v is not constant
         want = got.copy()
         for _ in range(20):
             dt = advective_dt(got, model, g, CFG)
@@ -534,9 +535,9 @@ class TestBackwardEulerVelocity:
     def test_one_solve_one_iteration(self, monkeypatch):
         real, calls = ns1d.solver.solve_banded, []
 
-        def counted(*args):
+        def counted(*args, **flags):
             calls.append(1)
-            return real(*args)
+            return real(*args, **flags)
 
         monkeypatch.setattr(ns1d.solver, "solve_banded", counted)
         u, iters, residual = self.solve()
@@ -564,9 +565,9 @@ class TestBackwardEulerVelocity:
         # a correction off by one part in 1e9 leaves a backward error far above the bound
         real = ns1d.solver.solve_banded
 
-        def perturbed(*args):
-            out = real(*args)
-            return out[:3] + (out[3] * (1.0 + 1e-9),) + out[4:]
+        def perturbed(*args, **flags):
+            out = real(*args, **flags)
+            return out[:2] + (out[2] * (1.0 + 1e-9),) + out[3:]
 
         monkeypatch.setattr(ns1d.solver, "solve_banded", perturbed)
         with pytest.raises(NewtonDivergenceError, match="residual .* backward error above 1e-12"):
@@ -574,17 +575,18 @@ class TestBackwardEulerVelocity:
 
 
 def tridiag_system(n, case, seed=0):
-    """(dl, d, du, b) as gtsv takes them: lengths n - 1, n, n - 1 and n."""
+    """(d, e, b) as ptsv takes them: the diagonal, the one off-diagonal of a
+    symmetric matrix and the right side, lengths n, n - 1 and n."""
     rng = np.random.default_rng(seed)
     b = rng.standard_normal(n)
     if case == "dominant":
-        return (rng.uniform(-1, 1, n - 1), 4.0 + rng.random(n), rng.uniform(-1, 1, n - 1), b)
+        return 4.0 + rng.random(n), rng.uniform(-1, 1, n - 1), b
     if case == "pivoting":
-        # off-diagonals outweigh the diagonal, so gtsv swaps rows at most steps
-        return rng.uniform(2, 3, n - 1), rng.uniform(-1, 1, n), rng.uniform(2, 3, n - 1), b
-    # the velocity shape: one array is both dl and du
-    off = -rng.random(n - 1)
-    return off, 1.0 + 2.0 * rng.random(n), off, b
+        # the off-diagonal outweighs the diagonal: not positive definite
+        return rng.uniform(-1, 1, n), rng.uniform(2, 3, n - 1), b
+    # the velocity shape: 1 + r*(a_k + a_k+1) and -r*a_k+1 for a positive a
+    a, r = rng.uniform(0.5, 2.0, n + 1), 10.0
+    return 1.0 + r * (a[:-1] + a[1:]), -r * a[1:-1], b
 
 
 def velocity_system(n=65):
@@ -602,47 +604,52 @@ def diffuse(x_star, grad_star, a, c=1.0, dt=0.5):
 
 
 class TestSolveTridiag:
-    """The tridiagonal solve of _implicit_diffusion: one call of the module's gtsv
+    """The tridiagonal solve of _implicit_diffusion: one call of the module's ptsv
     binding, whose result the backward-error check judges."""
 
     @pytest.mark.parametrize("case", ["dominant", "pivoting", "velocity"])
     @pytest.mark.parametrize("n", [2, 65, 513, 4097])
     def test_bitwise_equal_to_solve_banded(self, n, case):
-        # the binding is the routine solve_banded((1, 1), ...) calls: the same bits
-        dl, d, du, b = tridiag_system(n, case)
-        before = [a.copy() for a in (dl, d, du, b)]
-        ab = np.zeros((3, n))
-        ab[0, 1:] = du
-        ab[1] = d
-        ab[2, :-1] = dl
-        want = scipy.linalg.solve_banded((1, 1), ab, b)
-        got, info = ns1d.solver.solve_banded(dl, d, du, b)[3:]
-        assert info == 0 and got.shape == (n,) and got.tobytes() == want.tobytes()
-        for old, new in zip(before, (dl, d, du, b)):
+        # the binding, called as _implicit_diffusion calls it, on copies that it may
+        # overwrite, gives the bits of scipy's dptsv and leaves the caller's arrays alone
+        d, e, b = tridiag_system(n, case)
+        before = [x.copy() for x in (d, e, b)]
+        got, info = ns1d.solver.solve_banded(d.copy(), e.copy(), b.copy(), overwrite_d=1,
+                                             overwrite_e=1, overwrite_b=1)[2:]
+        want, want_info = dptsv(d, e, b)[2:]
+        for old, new in zip(before, (d, e, b)):
             assert old.tobytes() == new.tobytes()
+        if case == "pivoting":              # not positive definite: refused, not solved
+            assert info > 0 and want_info == info
+            return
+        assert info == 0 and got.shape == (n,) and got.tobytes() == want.tobytes()
+        if n <= 513:
+            ref = np.linalg.solve(np.diag(d) + np.diag(e, 1) + np.diag(e, -1), b)
+        else:                               # a dense n = 4097 matrix is 134 MB: banded LU
+            ref = scipy.linalg.solve_banded((1, 1), np.array([np.r_[0.0, e], d, np.r_[e, 0.0]]), b)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("name,index", [("lower", 1), ("lower", -1), ("diag", 0),
-                                            ("diag", 32), ("upper", 0), ("upper", -2),
-                                            ("b", 0), ("b", -1)])
+    @pytest.mark.parametrize("name,index", [("e", 1), ("e", -1), ("d", 0), ("d", 32),
+                                            ("e", 0), ("e", -2), ("b", 0), ("b", -1)])
     def test_non_finite_entry_refused(self, name, index, value, monkeypatch):
-        # whichever entry of the system gtsv is handed goes bad, the check,
+        # whichever entry of the system ptsv is handed goes bad, the check,
         # which recomputes the residual from the solve's own inputs, refuses x
         real = ns1d.solver.solve_banded
 
-        def poisoned(*arrays):
-            arrays = dict(zip(("lower", "diag", "upper", "b"), (a.copy() for a in arrays)))
+        def poisoned(*arrays, **flags):
+            arrays = dict(zip(("d", "e", "b"), (a.copy() for a in arrays)))
             arrays[name][index] = value
-            return real(*arrays.values())
+            return real(*arrays.values(), **flags)
 
         monkeypatch.setattr(ns1d.solver, "solve_banded", poisoned)
         with np.errstate(all="ignore"), pytest.raises(NewtonDivergenceError):
             diffuse(*velocity_system(65))
 
     def test_singular_system_refused(self):
-        # c = 0 and a = 0: a zero diagonal, so gtsv meets a zero pivot in row 1
+        # c = 0 and a = 0: a zero diagonal, so ptsv meets a non-positive pivot in row 1
         x_star, grad_star, a = velocity_system(9)
-        with pytest.raises(NewtonDivergenceError, match="singular: zero pivot in row 1"):
+        with pytest.raises(NewtonDivergenceError, match="not positive definite: pivot 1$"):
             diffuse(x_star, grad_star, np.zeros_like(a), c=0.0)
 
     def test_non_finite_velocity_system_refused(self):
@@ -691,9 +698,9 @@ class TestSolveTridiag:
         real_solve, real_theta = ns1d.solver.solve_banded, ns1d.solver.backward_euler_theta
         solves, theta_iters = [], []
 
-        def counted_solve(*args):
+        def counted_solve(*args, **flags):
             solves.append(1)
-            return real_solve(*args)
+            return real_solve(*args, **flags)
 
         def recorded_theta(*args):
             out = real_theta(*args)
@@ -861,9 +868,9 @@ class TestImplicitSolves:
             return profile.h(v)
 
         def counted(name, fn):
-            def wrapped(*args):
+            def wrapped(*args, **flags):
                 events.append((name, bool(inside)))
-                return fn(*args)
+                return fn(*args, **flags)
             return wrapped
 
         def marked(fn):
