@@ -1,9 +1,9 @@
 """Command-line entry point: ns1d {run, sweep, mms, validate-h}.
 
 The config is the defaults or a --config file, with the --set overrides on
-top; the preset is one more key (--set preset=two-bump).  It is checked once,
-after the overrides (a config file also when it is loaded), and a sweep
-checks each of its values once, before its first run.
+top; the preset is one more key (--set preset=two-bump).  It is planned once,
+by run, sweep or validate-h, before anything is written: a sweep plans each
+of its values, and the base config only with a value, before its first run.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error or
 memory exhausted (an input too large to allocate).

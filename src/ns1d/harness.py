@@ -27,12 +27,13 @@ from .diagnostics import (DiagnosticsCollector, DiagnosticsRecord,
 from .errors import ArgumentError, ConfigError, DomainError, Ns1dError
 from .grid import Grid, State, apply_farfield, build_grid
 from .solver import SolverConfig, advance, landing_tolerance
-from .verification import check_levels, check_support, convergence_study, default_case
+from .verification import (ManufacturedCase, check_levels, check_support, convergence_study,
+                           default_case)
 
 __all__ = [
     "RunConfig", "RunSummary", "PRESETS", "SWEEP_PARAMETERS", "load_config", "parse_value",
     "apply_overrides", "config_to_flat", "default_config", "parse_list", "output_formats",
-    "make_model", "make_initial_data", "run", "sweep", "validate_h_config",
+    "make_model", "make_initial_data", "Plan", "plan", "run", "sweep", "validate_h_config",
 ]
 
 PRESETS = ("constant", "gauss-pulse", "two-bump", "mms")
@@ -117,22 +118,36 @@ def parse_list(raw: str, kind=str) -> list:
         raise ConfigError(f"cannot parse {raw!r} as a list of {kind.__name__}: {exc}") from exc
 
 
-def output_formats(config: RunConfig) -> set:
-    formats = set(parse_list(config.out_formats))
+def output_formats(config: RunConfig) -> frozenset:
+    formats = frozenset(parse_list(config.out_formats))
     unknown = formats - set(OUTPUT_FORMATS)
     if unknown:
         raise ConfigError(f"unknown output formats {sorted(unknown)}; choose from {OUTPUT_FORMATS}")
     return formats
 
 
-def validate_config(config: RunConfig) -> RunConfig:
-    """Refuse, with ConfigError, every value a run could not use.
+@dataclass(frozen=True)
+class Plan:
+    """A checked config and what its run builds from it, each once: the grid and
+    initial state of a pulse preset, or the case and levels of an MMS study."""
+    config: RunConfig
+    model: GasModel
+    solver_config: SolverConfig
+    formats: frozenset
+    grid: Optional[Grid] = None
+    state: Optional[State] = None
+    case: Optional[ManufacturedCase] = None
+    levels: Optional[List[int]] = None
 
-    Builds what the configured run builds, through the same builders, so each
-    rule lives in the one constructor that owns it; their ArgumentError and
-    DomainError become ConfigError.  The preset picks the data: the MMS case
-    and its levels for "mms", the grid and the initial data otherwise.  An
-    MMS study writes only summary.json, so its formats must include json.
+
+def plan(config: RunConfig) -> Plan:
+    """Build config's run, refusing with ConfigError every value it could not use.
+
+    Each object is made by the one builder that owns its rules, so each rule
+    lives there; their ArgumentError and DomainError become ConfigError.  The
+    preset picks the data: the MMS case and its levels for "mms", the grid and
+    the initial data otherwise.  An MMS study writes only summary.json, so its
+    formats must include json.
     """
     non_finite = [key for key, attr in KEYMAP.items()
                   if _FIELD_TYPES[attr] == "float" and not math.isfinite(getattr(config, attr))]
@@ -152,17 +167,17 @@ def validate_config(config: RunConfig) -> RunConfig:
         raise ConfigError("the mms preset writes only summary.json, so output.formats "
                           f"must include json, got {config.out_formats!r}")
     try:
-        make_model(config)
-        make_solver_config(config)
+        model = make_model(config)
+        solver_config = make_solver_config(config)
         if config.preset == "mms":
             levels = parse_list(config.mms_levels, int)
             check_levels(levels)
             build_grid(config.mms_L, levels[0])
-            default_case(amplitude=config.mms_amplitude)
+            data = dict(case=default_case(amplitude=config.mms_amplitude), levels=levels)
             check_support(config.mms_L, config.mms_amplitude)
         else:
-            make_initial_data(config, build_grid(config.grid_L, config.grid_N,
-                                                 config.grid_ghost_depth))
+            grid = build_grid(config.grid_L, config.grid_N, config.grid_ghost_depth)
+            data = dict(grid=grid, state=make_initial_data(config, grid))
     except (ArgumentError, DomainError) as exc:
         raise ConfigError(str(exc)) from exc
     if config.h_kind == "power-sum" and (config.h_ell1 < 1.0 or config.h_ell2 < 1.0):
@@ -170,11 +185,11 @@ def validate_config(config: RunConfig) -> RunConfig:
             "the global-existence regime assumes ell1 >= 1 and ell2 >= 1; "
             f"got ell1={config.h_ell1}, ell2={config.h_ell2}; proceeding",
             stacklevel=2)
-    return config
+    return Plan(config, model, solver_config, formats, **data)
 
 
 def _assign(config: RunConfig, entries, noun: str = "key") -> RunConfig:
-    """Parse each (where, "key = value") entry onto config, then validate it.
+    """Parse each (where, "key = value") entry onto config; `plan` checks the values.
 
     `where` starts every error message about its entry (a file's `path:line: `).
     """
@@ -189,7 +204,7 @@ def _assign(config: RunConfig, entries, noun: str = "key") -> RunConfig:
             setattr(config, KEYMAP[key], parse_value(KEYMAP[key], raw))
         except ConfigError as exc:
             raise ConfigError(f"{where}{exc}") from exc
-    return validate_config(config)
+    return config
 
 
 def load_config(path) -> RunConfig:
@@ -204,7 +219,7 @@ def load_config(path) -> RunConfig:
 
 
 def default_config() -> RunConfig:
-    """The defaults, which apply_overrides checks along with the overrides."""
+    """The defaults, which `plan` checks along with the overrides."""
     return RunConfig()
 
 
@@ -372,28 +387,30 @@ def _out_dir(config: RunConfig, out_dir: Optional[Path] = None) -> Path:
 # ---------------------------------------------------------------------------
 
 def run(config: RunConfig, out_dir: Optional[Path] = None) -> RunSummary:
-    """Execute one configured experiment, emit its outputs and return its summary;
-    a numerical failure of the solve is recorded there (exit_status "error"), not raised."""
-    out = _out_dir(config, out_dir)
-    formats = output_formats(config)
-    summary = RunSummary(config=config_to_flat(config), exit_status="ok")
-    if config.preset == "mms":
-        _run_mms(config, summary)
+    """Plan config, so a refused one raises ConfigError with nothing written, then execute it and
+    return its summary; a numerical failure is recorded there (exit_status "error"), not raised."""
+    return _execute(plan(config), out_dir)
+
+
+def _execute(plan: Plan, out_dir: Optional[Path]) -> RunSummary:
+    """Run a plan, building nothing again."""
+    out = _out_dir(plan.config, out_dir)
+    summary = RunSummary(config=config_to_flat(plan.config), exit_status="ok")
+    if plan.case is not None:
+        _run_mms(plan, summary)
     else:
-        _run_pulse(config, out, formats, summary)
-    if "json" in formats:
+        _run_pulse(plan, out, summary)
+    if "json" in plan.formats:
         _json_dump(summary.to_dict(), out / "summary.json")
     return summary
 
 
-def _run_pulse(config: RunConfig, out: Path, formats: set, summary: RunSummary):
+def _run_pulse(plan: Plan, out: Path, summary: RunSummary):
     """Advance the initial data with diagnostics, write the timeseries and
     profiles, and fill summary, also after a failure of the solve."""
-    model = make_model(config)
-    grid = build_grid(config.grid_L, config.grid_N, config.grid_ghost_depth)
-    state = make_initial_data(config, grid)
+    config, formats, grid, state = plan.config, plan.formats, plan.grid, plan.state
     summary.initial_report = initial_data_report(state, grid).to_dict()
-    collector = DiagnosticsCollector(model, grid)
+    collector = DiagnosticsCollector(plan.model, grid)
 
     profiles_dir = _out_dir(config, out / "profiles") if "csv" in formats else None
 
@@ -410,7 +427,7 @@ def _run_pulse(config: RunConfig, out: Path, formats: set, summary: RunSummary):
         last_k = k
 
     try:
-        _, stats = advance(state, model, grid, make_solver_config(config), config.t_end,
+        _, stats = advance(state, plan.model, grid, plan.solver_config, config.t_end,
                            observer=observer, output_every=config.output_every,
                            on_step=collector.on_step)
         summary.steps = stats.steps
@@ -434,15 +451,11 @@ def _run_pulse(config: RunConfig, out: Path, formats: set, summary: RunSummary):
             summary.decay = decay_metrics(records).to_dict()
 
 
-def _run_mms(config: RunConfig, summary: RunSummary):
+def _run_mms(plan: Plan, summary: RunSummary):
     """The convergence study of the manufactured case, into summary."""
-    case = default_case(amplitude=config.mms_amplitude)
-    model = make_model(config)
-    levels = parse_list(config.mms_levels, int)
-    solver_config = make_solver_config(config)
     try:
-        report = convergence_study(case, model, levels, config.mms_t_end, L=config.mms_L,
-                                   config=solver_config)
+        report = convergence_study(plan.case, plan.model, plan.levels, plan.config.mms_t_end,
+                                   L=plan.config.mms_L, config=plan.solver_config)
         summary.order_report = report.to_dict()
         summary.steps = report.steps
     except Ns1dError as exc:
@@ -453,35 +466,36 @@ def sweep(base_config: RunConfig, parameter: str, values: List[float],
           out_dir: Optional[Path] = None) -> List[RunSummary]:
     """Independent runs over one parameter, each in its <parameter>_<value>/.
 
-    Every value is checked before the first run: a refused one, or two values sharing a
-    directory, raise a ConfigError with nothing written.  The summaries are what `run` returns,
-    failed runs included, so each sweep_summary.json entry equals its run's summary.json.  Only
-    the pulse presets read init.amplitude, so an amplitude sweep of another preset is refused.
+    Every value is planned, and the base config only with a value, before the first run: a
+    refused value, or two sharing a directory, raise a ConfigError with nothing written.  The
+    summaries are what `run` returns, failed runs included, so each sweep_summary.json entry
+    equals its run's summary.json.  Only the pulse presets read init.amplitude, so an
+    amplitude sweep of another preset is refused.
     """
     attr = SWEEP_PARAMETERS.get(parameter)
     if attr is None:
         raise ConfigError(f"sweep parameter must be one of {', '.join(SWEEP_PARAMETERS)}, "
                           f"got {parameter!r}")
-    if attr == "amplitude" and base_config.preset not in ("gauss-pulse", "two-bump"):
+    if attr == "amplitude" and base_config.preset in ("constant", "mms"):
         raise ConfigError(f"the {base_config.preset} preset ignores init.amplitude; "
                           "sweep it on gauss-pulse or two-bump")
     names = [f"{parameter}_{_name(value)}" for value in values]
     if len(set(names)) < len(names):
         raise ConfigError(f"{parameter} values share the directory {max(names, key=names.count)}/")
-    configs = []
+    plans = []
     for value in values:
         try:
-            configs.append(validate_config(dataclasses.replace(base_config, **{attr: value})))
+            plans.append(plan(dataclasses.replace(base_config, **{attr: value})))
         except ConfigError as exc:
             raise ConfigError(f"{parameter}={_name(value)}: {exc}") from exc
     root = _out_dir(base_config, out_dir)
-    summaries = [run(config, out_dir=root / name) for name, config in zip(names, configs)]
+    summaries = [_execute(p, out_dir=root / name) for name, p in zip(names, plans)]
     _json_dump([s.to_dict() for s in summaries], root / "sweep_summary.json")
     return summaries
 
 
 def validate_h_config(config: RunConfig) -> AdmissibilityReport:
-    model = make_model(config)
+    model = plan(config).model
     try:
         report = validate_h(model.h)
     except DomainError as exc:

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import json
@@ -71,7 +72,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 def test_readme_cli_examples_load(tmp_path, monkeypatch):
     # each `ns1d ...` line of the README's CLI block is parsed and its config
-    # loaded and checked, not run, so the README cannot name a removed flag or key
+    # loaded and planned, not run, so the README cannot name a removed flag or key
     block = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     examples = [shlex.split(line, comments=True) for line in block.splitlines()
                 if line.startswith("ns1d ")]
@@ -79,7 +80,7 @@ def test_readme_cli_examples_load(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.cfg").write_text("grid.N = 64\n")
     for argv in examples:
-        cli._load(cli.build_parser().parse_args(argv[1:]))
+        ns1d.harness.plan(cli._load(cli.build_parser().parse_args(argv[1:])))
 
 
 def test_config_error_exit_code(capsys):
@@ -257,12 +258,13 @@ MMS_FAST = ["--set", "mms.levels=16,32,64", "--set", "mms.t_end=0.05"]
     ["validate-h", "--set", "gas.h.kind=constant", "--set", "gas.h.c=1e-320"],
     ["validate-h", "--set", "gas.h.ell1=1e308"],
 ], ids=lambda argv: " ".join(argv))
-def test_refused_input_exits_2(argv, capsys):
+def test_refused_input_exits_2(argv, out_dir, capsys):
     command, rest = argv[0], argv[1:]
     fast = {"run": FAST, "sweep": FAST, "mms": MMS_FAST}.get(command, [])
     assert main([command] + fast + rest) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Traceback" not in err
+    assert not out_dir.exists()       # planned before anything is written
 
 
 def test_preset_flag_is_gone(capsys):
@@ -273,20 +275,49 @@ def test_preset_flag_is_gone(capsys):
     assert "unrecognized arguments: --preset" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv,expected", [
-    (["run"], 1),
-    (["sweep", "--param", "alpha", "--values=-0.05,0,0.05"], 1 + 3),   # once more per value
-], ids=["run", "sweep"])
-def test_config_is_validated_once_per_run(argv, expected, monkeypatch):
-    real, calls = ns1d.harness.validate_config, []
+PLAN_BUILDERS = ("plan", "make_model", "make_solver_config", "output_formats", "build_grid",
+                 "make_initial_data", "default_case")
+PULSE_BUILDERS = set(PLAN_BUILDERS) - {"default_case"}
+MMS_BUILDERS = set(PLAN_BUILDERS) - {"make_initial_data"}
 
-    def counted(config):
-        calls.append(1)
-        return real(config)
 
-    monkeypatch.setattr(ns1d.harness, "validate_config", counted)
-    assert main(argv + FAST) == EXIT_OK
-    assert len(calls) == expected
+@pytest.mark.parametrize("argv, builders, runs", [
+    (["run", "--config", "run.cfg", "--set", "gas.alpha=0.1"] + FAST, PULSE_BUILDERS, 1),
+    (["run"] + FAST, PULSE_BUILDERS, 1),
+    (["sweep", "--param", "alpha", "--values=-0.05,0,0.05"] + FAST, PULSE_BUILDERS, 3),
+    (["mms"] + MMS_FAST, MMS_BUILDERS, 1),
+    (["validate-h"], PULSE_BUILDERS, 1),
+], ids=["run-config", "run", "sweep", "mms", "validate-h"])
+def test_each_builder_runs_once_per_run(argv, builders, runs, tmp_path, monkeypatch):
+    # the config is planned once per run, and the run builds nothing again
+    calls = collections.Counter()
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in PLAN_BUILDERS:
+        monkeypatch.setattr(ns1d.harness, name, counted(name, getattr(ns1d.harness, name)))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("preset = two-bump\ngas.gamma = 1.4\n")
+    assert main(argv) == EXIT_OK
+    assert calls == {name: runs for name in builders}
+
+
+def test_sweep_plans_its_base_config_only_with_a_value(out_dir, capsys):
+    # no run reads the base's gamma, so a gamma sweep does not refuse it
+    argv = ["sweep", "--set", "gas.gamma=1.0", "--param", "gamma", "--values=1.4,2"] + FAST
+    assert main(argv) == EXIT_OK
+    assert "2/2 runs ok" in capsys.readouterr().out
+    # a key the sweep does not set is refused with the first value's prefix
+    argv = ["sweep", "--set", "gas.gamma=1.0", "--param", "alpha", "--values=0,0.1"] + FAST
+    assert main(argv) == EXIT_CONFIG
+    assert "alpha=0: gamma must exceed 1" in capsys.readouterr().err
+    argv = ["sweep", "--set", "preset=vortex", "--param", "amplitude", "--values=0.1,0.2"] + FAST
+    assert main(argv) == EXIT_CONFIG
+    assert "amplitude=0.1: unknown preset 'vortex'" in capsys.readouterr().err
 
 
 def test_sweep_checks_every_value_before_any_run(out_dir, capsys):

@@ -28,9 +28,9 @@ from ns1d.harness import (
     make_model,
     parse_list,
     parse_value,
+    plan,
     run,
     sweep,
-    validate_config,
     validate_h_config,
 )
 from ns1d.solver import AdvanceStats, SolverConfig
@@ -118,29 +118,46 @@ class TestValidation:
     def test_gamma_must_exceed_one(self, tmp_path):
         p = write_config(tmp_path, "gas.gamma = 1.0\n")
         with pytest.raises(ConfigError, match="gamma must exceed 1"):
-            load_config(p)
+            plan(load_config(p))
 
     def test_defaults_pass(self):
-        # default_config does not check; apply_overrides checks the defaults
-        # with the overrides, so they must pass on their own
+        # default_config does not check; plan checks the defaults with the
+        # overrides, so they must pass on their own
         assert default_config() == RunConfig()
-        validate_config(RunConfig())
+        plan(RunConfig())
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="unknown preset"):
-            apply_overrides(default_config(), ["preset=vortex"])
+            plan(apply_overrides(default_config(), ["preset=vortex"]))
 
     def test_warns_on_small_exponents(self):
         with pytest.warns(UserWarning, match="ell1 >= 1"):
-            apply_overrides(default_config(), ["gas.h.ell1=0.5"])
+            plan(apply_overrides(default_config(), ["gas.h.ell1=0.5"]))
 
     def test_unknown_h_kind(self):
         with pytest.raises(ConfigError, match="unknown h kind"):
-            apply_overrides(default_config(), ["gas.h.kind=custom"])
+            plan(apply_overrides(default_config(), ["gas.h.kind=custom"]))
 
     def test_unknown_integrator(self):
         with pytest.raises(ConfigError, match="unknown integrator"):
-            apply_overrides(default_config(), ["solver.integrator=rk4"])
+            plan(apply_overrides(default_config(), ["solver.integrator=rk4"]))
+
+    @pytest.mark.parametrize("setting, message", [
+        (dict(t_end=-1.0), "t_end must be nonnegative"),
+        (dict(profile_every=-0.5), "profile_every must be 0"),
+        (dict(output_every=math.nan), "non-finite value for time.output_every"),
+        (dict(grid_N=4), "N must be at least 8"),
+        (dict(preset="mms", mms_levels="16,32"), "needs at least 3 levels"),
+    ], ids=["t_end", "profile_every", "output_every", "grid_N", "mms_levels"])
+    def test_run_refuses_what_plan_refuses(self, setting, message, tmp_path):
+        # run plans its config before it writes anything
+        config = fast_config(**setting)
+        with pytest.raises(ConfigError, match=message) as planned:
+            plan(config)
+        with pytest.raises(ConfigError) as ran:
+            run(config, out_dir=tmp_path / "out")
+        assert str(ran.value) == str(planned.value)
+        assert not (tmp_path / "out").exists()
 
     def test_solver_keys_are_solver_config_fields(self):
         # one copy of each solver default: SolverConfig's

@@ -105,8 +105,9 @@ def test_no_module_keeps_an_unreferenced_helper():
 
 
 CONFIG_CLASSES = ("SolverConfig", "RunConfig")
-# and the Stage, each of whose fields is work done once per state
-CHECKED_CLASSES = CONFIG_CLASSES + ("Stage",)
+# and the Stage, each of whose fields is work done once per state, and the
+# Plan, each of whose fields is built once per run
+CHECKED_CLASSES = CONFIG_CLASSES + ("Stage", "Plan")
 
 
 def unread_fields(sources: dict, classes=CONFIG_CLASSES) -> list:
