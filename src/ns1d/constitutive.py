@@ -189,7 +189,7 @@ def kanel_potential(h: HProfile, v: float, tol: float = 1e-10) -> float:
 
     The integrand has a square-root-type kink at z = 1, so the integration
     never straddles that point: the interval starts or ends there.
-    Sign matches sign(v - 1).
+    Sign matches sign(v - 1).  An integrand that overflows raises DomainError.
     """
     if v <= 0:
         raise DomainError(f"kanel_potential requires v > 0, got {v}")
@@ -197,7 +197,13 @@ def kanel_potential(h: HProfile, v: float, tol: float = 1e-10) -> float:
         return 0.0
 
     def f(z):
-        return math.sqrt(z - math.log(z) - 1.0) * float(h.h(z)) / z
+        try:
+            value = math.sqrt(z - math.log(z) - 1.0) * float(h.h(z)) / z
+        except OverflowError:                   # z ** ell of a Python float; numpy's is inf
+            value = math.inf
+        if value < math.inf:                    # so that NaN fails too
+            return value
+        raise DomainError(f"the Kanel' integrand is not finite in float64 at z = {z}")
 
     if v > 1.0:
         return adaptive_simpson(f, 1.0, v, tol=tol)

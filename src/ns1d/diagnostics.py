@@ -3,8 +3,10 @@ temperature floor fit, and decay metrics.
 
 Sup-type quantities are taken over interior cells only; ghosts sit at the far
 field by construction.  The accumulated dissipation is integrated in time with
-the trapezoid rule at every accepted step, so the quadrature error tracks the
-scheme's own O(dt^2).
+the trapezoid rule at every accepted step.  What the identity residual then
+shows is mostly the gap between dissipation_rate's cell-averaged formula and the
+scheme's own dissipation, which closes at second order in dx (on the default
+gauss-pulse at t = 2: -9.8e-4 at N = 128 down to -1.6e-5 at N = 1024).
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ DiagnosticsRecord.CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 @dataclass
 class InitialDataReport:
-    """Discrete counterparts of the initial size and positivity bounds."""
+    """Discrete counterparts of the initial size and positivity bounds: the first
+    record's h2_dev, min_v, max_v and min_theta."""
 
     pi0_discrete: float       # H2-discrete norm of (v0-1, u0, theta0-1)
     min_v0: float
@@ -232,10 +235,9 @@ def decay_metrics(records: List[DiagnosticsRecord]) -> DecayReport:
     return DecayReport(times, sups, first_below(0.5), first_below(0.25), first_below(0.1))
 
 
-def initial_data_report(state: State, grid: Grid) -> InitialDataReport:
-    v, u, theta = _interior(state, grid)
-    return InitialDataReport(_deviation_norms(grid, v - 1.0, u, theta - 1.0)[1],
-                             float(v.min()), float(v.max()), float(theta.min()))
+def initial_data_report(record: DiagnosticsRecord) -> InitialDataReport:
+    """The report of the initial state, read off its record, the first of a run."""
+    return InitialDataReport(record.h2_dev, record.min_v, record.max_v, record.min_theta)
 
 
 # ---------------------------------------------------------------------------

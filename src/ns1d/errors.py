@@ -23,13 +23,13 @@ class QuadratureError(Ns1dError):
 class PositivityError(DomainError):
     """An entry of v, theta or phi's argument is not above its floor (NaN
     included): 0 in transport, phi and transport_derivatives, the solver's
-    positivity_floor for a trial stage.  The solver also raises it for a
-    non-finite predictor of either integrator, so that the step is retried
+    constant POSITIVITY_FLOOR for a trial stage.  The solver also raises it for
+    a non-finite predictor of either integrator, so that the step is retried
     with dt/2."""
 
 
 class PositivityExhaustedError(PositivityError):
-    """Step rejection halved dt the maximum number of times without success."""
+    """Step rejection halved dt MAX_DT_HALVINGS times without success."""
 
 
 class NewtonDivergenceError(Ns1dError):

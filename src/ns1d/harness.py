@@ -26,9 +26,9 @@ from .diagnostics import (DiagnosticsCollector, DiagnosticsRecord,
                           decay_metrics, initial_data_report, theta_floor_fit)
 from .errors import ArgumentError, ConfigError, DomainError, Ns1dError
 from .grid import Grid, State, apply_farfield, build_grid
-from .solver import SolverConfig, advance, landing_tolerance
-from .verification import (ManufacturedCase, check_levels, check_support, convergence_study,
-                           default_case)
+from .solver import SolverConfig, advance, landing_tolerance, make_stage
+from .verification import (MMS_HALF_WIDTH, ManufacturedCase, check_levels, check_support,
+                           convergence_study, default_case)
 
 __all__ = [
     "RunConfig", "RunSummary", "PRESETS", "SWEEP_PARAMETERS", "load_config", "parse_value",
@@ -67,8 +67,6 @@ class RunConfig:
     integrator: str = _key("solver.integrator", SolverConfig.integrator)
     cfl_advective: float = _key("solver.cfl_advective", SolverConfig.cfl_advective)
     cfl_parabolic: float = _key("solver.cfl_parabolic", SolverConfig.cfl_parabolic)
-    positivity_floor: float = _key("solver.positivity_floor", SolverConfig.positivity_floor)
-    max_dt_halvings: int = _key("solver.max_dt_halvings", SolverConfig.max_dt_halvings)
     dt_max: float = _key("solver.dt_max", SolverConfig.dt_max)
     # time
     t_end: float = _key("time.t_end", 5.0)
@@ -80,7 +78,6 @@ class RunConfig:
     # mms
     mms_levels: str = _key("mms.levels", "64,128,256")
     mms_t_end: float = _key("mms.t_end", 0.25)
-    mms_L: float = _key("mms.L", 12.0)
     mms_amplitude: float = _key("mms.amplitude", 0.1)
     # output
     out_dir: str = _key("output.directory", "out")
@@ -129,7 +126,7 @@ def output_formats(config: RunConfig) -> frozenset:
 @dataclass(frozen=True)
 class Plan:
     """A checked config and what its run builds from it, each once: the grid and
-    initial state of a pulse preset, or the case and levels of an MMS study."""
+    initial Stage of a pulse preset, or the case and levels of an MMS study."""
     config: RunConfig
     model: GasModel
     solver_config: SolverConfig
@@ -146,8 +143,9 @@ def plan(config: RunConfig) -> Plan:
     Each object is made by the one builder that owns its rules, so each rule
     lives there; their ArgumentError and DomainError become ConfigError.  The
     preset picks the data: the MMS case and its levels for "mms", the grid and
-    the initial data otherwise.  An MMS study writes only summary.json, so its
-    formats must include json.
+    the initial data otherwise, staged here for `advance` to reuse; a start whose
+    mu or kappa is not finite cannot be stepped, so it is refused.  An MMS study
+    writes only summary.json, so its formats must include json.
     """
     non_finite = [key for key, attr in KEYMAP.items()
                   if _FIELD_TYPES[attr] == "float" and not math.isfinite(getattr(config, attr))]
@@ -172,12 +170,17 @@ def plan(config: RunConfig) -> Plan:
         if config.preset == "mms":
             levels = parse_list(config.mms_levels, int)
             check_levels(levels)
-            build_grid(config.mms_L, levels[0])
+            build_grid(MMS_HALF_WIDTH, levels[0])
             data = dict(case=default_case(amplitude=config.mms_amplitude), levels=levels)
-            check_support(config.mms_L, config.mms_amplitude)
         else:
             grid = build_grid(config.grid_L, config.grid_N, config.grid_ghost_depth)
-            data = dict(grid=grid, state=make_initial_data(config, grid))
+            with np.errstate(over="ignore", invalid="ignore"):     # refused below, not warned
+                start = make_stage(make_initial_data(config, grid), model, grid)
+            for name, coeff in (("mu", start.mu_v), ("kappa", start.kappa_v)):
+                if not math.isfinite(coeff.max()):
+                    raise ConfigError(f"the initial {name} = {name}_tilde h(v) theta^alpha is "
+                                      "not finite in float64, so the start cannot be stepped")
+            data = dict(grid=grid, state=start)
     except (ArgumentError, DomainError) as exc:
         raise ConfigError(str(exc)) from exc
     if config.h_kind == "power-sum" and (config.h_ell1 < 1.0 or config.h_ell2 < 1.0):
@@ -409,7 +412,6 @@ def _run_pulse(plan: Plan, out: Path, summary: RunSummary):
     """Advance the initial data with diagnostics, write the timeseries and
     profiles, and fill summary, also after a failure of the solve."""
     config, formats, grid, state = plan.config, plan.formats, plan.grid, plan.state
-    summary.initial_report = initial_data_report(state, grid).to_dict()
     collector = DiagnosticsCollector(plan.model, grid)
 
     profiles_dir = _out_dir(config, out / "profiles") if "csv" in formats else None
@@ -439,6 +441,7 @@ def _run_pulse(plan: Plan, out: Path, summary: RunSummary):
         _write_timeseries(records, out / "timeseries.csv")
     if records:
         rec0 = records[0]
+        summary.initial_report = initial_data_report(rec0).to_dict()
         summary.final_record = dataclasses.asdict(records[-1])
         for name, attr in (("mass", "mass_dev"), ("momentum", "momentum"),
                            ("energy", "energy_dev")):
@@ -455,7 +458,7 @@ def _run_mms(plan: Plan, summary: RunSummary):
     """The convergence study of the manufactured case, into summary."""
     try:
         report = convergence_study(plan.case, plan.model, plan.levels, plan.config.mms_t_end,
-                                   L=plan.config.mms_L, config=plan.solver_config)
+                                   config=plan.solver_config)
         summary.order_report = report.to_dict()
         summary.steps = report.steps
     except Ns1dError as exc:

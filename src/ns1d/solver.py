@@ -15,9 +15,9 @@ The semidiscrete system on the staggered grid is
 with u_x = cell_diff(u), the stress sigma = mu/v*u_x - P on cells (P = theta/v; sigma*u_x
 is compression work plus viscous heating), kappa/v face-averaged to nodes, and ghost
 entries pinned to the far field after every stage.  All reductions keep a fixed summation
-order, so trajectories are bitwise reproducible.  With v, theta > floor each implicit
-matrix is symmetric positive definite, so LAPACK ptsv's LDL^T needs no pivoting.  Each
-implicit solve is checked by its normwise backward error, against a constant, not a setting.
+order, so trajectories are bitwise reproducible.  With v, theta > POSITIVITY_FLOOR each
+implicit matrix is symmetric positive definite, so LAPACK ptsv's LDL^T needs no pivoting.
+The floor, the dt-halving budget and each solve's backward-error bound are constants.
 """
 
 from __future__ import annotations
@@ -46,14 +46,18 @@ __all__ = [
 # source callback: t -> (S_v on cells, S_u on nodes, S_theta on cells)
 Sources = Optional[Callable[[float], tuple]]
 
+POSITIVITY_FLOOR = 1e-8      # v and theta of every trial stage must exceed it
+MAX_DT_HALVINGS = 20         # dt/2 retries of a refused step before PositivityExhaustedError
+BACKWARD_ERROR_TOL = 1e-12   # of each implicit solve: elimination is backward stable here
+
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """The settings a run may vary: the integrator, its CFL factors and a step cap.
+    The positivity floor and the dt-halving budget are the module's constants."""
     integrator: str = "explicit"          # "explicit" | "imex"
     cfl_advective: float = 0.4
     cfl_parabolic: float = 0.4
-    positivity_floor: float = 1e-8
-    max_dt_halvings: int = 20
     dt_max: float = 0.0                   # 0 disables the cap
 
     def __post_init__(self):
@@ -61,13 +65,8 @@ class SolverConfig:
             raise ArgumentError(f"unknown integrator {self.integrator!r}")
         if not (0.0 < self.cfl_advective <= 1.0 and 0.0 < self.cfl_parabolic <= 1.0):
             raise ArgumentError("CFL factors must lie in (0, 1]")
-        # each comparison is written so that NaN fails it
-        if not (isinstance(self.max_dt_halvings, (int, np.integer)) and self.max_dt_halvings >= 0):
-            raise ArgumentError("max_dt_halvings must be a nonnegative integer")
-        if not self.dt_max >= 0:
+        if not self.dt_max >= 0:              # so that NaN fails it
             raise ArgumentError("dt_max must be nonnegative (0 disables the cap)")
-        if not (0.0 < self.positivity_floor < 1.0):
-            raise ArgumentError("positivity_floor must lie in (0, 1)")
 
 
 @dataclass
@@ -116,11 +115,9 @@ def make_stage(state: State, model: GasModel, grid: Grid, floor: float = 0.0) ->
                  mu / state.v, kappa / state.v, grid.node_diff(state.theta), model, grid)
 
 
-def _candidate(t: float, v, u, theta, model: GasModel, grid: Grid,
-               config: SolverConfig) -> Stage:
+def _candidate(t: float, v, u, theta, model: GasModel, grid: Grid) -> Stage:
     """Stage of a trial state, ghosts pinned; PositivityError at or below the floor."""
-    state = apply_farfield(State(t, v, u, theta), grid)
-    return make_stage(state, model, grid, config.positivity_floor)
+    return make_stage(apply_farfield(State(t, v, u, theta), grid), model, grid, POSITIVITY_FLOOR)
 
 
 def _pressure_stress(s: Stage):
@@ -171,14 +168,14 @@ def advective_dt(state: State, model: GasModel, grid: Grid, config: SolverConfig
     return _dt(state, model, grid, config, parabolic=False)
 
 
-def _step(s0: Stage, config: SolverConfig, dt: float, k0, correct):
+def _step(s0: Stage, dt: float, k0, correct):
     """One two-stage step from s0, retried with dt/2 on PositivityError.
 
     The predictor is s0 + h*k0, ghosts pinned, refused if an entry is not
     finite, staged at the positivity floor; correct(stage, h) -> (v, u, theta,
     residual) turns its stage into the new state.  Returns (new Stage, StepStats).
     """
-    for rejected in range(config.max_dt_halvings + 1):
+    for rejected in range(MAX_DT_HALVINGS + 1):
         try:
             pred = apply_farfield(State(s0.t + dt, s0.v + dt * k0[0], s0.u + dt * k0[1],
                                         s0.theta + dt * k0[2]), s0.grid)
@@ -188,14 +185,14 @@ def _step(s0: Stage, config: SolverConfig, dt: float, k0, correct):
                                  + pred.theta.dot(pred.theta)):
                 raise PositivityError(f"predictor at t={pred.t} has a non-finite entry")
             v, u, theta, residual = correct(
-                make_stage(pred, s0.model, s0.grid, config.positivity_floor), dt)
-            out = _candidate(pred.t, v, u, theta, s0.model, s0.grid, config)
+                make_stage(pred, s0.model, s0.grid, POSITIVITY_FLOOR), dt)
+            out = _candidate(pred.t, v, u, theta, s0.model, s0.grid)
         except PositivityError:
             dt *= 0.5
             continue
         return out, StepStats(dt, rejected, residual)
     raise PositivityExhaustedError(
-        f"positivity still violated after {config.max_dt_halvings} dt halvings at t={s0.t}")
+        f"positivity still violated after {MAX_DT_HALVINGS} dt halvings at t={s0.t}")
 
 
 def step_explicit(state: State, model: GasModel, grid: Grid, config: SolverConfig,
@@ -213,14 +210,12 @@ def step_explicit(state: State, model: GasModel, grid: Grid, config: SolverConfi
         return (s0.v + 0.5 * h * (k0[0] + k1[0]), s0.u + 0.5 * h * (k0[1] + k1[1]),
                 s0.theta + 0.5 * h * (k0[2] + k1[2]), 0.0)
 
-    return _step(s0, config, dt, k0, heun)
+    return _step(s0, dt, k0, heun)
 
 
 # ---------------------------------------------------------------------------
 # IMEX: explicit advection/pressure/heating, backward-Euler diffusion
 # ---------------------------------------------------------------------------
-
-BACKWARD_ERROR_TOL = 1e-12   # of each implicit solve: elimination is backward stable here
 
 
 def _implicit_diffusion(x_star, grad_star, a, c: float, dt: float, grid: Grid, name: str):
@@ -297,7 +292,7 @@ def step_imex(state: State, model: GasModel, grid: Grid, config: SolverConfig,
         theta_new, _, res_th = backward_euler_theta(half, h)
         return half.v, u_new, theta_new, max(res_u, res_th)
 
-    return _step(s0, config, dt, k0, backward_euler)
+    return _step(s0, dt, k0, backward_euler)
 
 
 def landing_tolerance(t0: float, t_end: float) -> float:

@@ -83,6 +83,15 @@ def test_readme_cli_examples_load(tmp_path, monkeypatch):
         ns1d.harness.plan(cli._load(cli.build_parser().parse_args(argv[1:])))
 
 
+def test_readme_config_table_names_only_keys():
+    # every backticked key in the first column of the README's config table is a key
+    table = README.read_text().split("| key | default | meaning |", 1)[1].split("\n\n", 1)[0]
+    rows = [line for line in table.splitlines() if line.startswith("| `")]
+    keys = [key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    assert len(keys) >= len(rows) >= 10
+    assert set(keys) <= set(KEYMAP), set(keys) - set(KEYMAP)
+
+
 def test_config_error_exit_code(capsys):
     assert main(["run", "--set", "gas.gamma=1.0"] + FAST) == EXIT_CONFIG
     assert "gamma must exceed 1" in capsys.readouterr().err
@@ -176,10 +185,16 @@ def test_non_finite_value_is_config_error(setting, capsys):
     assert "non-finite value for " + setting.split("=")[0] in capsys.readouterr().err
 
 
-def test_positivity_exhaustion_exit_code(capsys):
-    argv = ["run", "--set", "preset=two-bump", "--set", "solver.positivity_floor=0.9",
-            "--set", "solver.max_dt_halvings=2"]
-    assert main(argv + FAST) == EXIT_NUMERICAL
+def tight_floor(monkeypatch, floor=0.9, halvings=2):
+    """Patch the solver's positivity floor and dt-halving budget; two-bump's theta
+    dips to 0.88, below the default floor here, on every trial step."""
+    monkeypatch.setattr(ns1d.solver, "POSITIVITY_FLOOR", floor)
+    monkeypatch.setattr(ns1d.solver, "MAX_DT_HALVINGS", halvings)
+
+
+def test_positivity_exhaustion_exit_code(monkeypatch, capsys):
+    tight_floor(monkeypatch)
+    assert main(["run", "--set", "preset=two-bump"] + FAST) == EXIT_NUMERICAL
     assert "dt halvings" in capsys.readouterr().err
 
 
@@ -217,6 +232,8 @@ MMS_FAST = ["--set", "mms.levels=16,32,64", "--set", "mms.t_end=0.05"]
 
 @pytest.mark.parametrize("argv", [
     ["run", "--set", "solver.cfl_advective=2"],
+    ["run", "--set", "preset=two-bump", "--set", "init.amplitude=0.9", "--set", "gas.alpha=-2000"],
+    ["run", "--set", "gas.h.ell1=5000"],
     ["run", "--set", "solver.positivity_floor=2"],
     ["run", "--set", "solver.max_dt_halvings=-1"],
     ["run", "--set", "solver.dt_max=-1"],
@@ -265,6 +282,20 @@ def test_refused_input_exits_2(argv, out_dir, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Traceback" not in err
     assert not out_dir.exists()       # planned before anything is written
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["run", "--set", "gas.h.ell1=5000", "--set", "solver.integrator=imex"], "mu"),
+    (["run", "--set", "gas.kappa_tilde=1e308"], "kappa"),
+    (["validate-h", "--set", "gas.h.ell1=5000"], "mu"),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else x)
+def test_start_that_cannot_be_stepped_is_one_config_error(argv, name, out_dir, capsys):
+    # h(1.3) = 1.3**5000 and 1e308 * h(v), h >= 2, overflow: no step could follow
+    assert main(argv + FAST) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"config error: the initial {name} = {name}_tilde h(v) theta^alpha")
+    assert not out_dir.exists()
 
 
 def test_preset_flag_is_gone(capsys):
@@ -327,18 +358,18 @@ def test_sweep_checks_every_value_before_any_run(out_dir, capsys):
     assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
-def test_sweep_with_a_failed_run_exits_3(out_dir, capsys):
-    argv = ["sweep", "--set", "preset=two-bump", "--param", "amplitude", "--values=0,0.3",
-            "--set", "solver.positivity_floor=0.9", "--set", "solver.max_dt_halvings=2"]
+def test_sweep_with_a_failed_run_exits_3(out_dir, monkeypatch, capsys):
+    tight_floor(monkeypatch)
+    argv = ["sweep", "--set", "preset=two-bump", "--param", "amplitude", "--values=0,0.3"]
     assert main(argv + FAST) == EXIT_NUMERICAL
     assert "1/2 runs ok" in capsys.readouterr().out
     summaries = json.loads((out_dir / "sweep_summary.json").read_text())
     assert [s["exit_status"] for s in summaries] == ["ok", "error"]
 
 
-def test_sweep_entries_are_their_runs_summaries(out_dir, capsys):
+def test_sweep_entries_are_their_runs_summaries(out_dir, monkeypatch, capsys):
+    tight_floor(monkeypatch)
     argv = ["sweep", "--set", "preset=two-bump", "--param", "amplitude", "--values=0,0.3",
-            "--set", "solver.positivity_floor=0.9", "--set", "solver.max_dt_halvings=2",
             "--set", "grid.N=64", "--set", "time.t_end=0.1"]
     assert main(argv) == EXIT_NUMERICAL
     entries = json.loads((out_dir / "sweep_summary.json").read_text())
@@ -365,9 +396,9 @@ def test_sweep_values_sharing_a_directory_write_nothing(out_dir, capsys):
     assert not out_dir.exists()
 
 
-def test_failed_mms_study_writes_its_summary(out_dir, capsys):
-    argv = ["mms", "--set", "mms.levels=16,32,64", "--set", "mms.t_end=2",
-            "--set", "solver.positivity_floor=0.95", "--set", "solver.max_dt_halvings=1"]
+def test_failed_mms_study_writes_its_summary(out_dir, monkeypatch, capsys):
+    tight_floor(monkeypatch, 0.95, 1)
+    argv = ["mms", "--set", "mms.levels=16,32,64", "--set", "mms.t_end=2"]
     assert main(argv) == EXIT_NUMERICAL
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -380,17 +411,16 @@ def test_failed_mms_study_writes_its_summary(out_dir, capsys):
     assert data["order_report"] is None
 
 
-def test_failed_runs_record_their_accepted_steps(out_dir):
+def test_failed_runs_record_their_accepted_steps(out_dir, monkeypatch):
     # the study fails at t = 1.35 of its first level, after accepted steps
-    argv = ["mms", "--set", "mms.levels=16,32,64", "--set", "mms.t_end=2",
-            "--set", "solver.positivity_floor=0.95", "--set", "solver.max_dt_halvings=1"]
+    tight_floor(monkeypatch, 0.95, 1)
+    argv = ["mms", "--set", "mms.levels=16,32,64", "--set", "mms.t_end=2"]
     assert main(argv) == EXIT_NUMERICAL
     data = json.loads((out_dir / "summary.json").read_text())
     assert data["exit_status"] == "error" and data["steps"] > 0
     # two-bump dips below the floor on its first step, at t = 0
-    argv = ["run", "--set", "preset=two-bump", "--set", "solver.positivity_floor=0.9",
-            "--set", "solver.max_dt_halvings=2"]
-    assert main(argv + FAST) == EXIT_NUMERICAL
+    tight_floor(monkeypatch)
+    assert main(["run", "--set", "preset=two-bump"] + FAST) == EXIT_NUMERICAL
     data = json.loads((out_dir / "summary.json").read_text())
     assert data["exit_status"] == "error" and data["steps"] == 0
     assert data["final_record"]["t"] == 0.0
@@ -497,9 +527,12 @@ OVERRIDES = {
 
 
 def test_overrides_cover_every_key():
-    # the table is kept by hand: every key is in it, and only these three unknown ones
+    # the table is kept by hand: every key is in it, and only these unknown ones, each
+    # a key that was removed, so that the property test sees them refused
     assert set(KEYMAP) - {"output.directory"} <= set(OVERRIDES)
-    assert set(OVERRIDES) - set(KEYMAP) == {"strict", "sweep.param", "sweep.values"}
+    assert set(OVERRIDES) - set(KEYMAP) == {"strict", "sweep.param", "sweep.values",
+                                            "solver.positivity_floor",
+                                            "solver.max_dt_halvings", "mms.L"}
 
 
 @settings(derandomize=True, deadline=None, max_examples=60,

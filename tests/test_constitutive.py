@@ -267,6 +267,12 @@ class TestKanelPotential:
         with pytest.raises(DomainError):
             kanel_potential(HProfile.constant(1.0), -2.0)
 
+    @pytest.mark.parametrize("ell1, ell2, v", [(5000, 1, 1.3), (1, 5000, 0.7)])
+    def test_overflowing_integrand_is_a_domain_error(self, ell1, ell2, v):
+        # h of a Python float raises OverflowError at 1.3**5000 and 0.7**-5000
+        with pytest.raises(DomainError, match=f"not finite in float64 at z = {v}"):
+            kanel_potential(HProfile.power_sum(ell1, ell2), v)
+
     def test_adaptive_simpson_polynomial(self):
         # exact for cubics by construction; smooth integral to stated tol
         val = adaptive_simpson(lambda x: x ** 3 - 2 * x, 0.0, 2.0)

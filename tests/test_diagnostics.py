@@ -215,16 +215,23 @@ class TestDecayMetrics:
 
 
 def test_initial_data_report():
+    # read off the first record: its h2_dev, min_v, max_v and min_theta
     g = build_grid(4.0, 128)
+    collector = DiagnosticsCollector(GasModel(5 / 3), g)
     s = State.equilibrium(g)
-    rep = initial_data_report(s, g)
+    rep = initial_data_report(collector.make_record(s))
     assert rep.pi0_discrete == 0.0
     assert rep.min_v0 == rep.max_v0 == 1.0 and rep.min_theta0 == 1.0
     x = g.all_cell_centers()
     s.v = 1.0 + 0.2 * np.exp(-(x ** 2))
-    rep = initial_data_report(apply_farfield(s, g), g)
+    s.theta = 1.0 - 0.1 * np.exp(-(x ** 2))
+    rec = collector.make_record(apply_farfield(s, g))
+    rep = initial_data_report(rec)
+    assert rep.to_dict() == {"pi0_discrete": rec.h2_dev, "min_v0": rec.min_v,
+                             "max_v0": rec.max_v, "min_theta0": rec.min_theta}
     assert rep.pi0_discrete > 0.0
     assert rep.max_v0 == pytest.approx(1.2, abs=1e-3)
+    assert rep.min_theta0 == pytest.approx(0.9, abs=1e-3)
 
 
 class TestCollector:

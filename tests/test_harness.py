@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import ns1d.harness
+import ns1d.solver
 from ns1d.diagnostics import DiagnosticsRecord, energy_identity_residual
 from ns1d.errors import ConfigError
 from ns1d.grid import State, build_grid
@@ -412,10 +413,11 @@ class TestRun:
         rows = (tmp_path / "timeseries.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + 6  # header + floor(t_end/output_every) + 1
 
-    def test_exhaustion_recorded_in_the_returned_summary(self, tmp_path):
+    def test_exhaustion_recorded_in_the_returned_summary(self, tmp_path, monkeypatch):
         # two-bump dips theta to 0.88, below the floor, for every trial dt
-        cfg = fast_config(preset="two-bump", positivity_floor=0.9, max_dt_halvings=2)
-        s = run(cfg, out_dir=tmp_path)
+        monkeypatch.setattr(ns1d.solver, "POSITIVITY_FLOOR", 0.9)
+        monkeypatch.setattr(ns1d.solver, "MAX_DT_HALVINGS", 2)
+        s = run(fast_config(preset="two-bump"), out_dir=tmp_path)
         assert s.exit_status == "error"
         assert s.error.startswith("PositivityExhaustedError: ")
         data = json.loads((tmp_path / "summary.json").read_text())
@@ -487,11 +489,12 @@ class TestSweep:
         with pytest.raises(ConfigError, match="sweep parameter"):
             sweep(fast_config(), "width", [1.0], out_dir=tmp_path)
 
-    def test_failure_recorded_not_raised(self, tmp_path):
+    def test_failure_recorded_not_raised(self, tmp_path, monkeypatch):
         # two-bump dips theta to 0.88, below the floor, at amplitude 0.3 only;
         # the failed run is recorded and the sweep goes on
-        cfg = fast_config(preset="two-bump", positivity_floor=0.9, max_dt_halvings=2,
-                          t_end=0.1)
+        monkeypatch.setattr(ns1d.solver, "POSITIVITY_FLOOR", 0.9)
+        monkeypatch.setattr(ns1d.solver, "MAX_DT_HALVINGS", 2)
+        cfg = fast_config(preset="two-bump", t_end=0.1)
         summaries = sweep(cfg, "amplitude", [0.3, 0.0], out_dir=tmp_path)
         assert [s.exit_status for s in summaries] == ["error", "ok"]
         assert summaries[0].error.startswith("PositivityExhaustedError: ")

@@ -19,6 +19,7 @@ from ns1d.grid import State, apply_farfield, build_grid
 from ns1d.harness import RunConfig, make_initial_data, make_model
 from ns1d.solver import (
     BACKWARD_ERROR_TOL,
+    POSITIVITY_FLOOR,
     SolverConfig,
     _implicit_diffusion,
     _landing_times,
@@ -154,7 +155,7 @@ class TestExplicitStep:
             pred = apply_farfield(State(h, s0.v + h * k0[0], s0.u + h * k0[1],
                                         s0.theta + h * k0[2]), g)
             try:
-                make_stage(pred, m, g, CFG.positivity_floor)
+                make_stage(pred, m, g, POSITIVITY_FLOOR)
             except PositivityError:
                 continue
             accepted.append(h)
@@ -162,16 +163,17 @@ class TestExplicitStep:
         assert 2 <= len(accepted) < stats.rejected_substeps + 1
         assert times == [0.0] + accepted
 
-    def test_rejection_then_exhaustion(self):
+    def test_rejection_then_exhaustion(self, monkeypatch):
         g = build_grid(2.0, 32)
         m = GasModel(5 / 3, h=HProfile.constant(1.0))
         s = gauss_state(g, a=0.5)
         s.theta[:] = 1.0
         s.theta[g.ghost_depth + 5] = 1e-7  # near-floor cell collapses under any dt
-        cfg = dataclasses.replace(CFG, positivity_floor=0.5, max_dt_halvings=3)
+        monkeypatch.setattr(ns1d.solver, "POSITIVITY_FLOOR", 0.5)
+        monkeypatch.setattr(ns1d.solver, "MAX_DT_HALVINGS", 3)
         from ns1d.errors import PositivityExhaustedError
-        with pytest.raises(PositivityExhaustedError):
-            step_explicit(s, m, g, cfg, 1e-2)
+        with pytest.raises(PositivityExhaustedError, match="after 3 dt halvings"):
+            step_explicit(s, m, g, CFG, 1e-2)
 
 
 def reference_h(h, v):
@@ -366,9 +368,9 @@ class TestEnergyForm:
         s.theta = gauss_state(g, a=a, w=0.5).theta     # so that P = theta/v is not constant
         real_step, imex_k0 = ns1d.solver._step, []
 
-        def recorded(s0, config, dt, k0, correct):
+        def recorded(s0, dt, k0, correct):
             imex_k0.append(k0)
-            return real_step(s0, config, dt, k0, correct)
+            return real_step(s0, dt, k0, correct)
 
         monkeypatch.setattr(ns1d.solver, "_step", recorded)
         step_imex(s, model, g, CFG, advective_dt(s, model, g, CFG))
@@ -913,7 +915,7 @@ class TestImplicitSolves:
 
 
 class TestSolverConfig:
-    @pytest.mark.parametrize("field,value", [("dt_max", math.nan), ("max_dt_halvings", 2.5)])
+    @pytest.mark.parametrize("field,value", [("dt_max", math.nan)])
     def test_refused(self, field, value):
         with pytest.raises(ArgumentError, match=field):
             SolverConfig(**{field: value})
