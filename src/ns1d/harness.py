@@ -26,9 +26,9 @@ from .diagnostics import (DiagnosticsCollector, DiagnosticsRecord,
                           decay_metrics, initial_data_report, theta_floor_fit)
 from .errors import ArgumentError, ConfigError, DomainError, Ns1dError
 from .grid import Grid, State, apply_farfield, build_grid
-from .solver import SolverConfig, advance, landing_tolerance, make_stage
+from .solver import SolverConfig, Stage, advance, landing_tolerance, make_stage, step_size
 from .verification import (MMS_HALF_WIDTH, ManufacturedCase, check_levels, check_support,
-                           convergence_study, default_case)
+                           convergence_study, default_case, exact_state)
 
 __all__ = [
     "RunConfig", "RunSummary", "PRESETS", "SWEEP_PARAMETERS", "load_config", "parse_value",
@@ -143,9 +143,10 @@ def plan(config: RunConfig) -> Plan:
     Each object is made by the one builder that owns its rules, so each rule
     lives there; their ArgumentError and DomainError become ConfigError.  The
     preset picks the data: the MMS case and its levels for "mms", the grid and
-    the initial data otherwise, staged here for `advance` to reuse; a start whose
-    mu or kappa is not finite cannot be stepped, so it is refused.  An MMS study
-    writes only summary.json, so its formats must include json.
+    the initial data otherwise, staged here for `advance` to reuse.  The start,
+    an MMS study's at its first level, is refused if it cannot be stepped (see
+    `_check_start`).  An MMS study writes only summary.json, so its formats must
+    include json.
     """
     non_finite = [key for key, attr in KEYMAP.items()
                   if _FIELD_TYPES[attr] == "float" and not math.isfinite(getattr(config, attr))]
@@ -170,16 +171,15 @@ def plan(config: RunConfig) -> Plan:
         if config.preset == "mms":
             levels = parse_list(config.mms_levels, int)
             check_levels(levels)
-            build_grid(MMS_HALF_WIDTH, levels[0])
-            data = dict(case=default_case(amplitude=config.mms_amplitude), levels=levels)
+            grid = build_grid(MMS_HALF_WIDTH, levels[0])
+            case = default_case(amplitude=config.mms_amplitude)
+            _check_start(exact_state(case, grid, 0.0), model, grid, solver_config,
+                         config.mms_t_end)
+            data = dict(case=case, levels=levels)
         else:
             grid = build_grid(config.grid_L, config.grid_N, config.grid_ghost_depth)
-            with np.errstate(over="ignore", invalid="ignore"):     # refused below, not warned
-                start = make_stage(make_initial_data(config, grid), model, grid)
-            for name, coeff in (("mu", start.mu_v), ("kappa", start.kappa_v)):
-                if not math.isfinite(coeff.max()):
-                    raise ConfigError(f"the initial {name} = {name}_tilde h(v) theta^alpha is "
-                                      "not finite in float64, so the start cannot be stepped")
+            start = _check_start(make_initial_data(config, grid), model, grid, solver_config,
+                                 config.t_end)
             data = dict(grid=grid, state=start)
     except (ArgumentError, DomainError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -189,6 +189,26 @@ def plan(config: RunConfig) -> Plan:
             f"got ell1={config.h_ell1}, ell2={config.h_ell2}; proceeding",
             stacklevel=2)
     return Plan(config, model, solver_config, formats, **data)
+
+
+def _check_start(state: State, model: GasModel, grid: Grid, solver_config: SolverConfig,
+                 t_end: float) -> Stage:
+    """The stage of a start that can be stepped to t_end; ConfigError if its mu or kappa
+    is not finite in float64, or if its first step, sized as `advance` sizes it, is
+    below the landing tolerance 1e-12 * t_end (a huge but finite viscosity would
+    otherwise step at its parabolic limit near 1e-300, or exhaust the dt halvings)."""
+    with np.errstate(over="ignore", invalid="ignore"):     # refused below, not warned
+        start = make_stage(state, model, grid)
+    for name, coeff in (("mu", start.mu_v), ("kappa", start.kappa_v)):
+        if not math.isfinite(coeff.max()):
+            raise ConfigError(f"the initial {name} = {name}_tilde h(v) theta^alpha is "
+                              "not finite in float64, so the start cannot be stepped")
+    dt, tol = step_size(start, model, grid, solver_config), landing_tolerance(0.0, t_end)
+    if not dt >= tol:
+        raise ConfigError(f"the first {solver_config.integrator} step, {dt:.3g}, is below the "
+                          f"landing tolerance 1e-12 * t_end = {tol:.3g}, so the run cannot "
+                          "reach t_end")
+    return start
 
 
 def _assign(config: RunConfig, entries, noun: str = "key") -> RunConfig:

@@ -22,13 +22,14 @@ The floor, the dt-halving budget and each solve's backward-error bound are const
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-# LAPACK's positive-definite tridiagonal solver; perfbench/tracer.py and tests count it by name
-from scipy.linalg.lapack import dptsv as solve_banded
 
 from .constitutive import GasModel, transport
 # not called here: perfbench/tracer.py patches it in this namespace by name
@@ -40,8 +41,31 @@ from .grid import Grid, State, apply_farfield
 __all__ = [
     "SolverConfig", "StepStats", "AdvanceStats", "Stage", "make_stage",
     "rhs", "stable_dt", "advective_dt", "step_explicit", "step_imex", "advance",
-    "backward_euler_velocity", "backward_euler_theta", "landing_tolerance",
+    "backward_euler_velocity", "backward_euler_theta", "landing_tolerance", "step_size",
 ]
+
+
+def _load_flapack():
+    """scipy's LAPACK extension, scipy.linalg._flapack, run from its file without importing
+    the scipy.linalg package, whose import (it pulls in numpy.f2py and numpy.testing) takes
+    some sixty times as long as the extension's.  Loaded under its own name, it is the very
+    module, and its routines the very objects, that scipy.linalg.lapack binds, whichever
+    of the two is imported first."""
+    scipy = importlib.util.find_spec("scipy")              # finds scipy, imports nothing
+    roots = scipy.submodule_search_locations if scipy else []
+    where = [os.path.join(root, "linalg") for root in roots]
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", where)
+    if spec is None:
+        raise ImportError(f"LAPACK's dptsv needs scipy/linalg/_flapack"
+                          f"{importlib.machinery.EXTENSION_SUFFIXES[0]}, found in none of "
+                          f"{where} (scipy's linalg directories)")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# LAPACK's positive-definite tridiagonal solver; perfbench/tracer.py and tests count it by name
+solve_banded = _load_flapack().dptsv
 
 # source callback: t -> (S_v on cells, S_u on nodes, S_theta on cells)
 Sources = Optional[Callable[[float], tuple]]
@@ -166,6 +190,19 @@ def stable_dt(state: State, model: GasModel, grid: Grid, config: SolverConfig) -
 def advective_dt(state: State, model: GasModel, grid: Grid, config: SolverConfig) -> float:
     """Advective CFL limit only; the IMEX integrator is free of the parabolic one."""
     return _dt(state, model, grid, config, parabolic=False)
+
+
+def _integrator(config: SolverConfig):
+    """(step, dt) of config's integrator: Heun under the full stable_dt, or IMEX
+    under the advective limit alone."""
+    if config.integrator == "imex":
+        return step_imex, advective_dt
+    return step_explicit, stable_dt
+
+
+def step_size(state: State, model: GasModel, grid: Grid, config: SolverConfig) -> float:
+    """The step advance takes from state before cutting it to land on an output time."""
+    return _integrator(config)[1](state, model, grid, config)
 
 
 def _step(s0: Stage, dt: float, k0, correct):
@@ -326,10 +363,7 @@ def advance(state: State, model: GasModel, grid: Grid, config: SolverConfig,
     """
     if t_end < state.t:
         raise ArgumentError(f"t_end {t_end} precedes state time {state.t}")
-    if config.integrator == "imex":
-        step, dt_fn = step_imex, advective_dt
-    else:
-        step, dt_fn = step_explicit, stable_dt
+    step, dt_fn = _integrator(config)
     state = make_stage(state, model, grid)
     stats = AdvanceStats()
     eps = landing_tolerance(state.t, t_end)

@@ -274,6 +274,10 @@ MMS_FAST = ["--set", "mms.levels=16,32,64", "--set", "mms.t_end=0.05"]
     ["sweep", "--set", "preset=constant", "--param", "amplitude", "--values=0.05,0.5"],
     ["validate-h", "--set", "gas.h.kind=constant", "--set", "gas.h.c=1e-320"],
     ["validate-h", "--set", "gas.h.ell1=1e308"],
+    # finite viscosities whose first step is below the landing tolerance: the explicit
+    # run would step near 1e-302, the MMS study's level-16 start near 2e-121
+    ["run", "--set", "gas.mu_tilde=1e300"],
+    ["mms", "--set", "gas.h.ell1=5000"],
 ], ids=lambda argv: " ".join(argv))
 def test_refused_input_exits_2(argv, out_dir, capsys):
     command, rest = argv[0], argv[1:]

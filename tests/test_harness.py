@@ -160,6 +160,20 @@ class TestValidation:
         assert str(ran.value) == str(planned.value)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("integrator, refused", [("explicit", True), ("imex", False)])
+    def test_first_step_is_sized_by_the_integrator(self, integrator, refused):
+        # mu = 1e300 leaves only the parabolic limit near 1e-302, which IMEX does not take
+        config = fast_config(gas_mu_tilde=1e300, integrator=integrator)
+        if refused:
+            with pytest.raises(ConfigError, match=r"first explicit step, 2.5e-302, is below"):
+                plan(config)
+        else:
+            assert plan(config).state.mu_v.max() > 1e299
+
+    def test_imex_start_with_a_large_viscosity_runs(self, tmp_path):
+        summary = run(fast_config(gas_mu_tilde=1e6, integrator="imex"), out_dir=tmp_path)
+        assert summary.exit_status == "ok" and summary.steps > 0
+
     def test_solver_keys_are_solver_config_fields(self):
         # one copy of each solver default: SolverConfig's
         run_fields = {f.name: f for f in dataclasses.fields(RunConfig)}

@@ -1,11 +1,15 @@
-"""Guards on the package's imports: what `import ns1d` loads (scipy.interpolate
-and scipy.optimize, which it pulls in, cost most of the package's import time
-and are not used), that every `__all__` entry resolves, that no module
-imports a name it does not use, that no private helper outlives its last
-reader, and that no configuration field outlives its last reader."""
+"""Guards on the package's imports: that `import ns1d`, and an IMEX run, load
+no scipy module but LAPACK's extension `scipy.linalg._flapack` (the
+scipy.linalg package would cost most of the package's import time and is not
+used), that `ns1d.solver.solve_banded` is scipy's own `dptsv`, that every
+`__all__` entry resolves, that no module imports a name it does not use, that
+no private helper outlives its last reader, and that no configuration field
+outlives its last reader."""
 
 import ast
 import importlib
+import importlib.machinery
+import importlib.util
 import json
 import os
 import pkgutil
@@ -13,18 +17,49 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ns1d
+import ns1d.solver
 
 SRC = Path(ns1d.__file__).resolve().parents[1]
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.startswith('scipy'))"
 
 
-def test_import_loads_no_interpolate_or_optimize():
-    code = ("import json, sys, ns1d; print(json.dumps(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.interpolate', 'scipy.optimize')))))")
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert json.loads(out) == []
+def in_fresh_process(code: str, **env) -> str:
+    """What code prints to stdout, run by a new interpreter that finds ns1d in SRC."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), **env)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_import_loads_no_interpolate_or_optimize(tmp_path):
+    # nor any scipy module but the LAPACK extension, before and after an IMEX run
+    run = ["run", "--set", "solver.integrator=imex", "--set", "grid.N=64", "--set",
+           "time.t_end=0.1", "--set", "output.formats=json"]
+    code = (f"import json, sys, ns1d; before = {SCIPY_MODULES}; from ns1d.cli import main; "
+            f"code = main({run!r}); print(json.dumps([before, code, {SCIPY_MODULES}]))")
+    out = in_fresh_process(code, NS1D_OUT=str(tmp_path))
+    assert json.loads(out.splitlines()[-1]) == [["scipy.linalg._flapack"], 0,
+                                                ["scipy.linalg._flapack"]]
+
+
+@pytest.mark.parametrize("first, second", [("ns1d.solver", "scipy.linalg.lapack"),
+                                           ("scipy.linalg.lapack", "ns1d.solver")])
+def test_solve_banded_is_scipys_dptsv(first, second):
+    code = (f"import {first}, {second}; "
+            "print(ns1d.solver.solve_banded is scipy.linalg.lapack.dptsv)")
+    assert in_fresh_process(code).split() == ["True"]
+
+
+def test_missing_lapack_extension_is_an_import_error(tmp_path, monkeypatch):
+    # a scipy without linalg/_flapack*.so where the loader looks: refused, naming the file
+    moved = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    moved.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: moved)
+    with pytest.raises(ImportError, match=r"scipy/linalg/_flapack\..*so, found in none of "
+                                          rf"\['{tmp_path}/linalg'\]"):
+        ns1d.solver._load_flapack()
 
 
 def test_every_all_entry_resolves():

@@ -32,6 +32,7 @@ from ns1d.solver import (
     stable_dt,
     step_explicit,
     step_imex,
+    step_size,
 )
 from ns1d.verification import default_case, exact_state, make_source_fn
 
@@ -948,6 +949,18 @@ class TestAdvance:
             advance(State(0.0, -State.equilibrium(g).v, np.zeros(g.nnodes),
                           State.equilibrium(g).theta), m, g, CFG, 0.05)
         assert info.value.steps == 0
+
+    @pytest.mark.parametrize("integrator, limit", [("explicit", stable_dt),
+                                                   ("imex", advective_dt)])
+    def test_first_step_is_step_size(self, integrator, limit):
+        # the step a harness checks before a run is the one advance takes
+        g = build_grid(4.0, 64)
+        m = GasModel(5 / 3)
+        cfg = SolverConfig(integrator=integrator)
+        s0 = gauss_state(g, a=0.1)
+        taken = []
+        advance(s0, m, g, cfg, 0.1, on_step=lambda s, stats: taken.append(stats.dt_used))
+        assert taken[0] == step_size(s0, m, g, cfg) == limit(s0, m, g, cfg) < 0.1
 
     def test_t_end_before_the_state_refused(self):
         g = build_grid(2.0, 32)
