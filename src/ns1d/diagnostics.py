@@ -132,8 +132,11 @@ def dissipation_rate(state: State, model: GasModel, grid: Grid) -> float:
     """
     s = make_stage(state, model, grid)
     ux, thx = s.ux, grid.cell_average_of_nodes(s.theta_x)
-    integrand = (s.mu_v * ux * ux + s.kappa_v * thx * thx / s.theta) / s.theta
-    return float(np.sum(integrand[grid.cell_interior]) * grid.dx)
+    integrand, heat = s.mu_v * ux, s.kappa_v * thx      # formed in place from here
+    integrand *= ux
+    integrand += np.divide(np.multiply(heat, thx, out=heat), s.theta, out=heat)
+    integrand /= s.theta
+    return float(np.add.reduce(integrand[grid.cell_interior]) * grid.dx)   # np.sum's bits
 
 
 def eta_total(state: State, model: GasModel, grid: Grid) -> float:

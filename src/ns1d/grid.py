@@ -83,11 +83,12 @@ class Grid:
 
     # -- stencil operators --------------------------------------------------
 
-    def node_diff(self, cell_field: np.ndarray) -> np.ndarray:
-        """Backward difference of a cell field onto nodes; edge nodes get 0."""
+    def node_diff(self, cell_field: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        """Backward difference of a cell field onto nodes, into out if given; edge nodes get 0."""
         if cell_field.shape != (self.ncells,):
             raise ArgumentError(f"expected cell field of length {self.ncells}")
-        out = np.zeros(self.nnodes)
+        out = np.empty(self.nnodes) if out is None else out
+        out[0] = out[-1] = 0.0
         inner = out[1:-1]                   # (c[1:] - c[:-1]) / dx, formed in place
         np.subtract(cell_field[1:], cell_field[:-1], out=inner)
         inner /= self.dx
@@ -97,7 +98,8 @@ class Grid:
         """Forward difference of a node field onto cells."""
         if node_field.shape != (self.nnodes,):
             raise ArgumentError(f"expected node field of length {self.nnodes}")
-        return (node_field[1:] - node_field[:-1]) / self.dx
+        out = np.subtract(node_field[1:], node_field[:-1])
+        return np.divide(out, self.dx, out=out)
 
     def face_average(self, cell_field: np.ndarray) -> np.ndarray:
         """Arithmetic mean of adjacent cells at nodes; edges copy the one neighbor."""
@@ -115,7 +117,8 @@ class Grid:
         """Mean of the two bounding nodes on each cell."""
         if node_field.shape != (self.nnodes,):
             raise ArgumentError(f"expected node field of length {self.nnodes}")
-        return 0.5 * (node_field[:-1] + node_field[1:])
+        out = np.add(node_field[:-1], node_field[1:])
+        return np.multiply(out, 0.5, out=out)
 
     # -- norms ----------------------------------------------------------------
 
@@ -126,7 +129,11 @@ class Grid:
         if kind == "Linf":
             return float(np.max(np.abs(f))) if f.size else 0.0
         if kind == "L2":
-            return float(np.sqrt(np.sum(f * f) * self.dx))
+            with np.errstate(over="ignore"):
+                squares = np.sum(f * f)
+            if squares == np.inf and np.isfinite(scale := np.max(np.abs(f))):
+                return float(scale * np.sqrt(np.sum((f / scale) ** 2) * self.dx))  # rescaled
+            return float(np.sqrt(squares * self.dx))
         raise ArgumentError(f"unknown norm kind {kind!r}")
 
     def sobolev_norms(self, f: np.ndarray) -> tuple:

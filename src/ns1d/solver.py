@@ -108,16 +108,15 @@ class AdvanceStats:
 
 @dataclass
 class Stage(State):
-    """A state plus what the rates, the step size and the dissipation rate
-    need of it, computed once: ux = cell_diff(u), the coefficients the
-    equations read, mu_v = mu/v and kappa_v = kappa/v, and theta_x = node_diff(theta).
+    """A state, its v, theta and u the views of one flat vector y = [v | theta | u],
+    plus what the rates, the step size and the dissipation rate need of it, computed
+    once: ux = cell_diff(u), mu_v = mu/v, kappa_v = kappa/v, theta_x = node_diff(theta).
 
-    Its one transport call is its one positivity check: v, theta > floor with
-    one min-reduction per field, which propagates NaN, so a NaN entry is
-    refused like a nonpositive one.
+    Its one transport call is its one positivity check: v, theta > floor with one
+    min-reduction per field, which propagates NaN, so NaN is refused like v <= floor.
 
-    The cached fields describe the arrays as they were when the stage was
-    built, so a stage's arrays are never written to.
+    The cached fields describe the arrays as built, so no step writes into a stage
+    or its rates: each result is formed in place on a fresh temporary of its own.
     """
 
     ux: np.ndarray
@@ -126,56 +125,77 @@ class Stage(State):
     theta_x: np.ndarray
     model: GasModel
     grid: Grid
+    y: np.ndarray
 
 
-def make_stage(state: State, model: GasModel, grid: Grid, floor: float = 0.0) -> Stage:
-    """The stage of state, from one transport call, which refuses the state
-    with PositivityError unless v, theta > floor; mu and kappa are divided by v
-    here, once.  A stage built for the same model and grid is returned as it is."""
+def _views(y: np.ndarray, grid: Grid):
+    """(v, u, theta), the views of a flat vector laid out [v | theta | u]."""
+    return y[:grid.ncells], y[2 * grid.ncells:], y[grid.ncells:2 * grid.ncells]
+
+
+def make_stage(state: State, model: GasModel, grid: Grid, floor: float = 0.0,
+               y: Optional[np.ndarray] = None) -> Stage:
+    """The stage of state on y, the flat vector its arrays view, else on a copy, from one
+    transport call, which refuses it with PositivityError unless v, theta > floor; mu and
+    kappa are divided by v here, once.  A stage for the same model and grid is returned as is."""
     if isinstance(state, Stage) and state.model is model and state.grid is grid:
         return state
+    if y is None:
+        y = np.concatenate((state.v, state.theta, state.u))
+        state = State(state.t, *_views(y, grid))
     mu, kappa = transport(model, state.v, state.theta, floor)
     return Stage(state.t, state.v, state.u, state.theta, grid.cell_diff(state.u),
-                 mu / state.v, kappa / state.v, grid.node_diff(state.theta), model, grid)
+                 np.divide(mu, state.v, out=mu), np.divide(kappa, state.v, out=kappa),
+                 grid.node_diff(state.theta), model, grid, y)
 
 
-def _candidate(t: float, v, u, theta, model: GasModel, grid: Grid) -> Stage:
-    """Stage of a trial state, ghosts pinned; PositivityError at or below the floor."""
-    return make_stage(apply_farfield(State(t, v, u, theta), grid), model, grid, POSITIVITY_FLOOR)
+def _candidate(t: float, y: np.ndarray, model: GasModel, grid: Grid) -> Stage:
+    """Stage of a trial state y, ghosts pinned; PositivityError at or below the floor."""
+    state = apply_farfield(State(t, *_views(y, grid)), grid)
+    return make_stage(state, model, grid, POSITIVITY_FLOOR, y)
 
 
-def _pressure_stress(s: Stage):
-    """(P, sigma) on cells: the pressure theta/v and the stress mu_v*u_x - P."""
+def _rates(s: Stage, sources: Sources, explicit_diffusion: bool):
+    """Views (dv, du, dtheta) of a fresh flat vector, their base: u_x; node_diff(sigma),
+    sigma = mu_v*u_x - P, P = theta/v (of -P alone if not explicit_diffusion); sigma*u_x/cv
+    (plus cell_diff(face(kappa_v)*theta_x)/cv if explicit_diffusion); sources(s.t) added."""
+    dv, du, dth = rates = _views(np.empty(s.y.size), s.grid)
+    dv[:] = s.ux
     P = s.theta / s.v
-    return P, s.mu_v * s.ux - P
+    sigma = s.mu_v * s.ux
+    sigma -= P
+    s.grid.node_diff(sigma if explicit_diffusion else np.negative(P, out=P), out=du)
+    sigma *= s.ux
+    if explicit_diffusion:
+        heat_flux = s.grid.face_average(s.kappa_v)
+        heat_flux *= s.theta_x
+        sigma += s.grid.cell_diff(heat_flux)
+    np.divide(sigma, s.model.cv, out=dth)
+    if sources is not None:
+        sv, su, sth = sources(s.t)
+        dv += sv
+        du += su
+        dth += sth / s.model.cv
+    return rates
 
 
 def rhs(state: State, model: GasModel, grid: Grid, sources: Sources = None):
-    """Semidiscrete rates (dv_dt cells, du_dt nodes, dtheta_dt cells)."""
-    s = make_stage(state, model, grid)
-    _, sigma = _pressure_stress(s)
-    heat_flux = grid.face_average(s.kappa_v) * s.theta_x
-    return _add_sources((s.ux.copy(), grid.node_diff(sigma),
-                         (grid.cell_diff(heat_flux) + sigma * s.ux) / model.cv),
-                        s.t, model, sources)
-
-
-def _add_sources(rates, t: float, model: GasModel, sources: Sources):
-    """rates plus sources(t), the theta source over cv."""
-    if sources is None:
-        return rates
-    sv, su, sth = sources(t)
-    return rates[0] + sv, rates[1] + su, rates[2] + sth / model.cv
+    """Semidiscrete rates (dv_dt cells, du_dt nodes, dtheta_dt cells): the views
+    of one flat vector, their base, laid out [v | theta | u] as a stage's y."""
+    return _rates(make_stage(state, model, grid), sources, True)
 
 
 def _dt(state: State, model: GasModel, grid: Grid, config: SolverConfig,
         parabolic: bool) -> float:
     s = make_stage(state, model, grid)
-    c = np.sqrt(model.gamma * s.theta) / s.v
-    dt = config.cfl_advective * grid.dx / float(c.max())
+    c = model.gamma * s.theta
+    np.sqrt(c, out=c)
+    c /= s.v
+    dt = config.cfl_advective * grid.dx / float(np.maximum.reduce(c))
     if parabolic:
-        diff_rate = np.maximum(s.mu_v, s.kappa_v / model.cv)
-        dt = min(dt, config.cfl_parabolic * grid.dx ** 2 / (2.0 * float(diff_rate.max())))
+        diff_rate = s.kappa_v / model.cv
+        diff_max = float(np.maximum.reduce(np.maximum(s.mu_v, diff_rate, out=diff_rate)))
+        dt = min(dt, config.cfl_parabolic * grid.dx ** 2 / (2.0 * diff_max))
     if config.dt_max > 0.0:
         dt = min(dt, config.dt_max)
     return dt
@@ -205,25 +225,23 @@ def step_size(state: State, model: GasModel, grid: Grid, config: SolverConfig) -
     return _integrator(config)[1](state, model, grid, config)
 
 
-def _step(s0: Stage, dt: float, k0, correct):
+def _step(s0: Stage, dt: float, k0: np.ndarray, correct):
     """One two-stage step from s0, retried with dt/2 on PositivityError.
 
-    The predictor is s0 + h*k0, ghosts pinned, refused if an entry is not
-    finite, staged at the positivity floor; correct(stage, h) -> (v, u, theta,
-    residual) turns its stage into the new state.  Returns (new Stage, StepStats).
+    The predictor is s0.y + h*k0 (k0 flat like y), ghosts pinned, refused if an entry
+    is not finite, staged at the positivity floor; correct(stage, h) -> (y, residual)
+    turns its stage into the new state.  Returns (new Stage, StepStats).
     """
     for rejected in range(MAX_DT_HALVINGS + 1):
         try:
-            pred = apply_farfield(State(s0.t + dt, s0.v + dt * k0[0], s0.u + dt * k0[1],
-                                        s0.theta + dt * k0[2]), s0.grid)
-            # a min-reduction passes an inf, and transport or ux of an inf would warn: refused
-            # first, by one dot per field, whose overflow (entries near 1e154) is refused too
-            if not math.isfinite(pred.v.dot(pred.v) + pred.u.dot(pred.u)
-                                 + pred.theta.dot(pred.theta)):
-                raise PositivityError(f"predictor at t={pred.t} has a non-finite entry")
-            v, u, theta, residual = correct(
-                make_stage(pred, s0.model, s0.grid, POSITIVITY_FLOOR), dt)
-            out = _candidate(pred.t, v, u, theta, s0.model, s0.grid)
+            t, y = s0.t + dt, dt * k0
+            y += s0.y
+            pred = apply_farfield(State(t, *_views(y, s0.grid)), s0.grid)
+            # an inf passes a min-reduction and would warn later: one dot refuses it, or overflows
+            if not math.isfinite(y.dot(y)):
+                raise PositivityError(f"predictor at t={t} has a non-finite entry")
+            y, residual = correct(make_stage(pred, s0.model, s0.grid, POSITIVITY_FLOOR, y), dt)
+            out = _candidate(t, y, s0.model, s0.grid)
         except PositivityError:
             dt *= 0.5
             continue
@@ -240,12 +258,12 @@ def step_explicit(state: State, model: GasModel, grid: Grid, config: SolverConfi
     state and stats.dt_used is the step actually taken.
     """
     s0 = make_stage(state, model, grid)
-    k0 = rhs(s0, model, grid, sources)
+    k0 = rhs(s0, model, grid, sources)[0].base
 
     def heun(s1, h):
-        k1 = rhs(s1, model, grid, sources)
-        return (s0.v + 0.5 * h * (k0[0] + k1[0]), s0.u + 0.5 * h * (k0[1] + k1[1]),
-                s0.theta + 0.5 * h * (k0[2] + k1[2]), 0.0)
+        y = k0 + rhs(s1, model, grid, sources)[0].base
+        y *= 0.5 * h
+        return np.add(y, s0.y, out=y), 0.0
 
     return _step(s0, dt, k0, heun)
 
@@ -321,13 +339,12 @@ def step_imex(state: State, model: GasModel, grid: Grid, config: SolverConfig,
     Returns (new_state, StepStats) like step_explicit.
     """
     s0 = make_stage(state, model, grid)
-    P, sigma = _pressure_stress(s0)
-    k0 = _add_sources((s0.ux, grid.node_diff(-P), sigma * s0.ux / model.cv), s0.t, model, sources)
+    k0 = _rates(s0, sources, False)[0].base
 
     def backward_euler(half, h):
         u_new, _, res_u = backward_euler_velocity(half, h)
         theta_new, _, res_th = backward_euler_theta(half, h)
-        return half.v, u_new, theta_new, max(res_u, res_th)
+        return np.concatenate((half.v, theta_new, u_new)), max(res_u, res_th)
 
     return _step(s0, dt, k0, backward_euler)
 

@@ -302,6 +302,18 @@ def test_start_that_cannot_be_stepped_is_one_config_error(argv, name, out_dir, c
     assert not out_dir.exists()
 
 
+def test_huge_imex_viscosity_records_a_finite_norm(out_dir, capsys):
+    # mu = 1e300 h(v): the squares of mu*v_x/v overflow, so the norm is taken rescaled
+    argv = ["run", "--set", "grid.N=64", "--set", "time.t_end=0.1",
+            "--set", "gas.mu_tilde=1e300", "--set", "solver.integrator=imex"]
+    assert main(argv) == EXIT_OK
+    assert "warning:" not in capsys.readouterr().err
+    lines = (out_dir / "timeseries.csv").read_text().splitlines()
+    column = lines[0].split(",").index("mu_vx_norm")
+    norms = [float(line.split(",")[column]) for line in lines[1:]]
+    assert norms and all(1e298 < x < math.inf for x in norms)
+
+
 def test_preset_flag_is_gone(capsys):
     # the preset is the `preset` key: --set preset=gauss-pulse
     with pytest.raises(SystemExit) as exc:

@@ -149,6 +149,26 @@ class TestNorms:
         assert np.array(got).tobytes() == np.array([h1, h2]).tobytes()
         assert g.discrete_norm(f) == l2
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("peak", [1e155, 1e300, 1.7e308])
+    def test_l2_whose_squares_overflow_is_rescaled(self, peak):
+        # only squares that overflow are rescaled by max|f|: the norm stays finite, warns
+        # nothing, and equals the unscaled formula's value scaled back to round-off
+        g = build_grid(1.0, 64)
+        shape = np.sin(np.linspace(0.0, 3.0, 64))
+        f = peak / np.max(np.abs(shape)) * shape
+        want = peak * float(np.sqrt(np.sum((shape / np.max(np.abs(shape))) ** 2) * g.dx))
+        got = g.discrete_norm(f, "L2")
+        assert np.isfinite(got) and got == pytest.approx(want, rel=1e-14)
+        assert g.discrete_norm(f[:0], "L2") == 0.0
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_l2_of_a_non_finite_field_is_not_finite(self, bad):
+        f = np.ones(16)
+        f[3] = bad
+        got = self.g.discrete_norm(f, "L2")
+        assert np.isnan(got) if np.isnan(bad) else got == np.inf
+
 
 def test_apply_farfield():
     g = build_grid(1.0, 16, ghost_depth=2)

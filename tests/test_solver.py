@@ -367,10 +367,11 @@ class TestEnergyForm:
         g = build_grid(8.0, 128)
         s = gauss_state(g, a=a, with_u=True)
         s.theta = gauss_state(g, a=a, w=0.5).theta     # so that P = theta/v is not constant
-        real_step, imex_k0 = ns1d.solver._step, []
+        real_step, imex_k0, C = ns1d.solver._step, [], g.ncells
 
         def recorded(s0, dt, k0, correct):
-            imex_k0.append(k0)
+            # k0 is flat, laid out [v | theta | u] like the stage's y
+            imex_k0.append((k0[:C], k0[2 * C:], k0[C:2 * C]))
             return real_step(s0, dt, k0, correct)
 
         monkeypatch.setattr(ns1d.solver, "_step", recorded)
@@ -692,6 +693,54 @@ class TestSolveTridiag:
             solve(half, 50.0 * stable_dt(half, model, g, CFG))
         for name in names:
             assert getattr(half, name).tobytes() == before[name].tobytes(), name
+
+    @pytest.mark.parametrize("step", [step_explicit, step_imex], ids=["explicit", "imex"])
+    def test_whole_step_leaves_its_input_and_rates_unwritten(self, step, monkeypatch):
+        # the step's sums are formed in place, on fresh vectors: one forced dt halving
+        # later, no array of s0 or of rhs(s0), and no rate the step formed, has moved
+        g, model = build_grid(8.0, 64), GasModel(5 / 3, alpha=0.2, h=HProfile.power_sum(1, 1))
+        s0 = make_stage(gauss_state(g, a=0.4, with_u=True), model, g)
+        names = ("v", "u", "theta", "ux", "mu_v", "kappa_v", "theta_x", "y")
+        before = {name: getattr(s0, name).tobytes() for name in names}
+        rates_before = [r.tobytes() for r in rhs(s0, model, g)]
+        real_rates, real_candidate = ns1d.solver._rates, ns1d.solver._candidate
+        formed, refused = [], []
+
+        def recorded(*args):
+            rates = real_rates(*args)
+            formed.append((rates, [r.tobytes() for r in rates]))
+            return rates
+
+        def refuse_first(*args):            # the first attempt fails at its new state
+            out = real_candidate(*args)
+            if not refused:
+                refused.append(1)
+                raise PositivityError("on purpose")
+            return out
+
+        monkeypatch.setattr(ns1d.solver, "_rates", recorded)
+        monkeypatch.setattr(ns1d.solver, "_candidate", refuse_first)
+        _, stats = step(s0, model, g, CFG, 0.5 * stable_dt(s0, model, g, CFG))
+        assert stats.rejected_substeps == 1 and len(formed) == (3 if step is step_explicit else 1)
+        for rates, bits in formed:
+            assert [r.tobytes() for r in rates] == bits
+        for name in names:
+            assert getattr(s0, name).tobytes() == before[name], name
+        assert [r.tobytes() for r in rhs(s0, model, g)] == rates_before
+
+    def test_stage_of_a_state_is_its_copy(self):
+        # a stage built from a plain State holds its own flat copy of the arrays
+        g, model = build_grid(8.0, 64), GasModel(5 / 3, alpha=0.2, h=HProfile.power_sum(1, 1))
+        state = gauss_state(g, a=0.4, with_u=True)
+        stage = make_stage(state, model, g)
+        names = ("v", "u", "theta", "ux", "mu_v", "kappa_v", "theta_x", "y")
+        before = {name: getattr(stage, name).tobytes() for name in names}
+        for name in ("v", "u", "theta"):
+            getattr(state, name)[:] = 7.0
+        for name in names:
+            assert getattr(stage, name).tobytes() == before[name], name
+        assert stage.y.tobytes() == np.concatenate((stage.v, stage.theta, stage.u)).tobytes()
+        assert stage.v.base is stage.y and stage.u.base is stage.y
 
     def test_imex_step_solves_once_per_theta_pass_plus_velocity(self, monkeypatch):
         # what the trace reports as solver.tridiag.solves_per_step
