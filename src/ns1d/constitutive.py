@@ -107,8 +107,8 @@ def _check_positive(floor: float = 0.0, **kwargs):
 
 
 def _theta_pow(theta, alpha):
-    # exp(alpha*log) is valid for every real alpha; at alpha = 0 it is exactly 1
-    # for theta > 0, so callers skip it there and keep the bits of h alone.
+    # exp(alpha*log) is valid for every real alpha and reduces to exactly 1
+    # at alpha = 0, which keeps the alpha=0 branch bitwise equal to h alone.
     return np.exp(alpha * np.log(theta))
 
 
@@ -117,8 +117,6 @@ def transport(model: GasModel, v, theta, floor: float = 0.0):
     positivity check of the state: PositivityError unless v, theta > floor."""
     _check_positive(floor, v=v, theta=theta)
     hv = model.h(v)
-    if not model.alpha:                     # theta^alpha is exactly 1: not formed
-        return model.mu_tilde * hv, model.kappa_tilde * hv
     ta = _theta_pow(theta, model.alpha)
     return model.mu_tilde * hv * ta, model.kappa_tilde * hv * ta
 

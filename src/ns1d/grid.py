@@ -143,8 +143,10 @@ class Grid:
         dx = self.dx
         diff1 = np.diff(f)
         d1, d2 = diff1 / dx, np.diff(diff1) / dx ** 2
-        h1 = float(np.sqrt(self.discrete_norm(f) ** 2 + np.sum(d1 * d1) * dx))
-        return h1, float(np.sqrt(h1 ** 2 + np.sum(d2 * d2) * dx))
+        s1, s2 = np.sum(d1 * d1) * dx, np.sum(d2 * d2) * dx
+        with np.errstate(over="ignore"):    # squares above ~1e308 are inf; a float's ** raises
+            h1 = np.sqrt(np.float64(self.discrete_norm(f)) ** 2 + s1)
+            return float(h1), float(np.sqrt(h1 ** 2 + s2))
 
 
 def build_grid(L: float, N: int, ghost_depth: int = 2) -> Grid:

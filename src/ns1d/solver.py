@@ -133,33 +133,34 @@ def _views(y: np.ndarray, grid: Grid):
     return y[:grid.ncells], y[2 * grid.ncells:], y[grid.ncells:2 * grid.ncells]
 
 
-def make_stage(state: State, model: GasModel, grid: Grid, floor: float = 0.0,
-               y: Optional[np.ndarray] = None) -> Stage:
-    """The stage of state on y, the flat vector its arrays view, else on a copy, from one
-    transport call, which refuses it with PositivityError unless v, theta > floor; mu and
-    kappa are divided by v here, once.  A stage for the same model and grid is returned as is."""
+def _stage(t: float, y: np.ndarray, model: GasModel, grid: Grid, floor: float = 0.0) -> Stage:
+    """The Stage whose v, theta and u view y; PositivityError unless v, theta > floor."""
+    v, u, theta = _views(y, grid)
+    mu, kappa = transport(model, v, theta, floor)
+    return Stage(t, v, u, theta, grid.cell_diff(u), np.divide(mu, v, out=mu),
+                 np.divide(kappa, v, out=kappa), grid.node_diff(theta), model, grid, y)
+
+
+def make_stage(state: State, model: GasModel, grid: Grid, floor: float = 0.0) -> Stage:
+    """The stage of state, on a flat copy of its arrays; PositivityError unless
+    v, theta > floor.  A stage built for the same model and grid is returned as it is."""
     if isinstance(state, Stage) and state.model is model and state.grid is grid:
         return state
-    if y is None:
-        y = np.concatenate((state.v, state.theta, state.u))
-        state = State(state.t, *_views(y, grid))
-    mu, kappa = transport(model, state.v, state.theta, floor)
-    return Stage(state.t, state.v, state.u, state.theta, grid.cell_diff(state.u),
-                 np.divide(mu, state.v, out=mu), np.divide(kappa, state.v, out=kappa),
-                 grid.node_diff(state.theta), model, grid, y)
+    return _stage(state.t, np.concatenate((state.v, state.theta, state.u)), model, grid, floor)
 
 
 def _candidate(t: float, y: np.ndarray, model: GasModel, grid: Grid) -> Stage:
     """Stage of a trial state y, ghosts pinned; PositivityError at or below the floor."""
-    state = apply_farfield(State(t, *_views(y, grid)), grid)
-    return make_stage(state, model, grid, POSITIVITY_FLOOR, y)
+    apply_farfield(State(t, *_views(y, grid)), grid)
+    return _stage(t, y, model, grid, POSITIVITY_FLOOR)
 
 
-def _rates(s: Stage, sources: Sources, explicit_diffusion: bool):
-    """Views (dv, du, dtheta) of a fresh flat vector, their base: u_x; node_diff(sigma),
+def _rates(s: Stage, sources: Sources, explicit_diffusion: bool) -> np.ndarray:
+    """A fresh flat vector [dv | dtheta | du] of rates: u_x; node_diff(sigma),
     sigma = mu_v*u_x - P, P = theta/v (of -P alone if not explicit_diffusion); sigma*u_x/cv
     (plus cell_diff(face(kappa_v)*theta_x)/cv if explicit_diffusion); sources(s.t) added."""
-    dv, du, dth = rates = _views(np.empty(s.y.size), s.grid)
+    rates = np.empty(s.y.size)
+    dv, du, dth = _views(rates, s.grid)
     dv[:] = s.ux
     P = s.theta / s.v
     sigma = s.mu_v * s.ux
@@ -182,7 +183,7 @@ def _rates(s: Stage, sources: Sources, explicit_diffusion: bool):
 def rhs(state: State, model: GasModel, grid: Grid, sources: Sources = None):
     """Semidiscrete rates (dv_dt cells, du_dt nodes, dtheta_dt cells): the views
     of one flat vector, their base, laid out [v | theta | u] as a stage's y."""
-    return _rates(make_stage(state, model, grid), sources, True)
+    return _views(_rates(make_stage(state, model, grid), sources, True), grid)
 
 
 def _dt(state: State, model: GasModel, grid: Grid, config: SolverConfig,
@@ -236,11 +237,11 @@ def _step(s0: Stage, dt: float, k0: np.ndarray, correct):
         try:
             t, y = s0.t + dt, dt * k0
             y += s0.y
-            pred = apply_farfield(State(t, *_views(y, s0.grid)), s0.grid)
+            apply_farfield(State(t, *_views(y, s0.grid)), s0.grid)
             # an inf passes a min-reduction and would warn later: one dot refuses it, or overflows
             if not math.isfinite(y.dot(y)):
                 raise PositivityError(f"predictor at t={t} has a non-finite entry")
-            y, residual = correct(make_stage(pred, s0.model, s0.grid, POSITIVITY_FLOOR, y), dt)
+            y, residual = correct(_stage(t, y, s0.model, s0.grid, POSITIVITY_FLOOR), dt)
             out = _candidate(t, y, s0.model, s0.grid)
         except PositivityError:
             dt *= 0.5
@@ -339,7 +340,7 @@ def step_imex(state: State, model: GasModel, grid: Grid, config: SolverConfig,
     Returns (new_state, StepStats) like step_explicit.
     """
     s0 = make_stage(state, model, grid)
-    k0 = _rates(s0, sources, False)[0].base
+    k0 = _rates(s0, sources, False)
 
     def backward_euler(half, h):
         u_new, _, res_u = backward_euler_velocity(half, h)

@@ -157,13 +157,12 @@ def mms_sources(case: ManufacturedCase, model: GasModel, t: float, x):
     ux = case.u_x(t, x)
     uxx = case.u_xx(t, x)
 
+    ta = _theta_pow(th, model.alpha)
     hv = np.asarray(model.h(v), dtype=float)
     dhv = np.asarray(model.h.dh(v), dtype=float)
-    mu, kappa, h_ta_x = model.mu_tilde * hv, model.kappa_tilde * hv, dhv * vx
-    if model.alpha:                         # theta^alpha, exactly 1 at alpha = 0, is skipped there
-        ta = _theta_pow(th, model.alpha)
-        mu, kappa = mu * ta, kappa * ta
-        h_ta_x = h_ta_x * ta + hv * model.alpha * ta / th * thx   # d(h(v) theta^alpha)/dx
+    mu = model.mu_tilde * hv * ta
+    kappa = model.kappa_tilde * hv * ta
+    h_ta_x = dhv * vx * ta + hv * model.alpha * ta / th * thx   # d(h(v) theta^alpha)/dx
     mu_x = model.mu_tilde * h_ta_x
     kappa_x = model.kappa_tilde * h_ta_x
 

@@ -162,6 +162,13 @@ class TestNorms:
         assert np.isfinite(got) and got == pytest.approx(want, rel=1e-14)
         assert g.discrete_norm(f[:0], "L2") == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_sobolev_norms_whose_l2_squares_overflow_are_inf(self):
+        # the rescaled L2 norm, ~4e200 here, squares to inf in the H1 sum without raising
+        g = build_grid(1.0, 64)
+        assert np.isfinite(g.discrete_norm(np.full(g.ncells, 1e200)))
+        assert g.sobolev_norms(np.full(g.ncells, 1e200)) == (np.inf, np.inf)
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_l2_of_a_non_finite_field_is_not_finite(self, bad):
         f = np.ones(16)

@@ -708,7 +708,7 @@ class TestSolveTridiag:
 
         def recorded(*args):
             rates = real_rates(*args)
-            formed.append((rates, [r.tobytes() for r in rates]))
+            formed.append((rates, rates.tobytes()))
             return rates
 
         def refuse_first(*args):            # the first attempt fails at its new state
@@ -723,7 +723,7 @@ class TestSolveTridiag:
         _, stats = step(s0, model, g, CFG, 0.5 * stable_dt(s0, model, g, CFG))
         assert stats.rejected_substeps == 1 and len(formed) == (3 if step is step_explicit else 1)
         for rates, bits in formed:
-            assert [r.tobytes() for r in rates] == bits
+            assert rates.tobytes() == bits
         for name in names:
             assert getattr(s0, name).tobytes() == before[name], name
         assert [r.tobytes() for r in rhs(s0, model, g)] == rates_before

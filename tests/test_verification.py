@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ns1d.verification
-from ns1d.constitutive import GasModel, HProfile, transport
+from ns1d.constitutive import GasModel, HProfile
 from ns1d.errors import ArgumentError, NewtonDivergenceError
 from ns1d.grid import State, apply_farfield, build_grid
 from ns1d.solver import SolverConfig, advance, step_explicit, step_imex
@@ -211,38 +211,6 @@ class TestSources:
                     m.cv * c.theta_t(t, x) + th * ux / v - heat_div - mu * ux ** 2 / v)
             for got, expected in zip(mms_sources(c, m, t, x), want):
                 assert np.array_equal(got, expected)
-
-    @pytest.mark.parametrize("h", [HProfile.power_sum(1, 1), HProfile.constant(1.7)],
-                             ids=["power-sum", "constant"])
-    def test_alpha_zero_skips_theta_pow(self, h, monkeypatch):
-        # at alpha = 0, theta^alpha = exp(0*log theta) is exactly 1: transport and the
-        # sources equal their alpha-free forms bitwise, and neither takes a log or an exp
-        m = GasModel(1.4, mu_tilde=1.3, kappa_tilde=0.7, alpha=0.0, h=h)
-        g = build_grid(12.0, 128)
-        x = np.empty(g.nnodes + g.ncells)
-        x[0::2] = g.all_node_positions()
-        x[1::2] = g.all_cell_centers()
-        c = default_case(0.1).at(x)                 # profiles formed here, with their exps
-        t = 0.13
-        v, th, vx, thx = c.v(t, x), c.theta(t, x), c.v_x(t, x), c.theta_x(t, x)
-        ux, uxx = c.u_x(t, x), c.u_xx(t, x)
-        hv, dhv = np.asarray(m.h(v), dtype=float), np.asarray(m.h.dh(v), dtype=float)
-        mu, kappa = m.mu_tilde * hv, m.kappa_tilde * hv
-        mu_x, kappa_x = m.mu_tilde * (dhv * vx), m.kappa_tilde * (dhv * vx)
-        visc_div = (mu_x * ux + mu * uxx) / v - mu * ux * vx / v ** 2
-        heat_div = (kappa_x * thx + kappa * c.theta_xx(t, x)) / v - kappa * thx * vx / v ** 2
-        want = (c.v_t(t, x) - ux, c.u_t(t, x) + (thx / v - th * vx / v ** 2) - visc_div,
-                m.cv * c.theta_t(t, x) + th * ux / v - heat_div - mu * ux ** 2 / v)
-
-        def refused(*args, **kwargs):
-            raise AssertionError("log or exp taken at alpha = 0")
-
-        monkeypatch.setattr(np, "log", refused)
-        monkeypatch.setattr(np, "exp", refused)
-        got_transport, got_sources = transport(m, v, th), mms_sources(c, m, t, x)
-        monkeypatch.undo()
-        for got, expected in zip(got_transport + got_sources, (mu, kappa) + want):
-            assert got.tobytes() == expected.tobytes()
 
     def test_one_mms_sources_call_per_rate(self, monkeypatch):
         real, calls = ns1d.verification.mms_sources, []
