@@ -141,10 +141,10 @@ class Grid:
         the first divided differences, H2 adds to H1 that of the second."""
         f = np.asarray(f, dtype=float)
         dx = self.dx
-        diff1 = np.diff(f)
-        d1, d2 = diff1 / dx, np.diff(diff1) / dx ** 2
-        s1, s2 = np.sum(d1 * d1) * dx, np.sum(d2 * d2) * dx
         with np.errstate(over="ignore"):    # squares above ~1e308 are inf; a float's ** raises
+            diff1 = np.diff(f)
+            d1, d2 = diff1 / dx, np.diff(diff1) / dx ** 2
+            s1, s2 = np.sum(d1 * d1) * dx, np.sum(d2 * d2) * dx
             h1 = np.sqrt(np.float64(self.discrete_norm(f)) ** 2 + s1)
             return float(h1), float(np.sqrt(h1 ** 2 + s2))
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import ClassVar, Dict, List, Optional
 
 import numpy as np
 
@@ -53,7 +53,7 @@ class RunConfig:
     # grid
     grid_L: float = _key("grid.L", 16.0)
     grid_N: int = _key("grid.N", 512)
-    grid_ghost_depth: int = _key("grid.ghost_depth", 2)
+    grid_ghost_depth: ClassVar[int] = 2  # not a key: a deeper halo changes no output
     # gas
     gas_gamma: float = _key("gas.gamma", 5.0 / 3.0)
     gas_mu_tilde: float = _key("gas.mu_tilde", 1.0)

@@ -2,9 +2,10 @@
 (one linear tridiagonal solve each for u and theta, coefficients frozen at the half state).
 
 Both take one two-stage step: the predictor, or half state, is forward Euler on the
-step's explicit rates k0 (sources included), refused unless every entry is finite;
-a corrector then gives the new state, Heun's from rhs at the predictor, IMEX's from
-the two implicit solves at its stage.  A refused attempt is retried with dt/2.
+step's explicit rates k0 (sources included); a corrector then gives the new state, Heun's
+from rhs at the predictor, IMEX's from the two implicit solves at its stage.  Each trial
+state is refused unless every entry is finite and v, theta > POSITIVITY_FLOOR; a refused
+attempt is retried with dt/2.
 
 The semidiscrete system on the staggered grid is
 
@@ -149,9 +150,13 @@ def make_stage(state: State, model: GasModel, grid: Grid, floor: float = 0.0) ->
     return _stage(state.t, np.concatenate((state.v, state.theta, state.u)), model, grid, floor)
 
 
-def _candidate(t: float, y: np.ndarray, model: GasModel, grid: Grid) -> Stage:
-    """Stage of a trial state y, ghosts pinned; PositivityError at or below the floor."""
+def _trial(t: float, y: np.ndarray, model: GasModel, grid: Grid) -> Stage:
+    """Stage of a trial state y, ghosts pinned; PositivityError if an entry is not
+    finite or v, theta are at or below the floor."""
     apply_farfield(State(t, *_views(y, grid)), grid)
+    # an inf passes a min-reduction and would warn later: one dot refuses it, or overflows
+    if not math.isfinite(y.dot(y)):
+        raise PositivityError(f"trial state at t={t} has a non-finite entry")
     return _stage(t, y, model, grid, POSITIVITY_FLOOR)
 
 
@@ -229,20 +234,16 @@ def step_size(state: State, model: GasModel, grid: Grid, config: SolverConfig) -
 def _step(s0: Stage, dt: float, k0: np.ndarray, correct):
     """One two-stage step from s0, retried with dt/2 on PositivityError.
 
-    The predictor is s0.y + h*k0 (k0 flat like y), ghosts pinned, refused if an entry
-    is not finite, staged at the positivity floor; correct(stage, h) -> (y, residual)
-    turns its stage into the new state.  Returns (new Stage, StepStats).
+    The predictor is s0.y + h*k0 (k0 flat like y); correct(stage, h) -> (y, residual)
+    turns its stage into the new state.  Both pass the one gate, _trial.
+    Returns (new Stage, StepStats).
     """
     for rejected in range(MAX_DT_HALVINGS + 1):
         try:
             t, y = s0.t + dt, dt * k0
             y += s0.y
-            apply_farfield(State(t, *_views(y, s0.grid)), s0.grid)
-            # an inf passes a min-reduction and would warn later: one dot refuses it, or overflows
-            if not math.isfinite(y.dot(y)):
-                raise PositivityError(f"predictor at t={t} has a non-finite entry")
-            y, residual = correct(_stage(t, y, s0.model, s0.grid, POSITIVITY_FLOOR), dt)
-            out = _candidate(t, y, s0.model, s0.grid)
+            y, residual = correct(_trial(t, y, s0.model, s0.grid), dt)
+            out = _trial(t, y, s0.model, s0.grid)
         except PositivityError:
             dt *= 0.5
             continue
@@ -251,8 +252,7 @@ def _step(s0: Stage, dt: float, k0: np.ndarray, correct):
         f"positivity still violated after {MAX_DT_HALVINGS} dt halvings at t={s0.t}")
 
 
-def step_explicit(state: State, model: GasModel, grid: Grid, config: SolverConfig,
-                  dt: float, sources: Sources = None):
+def step_explicit(state: State, model: GasModel, grid: Grid, dt: float, sources: Sources = None):
     """One SSP-RK2 step; on positivity violation retries with dt/2.
 
     Returns (new_state, StepStats); new_state is the Stage of the accepted
@@ -330,8 +330,7 @@ def backward_euler_theta(half: Stage, dt: float):
                                dt, grid, "temperature")
 
 
-def step_imex(state: State, model: GasModel, grid: Grid, config: SolverConfig,
-              dt: float, sources: Sources = None):
+def step_imex(state: State, model: GasModel, grid: Grid, dt: float, sources: Sources = None):
     """One IMEX step: the explicit rates k0 = (u_x, node_diff(-P), sigma*u_x/cv),
     plus the sources, all at t_n, give the predictor s0 + h*k0 = (v*, u*, theta*),
     whose Stage both implicit diffusion solves read: mu/v and kappa/v are frozen
@@ -392,7 +391,7 @@ def advance(state: State, model: GasModel, grid: Grid, config: SolverConfig,
         for target in _landing_times(state.t, t_end, output_every, eps):
             while True:  # at least one step per landing time, so none is swallowed
                 dt = min(dt_fn(state, model, grid, config), target - state.t)
-                state, sstats = step(state, model, grid, config, dt, sources)
+                state, sstats = step(state, model, grid, dt, sources)
                 stats.steps += 1
                 stats.rejected_substeps += sstats.rejected_substeps
                 if on_step is not None:

@@ -548,7 +548,8 @@ def test_overrides_cover_every_key():
     assert set(KEYMAP) - {"output.directory"} <= set(OVERRIDES)
     assert set(OVERRIDES) - set(KEYMAP) == {"strict", "sweep.param", "sweep.values",
                                             "solver.positivity_floor",
-                                            "solver.max_dt_halvings", "mms.L"}
+                                            "solver.max_dt_halvings", "mms.L",
+                                            "grid.ghost_depth"}
 
 
 @settings(derandomize=True, deadline=None, max_examples=60,

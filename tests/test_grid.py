@@ -169,6 +169,13 @@ class TestNorms:
         assert np.isfinite(g.discrete_norm(np.full(g.ncells, 1e200)))
         assert g.sobolev_norms(np.full(g.ncells, 1e200)) == (np.inf, np.inf)
 
+    @pytest.mark.filterwarnings("error")
+    def test_sobolev_norms_whose_difference_squares_overflow_are_inf(self):
+        # the L2 norm, ~6e199, and each first difference, ~1e199 over dx, are finite;
+        # squaring the differences overflows without raising
+        f = np.linspace(-1e200, 1e200, 16)
+        assert build_grid(1.0, 16).sobolev_norms(f) == (np.inf, np.inf)
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_l2_of_a_non_finite_field_is_not_finite(self, bad):
         f = np.ones(16)

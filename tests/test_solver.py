@@ -102,7 +102,7 @@ class TestExplicitStep:
     def test_equilibrium_unchanged(self):
         g = build_grid(2.0, 64)
         m = GasModel(5 / 3, h=HProfile.power_sum(1, 1))
-        s, stats = step_explicit(State.equilibrium(g), m, g, CFG, 1e-3)
+        s, stats = step_explicit(State.equilibrium(g), m, g, 1e-3)
         assert np.all(s.v == 1.0) and np.all(s.u == 0.0) and np.all(s.theta == 1.0)
         assert stats.rejected_substeps == 0
 
@@ -112,7 +112,7 @@ class TestExplicitStep:
         s = gauss_state(g, with_u=True)
         p0 = np.sum(s.u[g.node_interior]) * g.dx
         dt = stable_dt(s, m, g, CFG)
-        s, _ = step_explicit(s, m, g, CFG, dt)
+        s, _ = step_explicit(s, m, g, dt)
         p1 = np.sum(s.u[g.node_interior]) * g.dx
         assert abs(p1 - p0) <= 1e-13 * max(1.0, abs(p0))
 
@@ -126,7 +126,7 @@ class TestExplicitStep:
         def integrate(nsteps):
             s = s0.copy()
             for _ in range(nsteps):
-                s, _ = step_explicit(s, m, g, CFG, t_end / nsteps)
+                s, _ = step_explicit(s, m, g, t_end / nsteps)
             return s
 
         ref = integrate(64)
@@ -149,7 +149,7 @@ class TestExplicitStep:
             times.append(t)
             return np.zeros(g.ncells), np.zeros(g.nnodes), np.zeros(g.ncells)
 
-        _, stats = step_explicit(s0, m, g, CFG, 20.0, sources)
+        _, stats = step_explicit(s0, m, g, 20.0, sources)
         k0, accepted = rhs(s0, m, g), []
         for k in range(stats.rejected_substeps + 1):
             h = 20.0 * 0.5 ** k
@@ -174,7 +174,7 @@ class TestExplicitStep:
         monkeypatch.setattr(ns1d.solver, "MAX_DT_HALVINGS", 3)
         from ns1d.errors import PositivityExhaustedError
         with pytest.raises(PositivityExhaustedError, match="after 3 dt halvings"):
-            step_explicit(s, m, g, CFG, 1e-2)
+            step_explicit(s, m, g, 1e-2)
 
 
 def reference_h(h, v):
@@ -316,7 +316,7 @@ class TestExplicitStepBits:
         for _ in range(20):
             dt = stable_dt(got, model, g, CFG)
             assert dt == reference_stable_dt(want, model, g, CFG)
-            got, stats = step_explicit(got, model, g, CFG, dt)
+            got, stats = step_explicit(got, model, g, dt)
             want = reference_explicit_step(want, model, g, dt)
             assert stats.rejected_substeps == 0
             for name in ("v", "u", "theta"):
@@ -344,7 +344,7 @@ class TestImexStepBits:
         want = got.copy()
         for _ in range(20):
             dt = advective_dt(got, model, g, CFG)
-            got, stats = step_imex(got, model, g, CFG, dt, sources)
+            got, stats = step_imex(got, model, g, dt, sources)
             want = reference_imex_step(want, model, g, dt, sources)
             assert stats.rejected_substeps == 0
             for name in ("v", "u", "theta"):
@@ -375,7 +375,7 @@ class TestEnergyForm:
             return real_step(s0, dt, k0, correct)
 
         monkeypatch.setattr(ns1d.solver, "_step", recorded)
-        step_imex(s, model, g, CFG, advective_dt(s, model, g, CFG))
+        step_imex(s, model, g, advective_dt(s, model, g, CFG))
         for got, want in ((rhs(s, model, g), termwise_rhs(s, model, g)),
                           (imex_k0[0], termwise_imex_rates(s, model, g))):
             for name, x, y in zip(("v", "u", "theta"), got, want):
@@ -446,7 +446,7 @@ class TestImexStep:
     def test_equilibrium_one_newton_iteration(self):
         g = build_grid(2.0, 64)
         m = GasModel(5 / 3, alpha=0.2, h=HProfile.power_sum(1, 1))
-        s, stats = step_imex(State.equilibrium(g), m, g, CFG, 1e-2)
+        s, stats = step_imex(State.equilibrium(g), m, g, 1e-2)
         assert np.all(s.v == 1.0) and np.all(s.u == 0.0) and np.all(s.theta == 1.0)
         assert stats.max_residual == 0.0
 
@@ -461,7 +461,7 @@ class TestImexStep:
                 errors.append(out[2])
                 return out
             monkeypatch.setattr(ns1d.solver, name.__name__, recorded)
-        _, stats = step_imex(s, m, g, CFG, 50.0 * stable_dt(s, m, g, CFG))
+        _, stats = step_imex(s, m, g, 50.0 * stable_dt(s, m, g, CFG))
         assert stats.rejected_substeps == 0 and len(errors) == 2
         assert stats.max_residual == max(errors)
         assert 0.0 < stats.max_residual <= 1e-15
@@ -475,7 +475,7 @@ class TestImexStep:
             times.append(t)
             return np.zeros(g.ncells), np.zeros(g.nnodes), np.zeros(g.ncells)
 
-        _, stats = step_imex(gauss_state(g, a=0.3, with_u=True), m, g, CFG, 20.0, sources)
+        _, stats = step_imex(gauss_state(g, a=0.3, with_u=True), m, g, 20.0, sources)
         assert stats.rejected_substeps >= 1
         assert times == [0.0]
 
@@ -517,7 +517,7 @@ class TestImexStep:
         m = GasModel(5 / 3, alpha=0.1, h=HProfile.power_sum(1, 1))
         s = gauss_state(g)
         dt = 100.0 * stable_dt(s, m, g, CFG)
-        s, stats = step_imex(s, m, g, CFG, dt)
+        s, stats = step_imex(s, m, g, dt)
         assert np.all(s.v > 0) and np.all(s.theta > 0)
         assert np.all(np.isfinite(s.v)) and np.all(np.isfinite(s.theta))
         assert stats.rejected_substeps == 0
@@ -703,24 +703,24 @@ class TestSolveTridiag:
         names = ("v", "u", "theta", "ux", "mu_v", "kappa_v", "theta_x", "y")
         before = {name: getattr(s0, name).tobytes() for name in names}
         rates_before = [r.tobytes() for r in rhs(s0, model, g)]
-        real_rates, real_candidate = ns1d.solver._rates, ns1d.solver._candidate
-        formed, refused = [], []
+        real_rates, real_trial = ns1d.solver._rates, ns1d.solver._trial
+        formed, trials = [], []
 
         def recorded(*args):
             rates = real_rates(*args)
             formed.append((rates, rates.tobytes()))
             return rates
 
-        def refuse_first(*args):            # the first attempt fails at its new state
-            out = real_candidate(*args)
-            if not refused:
-                refused.append(1)
+        def refuse_second(*args):           # the first attempt fails at its new state
+            out = real_trial(*args)
+            trials.append(1)
+            if len(trials) == 2:
                 raise PositivityError("on purpose")
             return out
 
         monkeypatch.setattr(ns1d.solver, "_rates", recorded)
-        monkeypatch.setattr(ns1d.solver, "_candidate", refuse_first)
-        _, stats = step(s0, model, g, CFG, 0.5 * stable_dt(s0, model, g, CFG))
+        monkeypatch.setattr(ns1d.solver, "_trial", refuse_second)
+        _, stats = step(s0, model, g, 0.5 * stable_dt(s0, model, g, CFG))
         assert stats.rejected_substeps == 1 and len(formed) == (3 if step is step_explicit else 1)
         for rates, bits in formed:
             assert rates.tobytes() == bits
@@ -761,7 +761,7 @@ class TestSolveTridiag:
 
         monkeypatch.setattr(ns1d.solver, "solve_banded", counted_solve)
         monkeypatch.setattr(ns1d.solver, "backward_euler_theta", recorded_theta)
-        _, stats = step_imex(s, model, g, CFG, 50.0 * stable_dt(s, model, g, CFG))
+        _, stats = step_imex(s, model, g, 50.0 * stable_dt(s, model, g, CFG))
         # the temperature solve is linear: one pass, one solve, like the velocity's
         assert stats.rejected_substeps == 0 and theta_iters == [1]
         assert len(solves) == 2
@@ -814,7 +814,7 @@ class TestBackwardEulerTheta:
         s0, dt = make_stage(self.s, model, self.g), self.dt(model)
         monkeypatch.setattr(ns1d.solver, "transport_derivatives", refused)
         arrays.clear()
-        _, stats = step_imex(s0, model, self.g, CFG, dt)
+        _, stats = step_imex(s0, model, self.g, dt)
         assert stats.rejected_substeps == 0
         assert sum(arrays) <= 3             # half stage, new stage
 
@@ -934,11 +934,12 @@ class TestImplicitSolves:
                     inside.pop()
             return wrapped
 
-        real_candidate = ns1d.solver._candidate
+        real_trial, trials = ns1d.solver._trial, []
 
-        def refuse_first(*args):
-            out = real_candidate(*args)
-            if not any(name == "refused" for name, _ in events):
+        def refuse_second(*args):           # the first attempt's new state
+            out = real_trial(*args)
+            trials.append(1)
+            if len(trials) == 2:
                 events.append(("refused", False))
                 raise PositivityError("on purpose")
             return out
@@ -954,8 +955,8 @@ class TestImplicitSolves:
                             counted("theta_pow", ns1d.constitutive._theta_pow))
         for name in SOLVES.values():
             monkeypatch.setattr(ns1d.solver, name.__name__, marked(name))
-        monkeypatch.setattr(ns1d.solver, "_candidate", refuse_first)
-        _, stats = step_imex(s0, model, g, CFG, dt)
+        monkeypatch.setattr(ns1d.solver, "_trial", refuse_second)
+        _, stats = step_imex(s0, model, g, dt)
         assert stats.rejected_substeps == 1
         names = [name for name, _ in events]
         assert {name: names.count(name) for name in set(names)} == {
@@ -1058,6 +1059,37 @@ class TestAdvance:
                 observer=lambda s: times.append(s.t), output_every=0.01)
         assert times == pytest.approx([0.0, 0.01, 0.02, 0.03, 0.04, 0.05], abs=1e-14)
 
+    def test_poisoned_first_new_state_refused_and_the_run_finishes(self, monkeypatch):
+        # an inf in theta would make the next stable_dt 0 and burn every dt halving
+        g, m = build_grid(4.0, 64), GasModel(5 / 3)
+        real, seen = ns1d.solver.apply_farfield, []
+
+        def poison_first_new_state(state, grid):
+            if len(seen) == 1:              # the first step pins its predictor, then this
+                state.theta[grid.ghost_depth + 3] = np.inf
+            seen.append(state.t)
+            return real(state, grid)
+
+        monkeypatch.setattr(ns1d.solver, "apply_farfield", poison_first_new_state)
+        s, stats = advance(gauss_state(g, a=0.1), m, g, CFG, 0.05)
+        assert s.t == 0.05 and stats.rejected_substeps == 1
+        assert all(np.isfinite(getattr(s, name)).all() for name in ("v", "u", "theta"))
+
+    @pytest.mark.parametrize("integrator", ["explicit", "imex"])
+    def test_ghost_depth_changes_no_output(self, integrator):
+        # the stencils reach one ghost deep, so a deeper halo is only more far field
+        m, cfg = GasModel(5 / 3, alpha=0.05), SolverConfig(integrator=integrator)
+        got = []
+        for depth in (2, 3):
+            g = build_grid(8.0, 64, depth)
+            coll = DiagnosticsCollector(m, g)
+            s, _ = advance(gauss_state(g, with_u=True), m, g, cfg, 0.1, observer=coll.observe,
+                           on_step=coll.on_step, output_every=0.05)
+            got.append((s.v[g.cell_interior].tobytes(), s.u[g.node_interior].tobytes(),
+                        s.theta[g.cell_interior].tobytes(),
+                        np.array([r.csv_row() for r in coll.records]).tobytes()))
+        assert got[0] == got[1]
+
     def test_bitwise_determinism(self):
         g = build_grid(8.0, 128)
         m = GasModel(5 / 3, alpha=0.05, h=HProfile.power_sum(1, 1))
@@ -1095,7 +1127,7 @@ class TestConservationAndStructure:
             s = gauss_state(g, a=0.2)
             s.u = s.u + shift
             for _ in range(nsteps):
-                s, _ = step_explicit(s, m, g, CFG, dt)
+                s, _ = step_explicit(s, m, g, dt)
             return s
 
         s0, s1 = evolve(0.0), evolve(0.35)
@@ -1117,6 +1149,11 @@ class TestConservationAndStructure:
         assert all(b <= a + slack for a, b in zip(vals, vals[1:]))
 
 
+# (field, pinned): an inf written into the first attempt's predictor (0) or new state (1)
+POISONED = [pytest.param(field, 0, id=field) for field in ("v", "u", "theta")] + [
+    pytest.param(field, 1, id=f"{field}-new-state") for field in ("v", "u", "theta")]
+
+
 class TestStage:
     """One stage per state: advance reuses it for dt, k1 and the dissipation."""
 
@@ -1135,7 +1172,7 @@ class TestStage:
         while s.t < t_end - 1e-12:
             dt = min(stable_dt(s, m, g, CFG), t_end - s.t)
             t_prev = s.t
-            out, _ = step_explicit(s, m, g, CFG, dt)
+            out, _ = step_explicit(s, m, g, dt)
             s = State(out.t, out.v, out.u, out.theta)
             new_rate = dissipation_rate(s, m, g)
             accum += 0.5 * (new_rate + rate) * (s.t - t_prev)
@@ -1206,7 +1243,7 @@ class TestStage:
         for name in ("backward_euler_velocity", "backward_euler_theta"):
             monkeypatch.setattr(ns1d.solver, name, marked(name))
         monkeypatch.setattr(ns1d.solver, "transport", counted)
-        _, stats = step_imex(s0, m, g, CFG, 50.0 * stable_dt(s0, m, g, CFG))
+        _, stats = step_imex(s0, m, g, 50.0 * stable_dt(s0, m, g, CFG))
         assert stats.rejected_substeps == 0
         assert calls == [[], []]
 
@@ -1223,54 +1260,55 @@ class TestStage:
             return real(state, grid)
 
         monkeypatch.setattr(ns1d.solver, "apply_farfield", poison_first_candidate)
-        out, stats = step_explicit(s0, m, g, CFG, dt)
+        out, stats = step_explicit(s0, m, g, dt)
         assert stats.rejected_substeps == 1 and stats.dt_used == 0.5 * dt
         monkeypatch.undo()
-        ref, _ = step_explicit(s0, m, g, CFG, 0.5 * dt)
+        ref, _ = step_explicit(s0, m, g, 0.5 * dt)
         assert np.array_equal(out.theta, ref.theta)
 
-    @pytest.mark.parametrize("field", ["v", "u", "theta"])
+    @pytest.mark.parametrize("field, pinned", POISONED)
     @pytest.mark.filterwarnings("error")
-    def test_inf_imex_half_state_rejected_and_dt_halved(self, field, monkeypatch):
-        # an inf passes the positivity check's min-reductions; the solves must not see it
-        g, m = build_grid(8.0, 64), self.MODEL
-        s0 = gauss_state(g, with_u=True)
-        cfg = dataclasses.replace(CFG, integrator="imex")
-        dt = 0.5 * stable_dt(s0, m, g, cfg)
-        real, seen = ns1d.solver.apply_farfield, []
-
-        def poison_first_half_state(state, grid):
-            if not seen:                    # the first state step_imex pins is the half state
-                getattr(state, field)[grid.ghost_depth + 3] = np.inf
-            seen.append(state.t)
-            return real(state, grid)
-
-        monkeypatch.setattr(ns1d.solver, "apply_farfield", poison_first_half_state)
-        out, stats = step_imex(s0, m, g, cfg, dt)
-        assert stats.rejected_substeps == 1 and stats.dt_used == 0.5 * dt
-        monkeypatch.undo()
-        ref, _ = step_imex(s0, m, g, cfg, 0.5 * dt)
-        assert np.array_equal(out.theta, ref.theta) and np.array_equal(out.u, ref.u)
-
-    @pytest.mark.parametrize("field", ["v", "u", "theta"])
-    @pytest.mark.filterwarnings("error")
-    def test_inf_explicit_predictor_rejected_and_dt_halved(self, field, monkeypatch):
-        # Heun's predictor is refused like the IMEX half state: rhs must not see the inf
+    def test_inf_imex_half_state_rejected_and_dt_halved(self, field, pinned, monkeypatch):
+        # an inf passes the positivity check's min-reductions; the solves must not see it,
+        # and a new state holding one is refused like the half state
         g, m = build_grid(8.0, 64), self.MODEL
         s0 = gauss_state(g, with_u=True)
         dt = 0.5 * stable_dt(s0, m, g, CFG)
         real, seen = ns1d.solver.apply_farfield, []
 
-        def poison_first_predictor(state, grid):
-            if not seen:                    # the first state step_explicit pins is the predictor
+        def poison_one_state(state, grid):
+            if len(seen) == pinned:         # step_imex pins the half state, then the new state
                 getattr(state, field)[grid.ghost_depth + 3] = np.inf
             seen.append(state.t)
             return real(state, grid)
 
-        monkeypatch.setattr(ns1d.solver, "apply_farfield", poison_first_predictor)
-        out, stats = step_explicit(s0, m, g, CFG, dt)
+        monkeypatch.setattr(ns1d.solver, "apply_farfield", poison_one_state)
+        out, stats = step_imex(s0, m, g, dt)
         assert stats.rejected_substeps == 1 and stats.dt_used == 0.5 * dt
         monkeypatch.undo()
-        ref, _ = step_explicit(s0, m, g, CFG, 0.5 * dt)
+        ref, _ = step_imex(s0, m, g, 0.5 * dt)
+        assert np.array_equal(out.theta, ref.theta) and np.array_equal(out.u, ref.u)
+
+    @pytest.mark.parametrize("field, pinned", POISONED)
+    @pytest.mark.filterwarnings("error")
+    def test_inf_explicit_predictor_rejected_and_dt_halved(self, field, pinned, monkeypatch):
+        # Heun's predictor is refused like the IMEX half state: rhs must not see the inf;
+        # nor may the next step, so a new state holding one is refused too
+        g, m = build_grid(8.0, 64), self.MODEL
+        s0 = gauss_state(g, with_u=True)
+        dt = 0.5 * stable_dt(s0, m, g, CFG)
+        real, seen = ns1d.solver.apply_farfield, []
+
+        def poison_one_state(state, grid):
+            if len(seen) == pinned:         # step_explicit pins the predictor, then the new state
+                getattr(state, field)[grid.ghost_depth + 3] = np.inf
+            seen.append(state.t)
+            return real(state, grid)
+
+        monkeypatch.setattr(ns1d.solver, "apply_farfield", poison_one_state)
+        out, stats = step_explicit(s0, m, g, dt)
+        assert stats.rejected_substeps == 1 and stats.dt_used == 0.5 * dt
+        monkeypatch.undo()
+        ref, _ = step_explicit(s0, m, g, 0.5 * dt)
         for name in ("v", "u", "theta"):
             assert np.array_equal(getattr(out, name), getattr(ref, name)), name

@@ -223,8 +223,7 @@ class TestSources:
         g = build_grid(12.0, 64)
         c = default_case(0.1)
         sources = make_source_fn(c, MODEL, g)
-        _, stats = step_explicit(exact_state(c, g, 0.0), MODEL, g, SolverConfig(), 1e-3,
-                                 sources)
+        _, stats = step_explicit(exact_state(c, g, 0.0), MODEL, g, 1e-3, sources)
         assert stats.rejected_substeps == 0
         # one per distinct time: k0 at t_n and Heun's corrector at t_n + h (a next
         # step's k0 at t_n + h would be a hit, not a third call)
@@ -309,7 +308,7 @@ class TestSourceMemo:
         sources, s = make_source_fn(c, MODEL, g), exact_state(c, g, 0.0)
         times = [s.t]
         for _ in range(3):
-            s, stats = step_explicit(s, MODEL, g, SolverConfig(), 1e-3, sources)
+            s, stats = step_explicit(s, MODEL, g, 1e-3, sources)
             assert stats.rejected_substeps == 0
             times.append(s.t)
         assert mms_times == times           # t0 .. t3: each predictor's is the next k0's
@@ -320,20 +319,19 @@ class TestSourceMemo:
         times = []
         for _ in range(3):
             times.append(s.t)
-            s, stats = step_imex(s, MODEL, g, SolverConfig(integrator="imex"), 1e-2, sources)
+            s, stats = step_imex(s, MODEL, g, 1e-2, sources)
             assert stats.rejected_substeps == 0
         assert mms_times == times
 
     def test_rejected_attempts_call_at_their_predictor_times(self, mms_times):
         g, c = build_grid(12.0, 64), default_case(0.1)
         sources = make_source_fn(c, MODEL, g)
-        s, stats = step_explicit(exact_state(c, g, 0.0), MODEL, g, SolverConfig(), 20.0,
-                                 sources)
+        s, stats = step_explicit(exact_state(c, g, 0.0), MODEL, g, 20.0, sources)
         # h = 20 is refused at its predictor, before rhs; h = 10 after rhs at its
         # predictor; h = 5 is accepted
         assert stats.rejected_substeps == 2 and s.t == 5.0
         assert mms_times == [0.0, 10.0, 5.0]
-        s, _ = step_explicit(s, MODEL, g, SolverConfig(), 1e-3, sources)
+        s, _ = step_explicit(s, MODEL, g, 1e-3, sources)
         assert mms_times == [0.0, 10.0, 5.0, 5.0 + 1e-3]   # its k0, at t = 5, is a hit
 
 
