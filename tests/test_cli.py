@@ -240,7 +240,7 @@ MMS_FAST = ["--set", "mms.levels=16,32,64", "--set", "mms.t_end=0.05"]
     ["run", "--set", "output.profile_every=-1"],
     ["run", "--set", "grid.N=4"],
     ["run", "--set", "grid.L=-3"],
-    ["run", "--set", "grid.ghost_depth=1"],
+    ["run", "--set", "solver.cfl_parabolic=1.5"],
     ["run", "--set", "grid.L=1e200"],
     ["run", "--set", "init.width=0"],
     ["run", "--set", "gas.h.ell1=-1"],

@@ -74,13 +74,16 @@ class TestRhs:
 
 
 class TestStableDt:
-    def test_reference_value(self):
-        # equilibrium, gamma=5/3, mu=kappa=1, dx=0.01, both cfl=0.4:
-        # parabolic bound 0.4*dx^2/(2*max(1, 1/cv)) = 2e-5 dominates
+    @pytest.mark.parametrize("config, want", [(SolverConfig(cfl_parabolic=0.4), 2e-5),
+                                              (SolverConfig(), 3.5e-5)],
+                             ids=["cfl_parabolic=0.4", "default"])
+    def test_reference_value(self, config, want):
+        # equilibrium, gamma=5/3, mu=kappa=1, dx=0.01, cfl_advective=0.4: the parabolic
+        # bound cfl_parabolic*dx^2/(2*max(1, 1/cv)), 2e-5 at 0.4 and 3.5e-5 at 0.7, dominates
         g = build_grid(1.0, 200)
         m = GasModel(5 / 3, h=HProfile.constant(1.0))
-        dt = stable_dt(State.equilibrium(g), m, g, CFG)
-        assert dt == pytest.approx(2e-5, rel=1e-12)
+        dt = stable_dt(State.equilibrium(g), m, g, config)
+        assert dt == pytest.approx(want, rel=1e-12)
 
     def test_parabolic_scales_with_dx_squared(self):
         m = GasModel(5 / 3, h=HProfile.constant(1.0))
@@ -96,6 +99,40 @@ class TestStableDt:
         dt1 = stable_dt(State.equilibrium(g), m1, g, CFG)
         dt10 = stable_dt(State.equilibrium(g), m10, g, CFG)
         assert dt1 == pytest.approx(10.0 * dt10, rel=1e-12)
+
+
+def interior_jacobian(state, model, grid, eps=1e-7):
+    """Central-difference Jacobian of the interior entries of rhs's flat rates
+    [dv | dtheta | du] with respect to the same entries of [v | theta | u]."""
+    nc = grid.ncells
+    cells = np.arange(nc)[grid.cell_interior]
+    idx = np.r_[cells, nc + cells, 2 * nc + np.arange(grid.nnodes)[grid.node_interior]]
+    y0 = np.concatenate((state.v, state.theta, state.u))
+
+    def rates(y):
+        s = State(state.t, y[:nc], y[2 * nc:], y[nc:2 * nc])
+        return rhs(s, model, grid)[0].base[idx]
+
+    jac = np.empty((idx.size, idx.size))
+    for k, i in enumerate(idx):
+        up, down = y0.copy(), y0.copy()
+        up[i] += eps
+        down[i] -= eps
+        jac[:, k] = (rates(up) - rates(down)) / (2.0 * eps)
+    return jac
+
+
+@pytest.mark.parametrize("preset, alpha", [("gauss-pulse", 0.0), ("gauss-pulse", 0.1),
+                                           ("two-bump", 0.0)])
+def test_default_step_is_inside_heuns_stability_region(preset, alpha):
+    # Heun's amplification R(z) = 1 + z + z^2/2 at z = lambda*dt, for every decaying mode
+    rc = dataclasses.replace(RunConfig(), preset=preset, gas_alpha=alpha, grid_N=64)
+    model, g = make_model(rc), build_grid(rc.grid_L, rc.grid_N, rc.grid_ghost_depth)
+    s = make_initial_data(rc, g)
+    lam = np.linalg.eigvals(interior_jacobian(s, model, g))
+    z = lam[lam.real <= 0.0] * stable_dt(s, model, g, SolverConfig())
+    assert np.abs(1.0 + z + 0.5 * z * z).max() <= 1.0 + 1e-8
+    assert z.real.min() >= -2.0
 
 
 class TestExplicitStep:
@@ -1162,15 +1199,16 @@ class TestStage:
     def test_advance_equals_hand_loop_of_public_calls(self):
         g, m = build_grid(8.0, 64), self.MODEL
         s0, t_end = gauss_state(g, with_u=True), 0.1
+        cfg = SolverConfig(cfl_parabolic=0.4)   # more than 10 steps to t_end
         coll = DiagnosticsCollector(m, g)
-        got, stats = advance(s0.copy(), m, g, CFG, t_end,
+        got, stats = advance(s0.copy(), m, g, cfg, t_end,
                              observer=coll.observe, on_step=coll.on_step)
 
         # plain States, so that every public call builds its own stage
         s = s0.copy()
         rate, accum = dissipation_rate(s, m, g), 0.0
         while s.t < t_end - 1e-12:
-            dt = min(stable_dt(s, m, g, CFG), t_end - s.t)
+            dt = min(stable_dt(s, m, g, cfg), t_end - s.t)
             t_prev = s.t
             out, _ = step_explicit(s, m, g, dt)
             s = State(out.t, out.v, out.u, out.theta)
@@ -1198,7 +1236,8 @@ class TestStage:
 
         monkeypatch.setattr(ns1d.solver, "transport", counted)
         coll = DiagnosticsCollector(m, g)
-        _, stats = advance(gauss_state(g), m, g, CFG, 0.1, on_step=coll.on_step,
+        cfg = SolverConfig(cfl_parabolic=0.4)   # more than 10 steps to t = 0.1
+        _, stats = advance(gauss_state(g), m, g, cfg, 0.1, on_step=coll.on_step,
                            observer=coll.observe if observed else None)
         assert stats.steps > 10 and stats.rejected_substeps == 0
         assert len(coll.records) == (2 if observed else 0)
