@@ -2,13 +2,15 @@
 
 Cells carry v and theta; nodes carry u.  Node i is the left edge of cell i,
 so a grid with C = N + 2*ghost cells has C + 1 nodes.  Ghost cells/nodes hold
-the far-field state (1, 0, 1) at all times.
+the far-field state (1, 0, 1) at all times.  A state is one vector
+y = [v | theta | u] of length 3*C + 1, laid out by Grid.views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -39,16 +41,28 @@ class Grid:
         return self.ncells + 1
 
     @cached_property
-    def ghost_cells(self) -> np.ndarray:
-        """Indices of the ghost cells at both ends."""
-        g = self.ghost_depth
-        return np.r_[:g, self.ncells - g:self.ncells]
+    def size(self) -> int:
+        """Length of a state vector [v | theta | u]: 2*ncells + nnodes."""
+        return 2 * self.ncells + self.nnodes
 
     @cached_property
-    def ghost_nodes(self) -> np.ndarray:
-        """Indices of the ghost nodes at both ends."""
-        g = self.ghost_depth
-        return np.r_[:g, self.nnodes - g:self.nnodes]
+    def farfield(self) -> tuple:
+        """(index, values): every ghost entry of a state vector and its far-field value."""
+        n, g = self.ncells, self.ghost_depth
+        cells, nodes = np.r_[:g, n - g:n], np.r_[:g, n + 1 - g:n + 1]
+        index = np.concatenate((cells, n + cells, 2 * n + nodes))
+        return index, np.repeat([FARFIELD[0], FARFIELD[2], FARFIELD[1]], 2 * g)
+
+    def fit(self, y: np.ndarray) -> np.ndarray:
+        """y, if it is a state vector of this grid: ArgumentError unless its length is size."""
+        if y.shape != (self.size,):
+            raise ArgumentError(f"a state vector of {y.size} entries does not fit a grid of "
+                                f"{self.ncells} cells, whose state vectors have {self.size}")
+        return y
+
+    def views(self, y: np.ndarray) -> tuple:
+        """(v, u, theta), the views of a state vector y laid out [v | theta | u]."""
+        return _layout(self.fit(y))
 
     @property
     def cell_interior(self) -> slice:
@@ -162,29 +176,60 @@ def build_grid(L: float, N: int, ghost_depth: int = 2) -> Grid:
     return Grid(L=L, N=N, ghost_depth=ghost_depth, dx=dx)
 
 
-@dataclass
-class State:
-    """Discrete snapshot: time plus staggered fields (ghosts included)."""
+def _layout(y: np.ndarray) -> tuple:
+    """(v, u, theta), the views of a vector laid out [v | theta | u]: of 3*C + 1
+    entries, C for each cell field and C + 1 for the nodes."""
+    ncells = y.size // 3
+    return y[:ncells], y[2 * ncells:], y[ncells:2 * ncells]
 
-    t: float
-    v: np.ndarray
-    u: np.ndarray
-    theta: np.ndarray
+
+def _field(name: str) -> property:
+    """A State field: read, its view of y; assigned, a copy into that view."""
+    def assign(state: "State", values) -> None:
+        view = getattr(state, "_" + name)
+        if np.shape(values) != view.shape:
+            raise ArgumentError(f"{name} of shape {np.shape(values)} does not fit {view.shape}")
+        view[...] = values
+    return property(attrgetter("_" + name), assign, doc=f"{name}, a view of y")
+
+
+class State:
+    """Discrete snapshot: the time t and one float64 vector y = [v | theta | u], ghosts
+    included, whose views are the fields v, theta and u (the layout of Grid.views).
+    Writing into a field writes into y; assigning one copies into its view."""
+
+    v, u, theta = _field("v"), _field("u"), _field("theta")
+
+    def __init__(self, t: float, v, u, theta):
+        """The state at t of copies of v, u and theta, concatenated once."""
+        if not len(v) == len(theta) == len(u) - 1:
+            raise ArgumentError(f"fields of lengths v {len(v)}, u {len(u)}, theta {len(theta)}: "
+                                "u needs one entry more than v and theta")
+        self._adopt(t, np.concatenate((v, theta, u), dtype=float))
+
+    def _adopt(self, t: float, y: np.ndarray) -> "State":
+        """self at t, its fields the views of y itself."""
+        self.t, self.y = t, y
+        self._v, self._u, self._theta = _layout(y)
+        return self
+
+    @classmethod
+    def wrap(cls, t: float, y: np.ndarray, grid: Grid) -> "State":
+        """The state at t whose fields view y itself (no copy); ArgumentError unless y fits grid."""
+        return cls.__new__(cls)._adopt(t, grid.fit(y))
 
     def copy(self) -> "State":
-        return State(self.t, self.v.copy(), self.u.copy(), self.theta.copy())
+        return State.__new__(State)._adopt(self.t, self.y.copy())
 
     @staticmethod
     def equilibrium(grid: Grid, t: float = 0.0) -> "State":
-        return State(t,
-                     np.full(grid.ncells, FARFIELD[0]),
-                     np.full(grid.nnodes, FARFIELD[1]),
-                     np.full(grid.ncells, FARFIELD[2]))
+        n = grid.ncells
+        return State.wrap(t, np.repeat([FARFIELD[0], FARFIELD[2], FARFIELD[1]], [n, n, n + 1]), grid)
 
 
 def apply_farfield(state: State, grid: Grid) -> State:
-    """Pin all ghost entries to (1, 0, 1); interior untouched.  In place."""
-    state.v[grid.ghost_cells] = FARFIELD[0]
-    state.theta[grid.ghost_cells] = FARFIELD[2]
-    state.u[grid.ghost_nodes] = FARFIELD[1]
+    """Pin all ghost entries to (1, 0, 1), interior untouched, by one write into
+    state.y; ArgumentError unless the state fits grid.  In place."""
+    index, values = grid.farfield
+    grid.fit(state.y)[index] = values
     return state

@@ -319,18 +319,18 @@ def make_initial_data(config: RunConfig, grid: Grid) -> State:
     if config.preset == "two-bump":
         x0 = 2.0 * w
         _check_support(config, offset=x0)
-        state.v = state.v + a * np.exp(-(((x + x0) / w) ** 2))
-        state.theta = state.theta - 0.6 * a * np.exp(-(((x - x0) / w) ** 2))
-        state.u = state.u + _u_bump(config, xn)
+        state.v += a * np.exp(-(((x + x0) / w) ** 2))
+        state.theta -= 0.6 * a * np.exp(-(((x - x0) / w) ** 2))
+        state.u += _u_bump(config, xn)
     else:  # gauss-pulse
         _check_support(config)
         bump = a * np.exp(-((x / w) ** 2))
         if "v" in parts:
-            state.v = state.v + bump
+            state.v += bump
         if "theta" in parts:
-            state.theta = state.theta + bump
+            state.theta += bump
         if "u" in parts:
-            state.u = state.u + _u_bump(config, xn)
+            state.u += _u_bump(config, xn)
     apply_farfield(state, grid)
     if not (_all_above(state.v, 0.0) and _all_above(state.theta, 0.0)):
         raise ConfigError("initial data violate positivity")

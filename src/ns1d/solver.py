@@ -87,7 +87,10 @@ class SolverConfig:
     is kept because |R(-2 + iy)|^2 = 1 + y^4/4 amplifies any acoustic part of the top
     mode. The default is 0.7, not 0.9, while IMEX is backward Euler: acceptance
     criterion 10 steps IMEX at 4 x the default explicit step, and its gap to the
-    explicit run (bound 1.14e-3) is 5.90e-4 at 0.4, 1.03e-3 at 0.7 and 1.33e-3 at 0.9."""
+    explicit run (bound 1.14e-3) is 5.90e-4 at 0.4, 1.03e-3 at 0.7 and 1.33e-3 at 0.9.
+    stable_dt's D bounds only the diffusion part: on large multiplicative data at
+    alpha = -2 (a = 5, L = 24, N = 64) the linearised rhs has a mode near z = -38 that
+    D does not see."""
     integrator: str = "explicit"          # "explicit" | "imex"
     cfl_advective: float = 0.4
     cfl_parabolic: float = 0.7
@@ -115,11 +118,10 @@ class AdvanceStats:
     rejected_substeps: int = 0
 
 
-@dataclass
 class Stage(State):
-    """A state, its v, theta and u the views of one flat vector y = [v | theta | u],
-    plus what the rates, the step size and the dissipation rate need of it, computed
-    once: ux = cell_diff(u), mu_v = mu/v, kappa_v = kappa/v, theta_x = node_diff(theta).
+    """A state, plus what the rates, the step size and the dissipation rate need of
+    it, computed once: ux = cell_diff(u), mu_v = mu/v, kappa_v = kappa/v,
+    theta_x = node_diff(theta).  Its v, theta and u view the y it is built on.
 
     Its one transport call is its one positivity check: v, theta > floor with one
     min-reduction per field, which propagates NaN, so NaN is refused like v <= floor.
@@ -134,38 +136,33 @@ class Stage(State):
     theta_x: np.ndarray
     model: GasModel
     grid: Grid
-    y: np.ndarray
 
-
-def _views(y: np.ndarray, grid: Grid):
-    """(v, u, theta), the views of a flat vector laid out [v | theta | u]."""
-    return y[:grid.ncells], y[2 * grid.ncells:], y[grid.ncells:2 * grid.ncells]
-
-
-def _stage(t: float, y: np.ndarray, model: GasModel, grid: Grid, floor: float = 0.0) -> Stage:
-    """The Stage whose v, theta and u view y; PositivityError unless v, theta > floor."""
-    v, u, theta = _views(y, grid)
-    mu, kappa = transport(model, v, theta, floor)
-    return Stage(t, v, u, theta, grid.cell_diff(u), np.divide(mu, v, out=mu),
-                 np.divide(kappa, v, out=kappa), grid.node_diff(theta), model, grid, y)
+    def __init__(self, t: float, y: np.ndarray, model: GasModel, grid: Grid, floor: float = 0.0):
+        """The stage at t of y itself; PositivityError unless v, theta > floor."""
+        self._adopt(t, grid.fit(y))
+        v, u, theta = self._v, self._u, self._theta
+        mu, kappa = transport(model, v, theta, floor)
+        self.ux, self.theta_x = grid.cell_diff(u), grid.node_diff(theta)
+        self.mu_v, self.kappa_v = np.divide(mu, v, out=mu), np.divide(kappa, v, out=kappa)
+        self.model, self.grid = model, grid
 
 
 def make_stage(state: State, model: GasModel, grid: Grid, floor: float = 0.0) -> Stage:
-    """The stage of state, on a flat copy of its arrays; PositivityError unless
+    """The stage of state, on a copy of its vector y; PositivityError unless
     v, theta > floor.  A stage built for the same model and grid is returned as it is."""
     if isinstance(state, Stage) and state.model is model and state.grid is grid:
         return state
-    return _stage(state.t, np.concatenate((state.v, state.theta, state.u)), model, grid, floor)
+    return Stage(state.t, state.y.copy(), model, grid, floor)
 
 
 def _trial(t: float, y: np.ndarray, model: GasModel, grid: Grid) -> Stage:
     """Stage of a trial state y, ghosts pinned; PositivityError if an entry is not
     finite or v, theta are at or below the floor."""
-    apply_farfield(State(t, *_views(y, grid)), grid)
+    apply_farfield(State.wrap(t, y, grid), grid)
     # an inf passes a min-reduction and would warn later: one dot refuses it, or overflows
     if not math.isfinite(y.dot(y)):
         raise PositivityError(f"trial state at t={t} has a non-finite entry")
-    return _stage(t, y, model, grid, POSITIVITY_FLOOR)
+    return Stage(t, y, model, grid, POSITIVITY_FLOOR)
 
 
 def _rates(s: Stage, sources: Sources, explicit_diffusion: bool) -> np.ndarray:
@@ -173,7 +170,7 @@ def _rates(s: Stage, sources: Sources, explicit_diffusion: bool) -> np.ndarray:
     sigma = mu_v*u_x - P, P = theta/v (of -P alone if not explicit_diffusion); sigma*u_x/cv
     (plus cell_diff(face(kappa_v)*theta_x)/cv if explicit_diffusion); sources(s.t) added."""
     rates = np.empty(s.y.size)
-    dv, du, dth = _views(rates, s.grid)
+    dv, du, dth = s.grid.views(rates)
     dv[:] = s.ux
     P = s.theta / s.v
     sigma = s.mu_v * s.ux
@@ -195,8 +192,8 @@ def _rates(s: Stage, sources: Sources, explicit_diffusion: bool) -> np.ndarray:
 
 def rhs(state: State, model: GasModel, grid: Grid, sources: Sources = None):
     """Semidiscrete rates (dv_dt cells, du_dt nodes, dtheta_dt cells): the views
-    of one flat vector, their base, laid out [v | theta | u] as a stage's y."""
-    return _views(_rates(make_stage(state, model, grid), sources, True), grid)
+    of one flat vector, their base, laid out [v | theta | u] as a state's y."""
+    return grid.views(_rates(make_stage(state, model, grid), sources, True))
 
 
 def _dt(state: State, model: GasModel, grid: Grid, config: SolverConfig,
@@ -352,7 +349,7 @@ def step_imex(state: State, model: GasModel, grid: Grid, dt: float, sources: Sou
     def backward_euler(half, h):
         u_new, _, res_u = backward_euler_velocity(half, h)
         theta_new, _, res_th = backward_euler_theta(half, h)
-        return np.concatenate((half.v, theta_new, u_new)), max(res_u, res_th)
+        return State(half.t, half.v, u_new, theta_new).y, max(res_u, res_th)
 
     return _step(s0, dt, k0, backward_euler)
 

@@ -202,6 +202,19 @@ def test_apply_farfield():
     assert np.array_equal(s.theta, before.theta)
 
 
+@pytest.mark.parametrize("cells", [32, 8])
+def test_apply_farfield_refuses_a_state_of_another_grid(cells):
+    # one flat write by a 16-cell grid's ghost index would pin entries of a longer
+    # state's interior, or cross from one field into the next
+    g = build_grid(1.0, 16)
+    s = State.equilibrium(build_grid(1.0, cells))
+    s.y[:] = np.arange(s.y.size)
+    with pytest.raises(ArgumentError, match=f"state vector of {s.y.size} entries does not fit "
+                                            "a grid of 20 cells, whose state vectors have 61"):
+        apply_farfield(s, g)
+    assert np.array_equal(s.y, np.arange(s.y.size))
+
+
 def test_equilibrium_state():
     g = build_grid(1.0, 16)
     s = State.equilibrium(g)

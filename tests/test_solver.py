@@ -1351,3 +1351,53 @@ class TestStage:
         ref, _ = step_explicit(s0, m, g, 0.5 * dt)
         for name in ("v", "u", "theta"):
             assert np.array_equal(getattr(out, name), getattr(ref, name)), name
+
+
+def every_state(g, m):
+    """(how, state) for every way of getting a state on g."""
+    yield "constructor", gauss_state(g, with_u=True)
+    yield "copy", gauss_state(g, with_u=True).copy()
+    yield "equilibrium", State.equilibrium(g)
+    for preset in ("constant", "gauss-pulse", "two-bump"):
+        rc = dataclasses.replace(RunConfig(), preset=preset, grid_L=g.L, grid_N=g.N)
+        yield f"initial data {preset}", make_initial_data(rc, g)
+    yield "exact_state", exact_state(default_case(0.1), g, 0.2)
+    yield "make_stage", make_stage(gauss_state(g, with_u=True), m, g)
+    for integrator in ("explicit", "imex"):
+        accepted = []
+        advance(gauss_state(g, with_u=True), m, g, SolverConfig(integrator=integrator), 0.1,
+                on_step=lambda stage, _: accepted.append(stage))
+        assert len(accepted) > 1
+        yield from ((f"{integrator} step {k}", s) for k, s in enumerate(accepted))
+
+
+class TestStateLayout:
+    """A state is one float64 vector y = [v | theta | u], and its fields are views of it."""
+
+    def test_every_state_is_its_vector(self):
+        g, m = build_grid(8.0, 64), GasModel(5 / 3, alpha=0.05)
+        n = g.ncells
+        for how, s in every_state(g, m):
+            y = s.y
+            assert y.dtype == np.float64 and y.shape == (g.size,), how
+            start = y.__array_interface__["data"][0]
+            for name, offset, length in (("v", 0, n), ("theta", n, n), ("u", 2 * n, n + 1)):
+                field = getattr(s, name)
+                assert field.shape == (length,) and field.strides == y.strides, (how, name)
+                assert field.__array_interface__["data"][0] == start + 8 * offset, (how, name)
+                with pytest.raises(ArgumentError, match=f"{name} of shape"):
+                    setattr(s, name, np.ones(length + 1))
+                with pytest.raises(ArgumentError, match=f"{name} of shape"):
+                    setattr(s, name, np.ones(1))    # would broadcast
+                setattr(s, name, np.full(length, 7.0))
+                assert np.all(y[offset:offset + length] == 7.0) and getattr(s, name) is field, how
+
+    def test_stage_refuses_a_state_of_another_grid(self):
+        g = build_grid(8.0, 64)
+        with pytest.raises(ArgumentError, match=r"state vector of 109 entries does not fit a grid "
+                                                r"of 68 cells, whose state vectors have 205"):
+            make_stage(State.equilibrium(build_grid(8.0, 32)), GasModel(5 / 3), g)
+
+    def test_constructor_refuses_fields_of_no_layout(self):
+        with pytest.raises(ArgumentError, match="v 12, u 12, theta 12"):
+            State(0.0, np.ones(12), np.ones(12), np.ones(12))
