@@ -221,7 +221,8 @@ def theta_floor_fit(records: List[DiagnosticsRecord]) -> float:
 
 
 def decay_metrics(records: List[DiagnosticsRecord]) -> DecayReport:
-    """Time series of sup_dev and first passage below {1/2, 1/4, 1/10} of start."""
+    """Time series of sup_dev and first passage below {1/2, 1/4, 1/10} of start;
+    None for each when sup_dev starts at 0, since there is no deviation to decay."""
     if len(records) < 2:
         raise ArgumentError("decay_metrics needs at least 2 records")
     times = [r.t for r in records]
@@ -229,6 +230,8 @@ def decay_metrics(records: List[DiagnosticsRecord]) -> DecayReport:
     s0 = sups[0]
 
     def first_below(frac):
+        if s0 == 0.0:
+            return None
         thresh = frac * s0
         for t, s in zip(times, sups):
             if s <= thresh:

@@ -24,8 +24,8 @@ class PositivityError(DomainError):
     """An entry of v, theta or phi's argument is not above its floor (NaN
     included): 0 in transport, phi and transport_derivatives, the solver's
     constant POSITIVITY_FLOOR for a trial stage.  The solver also raises it for
-    a non-finite predictor of either integrator, so that the step is retried
-    with dt/2."""
+    any non-finite trial state of either integrator, the predictor or the new
+    state, so that the step is retried with dt/2."""
 
 
 class PositivityExhaustedError(PositivityError):

@@ -60,9 +60,13 @@ class Grid:
                                 f"{self.ncells} cells, whose state vectors have {self.size}")
         return y
 
-    def views(self, y: np.ndarray) -> tuple:
-        """(v, u, theta), the views of a state vector y laid out [v | theta | u]."""
-        return _layout(self.fit(y))
+    @staticmethod
+    def views(y: np.ndarray) -> tuple:
+        """(v, u, theta), the views of a vector laid out [v | theta | u]: of 3*C + 1
+        entries, C for each cell field and C + 1 for the nodes.  Unchecked: a state
+        from outside meets fit where it enters, in make_stage and apply_farfield."""
+        ncells = y.size // 3
+        return y[:ncells], y[2 * ncells:], y[ncells:2 * ncells]
 
     @property
     def cell_interior(self) -> slice:
@@ -176,13 +180,6 @@ def build_grid(L: float, N: int, ghost_depth: int = 2) -> Grid:
     return Grid(L=L, N=N, ghost_depth=ghost_depth, dx=dx)
 
 
-def _layout(y: np.ndarray) -> tuple:
-    """(v, u, theta), the views of a vector laid out [v | theta | u]: of 3*C + 1
-    entries, C for each cell field and C + 1 for the nodes."""
-    ncells = y.size // 3
-    return y[:ncells], y[2 * ncells:], y[ncells:2 * ncells]
-
-
 def _field(name: str) -> property:
     """A State field: read, its view of y; assigned, a copy into that view."""
     def assign(state: "State", values) -> None:
@@ -205,31 +202,28 @@ class State:
         if not len(v) == len(theta) == len(u) - 1:
             raise ArgumentError(f"fields of lengths v {len(v)}, u {len(u)}, theta {len(theta)}: "
                                 "u needs one entry more than v and theta")
-        self._adopt(t, np.concatenate((v, theta, u), dtype=float))
+        self.wrap(t, np.concatenate((v, theta, u), dtype=float))
 
-    def _adopt(self, t: float, y: np.ndarray) -> "State":
-        """self at t, its fields the views of y itself."""
+    def wrap(self, t: float, y: np.ndarray) -> "State":
+        """self at t, its fields the views of y itself (no copy, no check): the one
+        way a vector becomes a state, as State.__new__(State).wrap(t, y)."""
         self.t, self.y = t, y
-        self._v, self._u, self._theta = _layout(y)
+        self._v, self._u, self._theta = Grid.views(y)
         return self
 
-    @classmethod
-    def wrap(cls, t: float, y: np.ndarray, grid: Grid) -> "State":
-        """The state at t whose fields view y itself (no copy); ArgumentError unless y fits grid."""
-        return cls.__new__(cls)._adopt(t, grid.fit(y))
-
     def copy(self) -> "State":
-        return State.__new__(State)._adopt(self.t, self.y.copy())
+        return State.__new__(State).wrap(self.t, self.y.copy())
 
     @staticmethod
     def equilibrium(grid: Grid, t: float = 0.0) -> "State":
         n = grid.ncells
-        return State.wrap(t, np.repeat([FARFIELD[0], FARFIELD[2], FARFIELD[1]], [n, n, n + 1]), grid)
+        return State.__new__(State).wrap(t, np.repeat([FARFIELD[0], FARFIELD[2], FARFIELD[1]],
+                                                      [n, n, n + 1]))
 
 
 def apply_farfield(state: State, grid: Grid) -> State:
-    """Pin all ghost entries to (1, 0, 1), interior untouched, by one write into
-    state.y; ArgumentError unless the state fits grid.  In place."""
+    """Pin all ghost entries to (1, 0, 1), interior untouched, by one write into state.y,
+    in place; ArgumentError unless the state fits grid (the step's one check of a trial state)."""
     index, values = grid.farfield
     grid.fit(state.y)[index] = values
     return state

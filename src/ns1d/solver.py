@@ -138,8 +138,8 @@ class Stage(State):
     grid: Grid
 
     def __init__(self, t: float, y: np.ndarray, model: GasModel, grid: Grid, floor: float = 0.0):
-        """The stage at t of y itself; PositivityError unless v, theta > floor."""
-        self._adopt(t, grid.fit(y))
+        """The stage at t of y itself, a vector of grid; PositivityError unless v, theta > floor."""
+        self.wrap(t, y)
         v, u, theta = self._v, self._u, self._theta
         mu, kappa = transport(model, v, theta, floor)
         self.ux, self.theta_x = grid.cell_diff(u), grid.node_diff(theta)
@@ -147,18 +147,18 @@ class Stage(State):
         self.model, self.grid = model, grid
 
 
-def make_stage(state: State, model: GasModel, grid: Grid, floor: float = 0.0) -> Stage:
-    """The stage of state, on a copy of its vector y; PositivityError unless
-    v, theta > floor.  A stage built for the same model and grid is returned as it is."""
+def make_stage(state: State, model: GasModel, grid: Grid) -> Stage:
+    """The stage of state on a copy of its y: ArgumentError unless y fits grid, PositivityError
+    unless v, theta > 0.  A stage built for the same model and grid is returned as it is."""
     if isinstance(state, Stage) and state.model is model and state.grid is grid:
         return state
-    return Stage(state.t, state.y.copy(), model, grid, floor)
+    return Stage(state.t, grid.fit(state.y).copy(), model, grid)
 
 
 def _trial(t: float, y: np.ndarray, model: GasModel, grid: Grid) -> Stage:
     """Stage of a trial state y, ghosts pinned; PositivityError if an entry is not
     finite or v, theta are at or below the floor."""
-    apply_farfield(State.wrap(t, y, grid), grid)
+    apply_farfield(State.__new__(State).wrap(t, y), grid)
     # an inf passes a min-reduction and would warn later: one dot refuses it, or overflows
     if not math.isfinite(y.dot(y)):
         raise PositivityError(f"trial state at t={t} has a non-finite entry")

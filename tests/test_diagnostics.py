@@ -205,9 +205,11 @@ class TestDecayMetrics:
         assert rep.tenth_time == 4.0  # 1/16 is first value <= 1/10
 
     def test_no_decay_gives_none(self):
-        recs = [make_record(t=float(i), sup_dev=1.0) for i in range(4)]
-        rep = decay_metrics(recs)
-        assert rep.half_time is None and rep.tenth_time is None
+        # a flat series never falls; from sup_dev(0) = 0 there is no deviation to decay
+        for sup_dev in (1.0, 0.0):
+            rep = decay_metrics([make_record(t=float(i), sup_dev=sup_dev) for i in range(4)])
+            assert rep.half_time is None and rep.quarter_time is None, sup_dev
+            assert rep.tenth_time is None, sup_dev
 
     def test_needs_two_records(self):
         with pytest.raises(ArgumentError):

@@ -15,12 +15,13 @@ import ns1d.solver
 from ns1d.constitutive import GasModel, HProfile, transport
 from ns1d.diagnostics import DiagnosticsCollector, dissipation_rate
 from ns1d.errors import ArgumentError, NewtonDivergenceError, PositivityError
-from ns1d.grid import State, apply_farfield, build_grid
+from ns1d.grid import Grid, State, apply_farfield, build_grid
 from ns1d.harness import RunConfig, make_initial_data, make_model
 from ns1d.solver import (
     BACKWARD_ERROR_TOL,
     POSITIVITY_FLOOR,
     SolverConfig,
+    Stage,
     _implicit_diffusion,
     _landing_times,
     advance,
@@ -193,7 +194,7 @@ class TestExplicitStep:
             pred = apply_farfield(State(h, s0.v + h * k0[0], s0.u + h * k0[1],
                                         s0.theta + h * k0[2]), g)
             try:
-                make_stage(pred, m, g, POSITIVITY_FLOOR)
+                Stage(pred.t, pred.y, m, g, POSITIVITY_FLOOR)
             except PositivityError:
                 continue
             accepted.append(h)
@@ -1254,7 +1255,8 @@ class TestStage:
             return real(arr, bound)
 
         monkeypatch.setattr(ns1d.constitutive, "_all_above", counted)
-        make_stage(gauss_state(g), m, g, floor)
+        s = gauss_state(g)
+        Stage(s.t, s.y, m, g, floor)
         assert calls == [floor, floor]
 
     def test_imex_solves_read_the_half_stage(self, monkeypatch):
@@ -1351,6 +1353,31 @@ class TestStage:
         ref, _ = step_explicit(s0, m, g, 0.5 * dt)
         for name in ("v", "u", "theta"):
             assert np.array_equal(getattr(out, name), getattr(ref, name)), name
+
+    @pytest.mark.parametrize("step", [step_explicit, step_imex], ids=["explicit", "imex"])
+    def test_one_fit_check_per_trial_state(self, step, monkeypatch):
+        # a state meets its grid's check where it enters: on the step path each trial
+        # state once, in apply_farfield, and no vector the step has built itself
+        g, m = build_grid(8.0, 64), self.MODEL
+        s0 = make_stage(gauss_state(g, with_u=True), m, g)
+        dt = 0.5 * stable_dt(s0, m, g, CFG)
+        real_fit, real_pin, fits, pinned = Grid.fit, ns1d.solver.apply_farfield, [], []
+
+        def counted_fit(grid, y):
+            fits.append(y.size)
+            return real_fit(grid, y)
+
+        def poison_first_new_state(state, grid):
+            if len(pinned) == 1:            # the first attempt's new state: dt halves once
+                state.theta[grid.ghost_depth + 3] = np.inf
+            pinned.append(state.t)
+            return real_pin(state, grid)
+
+        monkeypatch.setattr(Grid, "fit", counted_fit)
+        monkeypatch.setattr(ns1d.solver, "apply_farfield", poison_first_new_state)
+        _, stats = step(s0, m, g, dt)
+        assert stats.rejected_substeps == 1 and pinned == [s0.t + dt] * 2 + [s0.t + dt / 2] * 2
+        assert fits == [g.size] * 4
 
 
 def every_state(g, m):
