@@ -17,6 +17,7 @@ Each warning shown is one `warning: <message>` line on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import warnings
@@ -90,11 +91,10 @@ def main(argv=None) -> int:
                 bad = [s for s in summaries if s.exit_status != "ok"]
                 print(f"sweep finished: {len(summaries) - len(bad)}/{len(summaries)} runs ok")
                 return EXIT_NUMERICAL if bad else EXIT_OK
-            if args.command == "validate-h":
-                report = validate_h_config(config)
-                print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
-                return EXIT_OK
-            raise ConfigError(f"unknown command {args.command!r}")
+            # validate-h: the required subcommand admits no other
+            report = validate_h_config(config)
+            print(json.dumps(dataclasses.asdict(report), sort_keys=True, indent=2))
+            return EXIT_OK
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG

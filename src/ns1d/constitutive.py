@@ -9,7 +9,7 @@ and the entropy zero point is fixed there.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -152,7 +152,10 @@ def phi(z):
 # adaptive Simpson quadrature and the Kanel' potential
 # ---------------------------------------------------------------------------
 
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 60) -> float:
+SIMPSON_MAX_DEPTH = 60   # halvings: a piece 2**-60 of [a, b] still off tol marks a singular f
+
+
+def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10) -> float:
     """Adaptive Simpson integration of f over [a, b], absolute tolerance tol."""
     if a == b:
         return 0.0
@@ -170,9 +173,9 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int =
         err = left + right - whole
         if abs(err) <= 15.0 * tol:
             return left + right + err / 15.0
-        if depth >= max_depth:
+        if depth >= SIMPSON_MAX_DEPTH:
             raise QuadratureError(
-                f"adaptive Simpson hit max depth {max_depth} on [{x0}, {x2}]")
+                f"adaptive Simpson hit max depth {SIMPSON_MAX_DEPTH} on [{x0}, {x2}]")
         half = 0.5 * tol
         return (recurse(x0, xm, f0, fl, f1, left, half, depth + 1)
                 + recurse(xm, x2, f1, fr, f2, right, half, depth + 1))
@@ -184,8 +187,8 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int =
     return recurse(a, b, fa, fm, fb, whole, tol, 0)
 
 
-def kanel_potential(h: HProfile, v: float, tol: float = 1e-10) -> float:
-    """Integral of sqrt(phi(z))*h(z)/z from 1 to v.
+def kanel_potential(h: HProfile, v: float) -> float:
+    """Integral of sqrt(phi(z))*h(z)/z from 1 to v, to absolute tolerance 1e-10.
 
     The integrand has a square-root-type kink at z = 1, so the integration
     never straddles that point: the interval starts or ends there.
@@ -206,8 +209,8 @@ def kanel_potential(h: HProfile, v: float, tol: float = 1e-10) -> float:
         raise DomainError(f"the Kanel' integrand is not finite in float64 at z = {z}")
 
     if v > 1.0:
-        return adaptive_simpson(f, 1.0, v, tol=tol)
-    return -adaptive_simpson(f, v, 1.0, tol=tol)
+        return adaptive_simpson(f, 1.0, v)
+    return -adaptive_simpson(f, v, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +235,6 @@ class AdmissibilityReport:
     C_slope: Optional[float]
     v_slope_argmax: Optional[float]
     note: str = ""
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _finite(what: str, x) -> float:

@@ -11,7 +11,7 @@ gauss-pulse at t = 2: -9.8e-4 at N = 128 down to -1.6e-5 at N = 1024).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import List, Optional
 
 import numpy as np
@@ -69,9 +69,6 @@ class InitialDataReport:
     max_v0: float
     min_theta0: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class DecayReport:
@@ -80,9 +77,6 @@ class DecayReport:
     half_time: Optional[float]
     quarter_time: Optional[float]
     tenth_time: Optional[float]
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +95,7 @@ def _deviation_norms(grid: Grid, dv: np.ndarray, u: np.ndarray, dtheta: np.ndarr
     return tuple(float(np.sqrt(a ** 2 + b ** 2 + c ** 2)) for a, b, c in zip(*norms))
 
 
-def cell_kinetic_energy(state: State, grid: Grid) -> np.ndarray:
+def cell_kinetic_energy(state: State) -> np.ndarray:
     """Node kinetic energy attributed to cells: (u_left^2 + u_right^2)/4."""
     u = state.u
     return 0.25 * (u[:-1] ** 2 + u[1:] ** 2)
@@ -118,7 +112,7 @@ def conserved_totals(state: State, grid: Grid, model: GasModel):
     dx = grid.dx
     mass_dev = float(np.sum(v - 1.0) * dx)
     momentum = float(np.sum(u) * dx)
-    k = cell_kinetic_energy(state, grid)[grid.cell_interior]
+    k = cell_kinetic_energy(state)[grid.cell_interior]
     energy_dev = float(np.sum(model.cv * theta + k - model.cv) * dx)
     return mass_dev, momentum, energy_dev
 
@@ -143,7 +137,7 @@ def eta_total(state: State, model: GasModel, grid: Grid) -> float:
     """Integral of phi(v) + k + cv*phi(theta) over interior cells, with the
     node kinetic energy attributed to cells."""
     ci = grid.cell_interior
-    k = cell_kinetic_energy(state, grid)
+    k = cell_kinetic_energy(state)
     dens = phi(state.v) + k + model.cv * phi(state.theta)
     return float(np.sum(dens[ci]) * grid.dx)
 

@@ -215,10 +215,10 @@ class State:
         return State.__new__(State).wrap(self.t, self.y.copy())
 
     @staticmethod
-    def equilibrium(grid: Grid, t: float = 0.0) -> "State":
+    def equilibrium(grid: Grid) -> "State":
         n = grid.ncells
-        return State.__new__(State).wrap(t, np.repeat([FARFIELD[0], FARFIELD[2], FARFIELD[1]],
-                                                      [n, n, n + 1]))
+        return State.__new__(State).wrap(0.0, np.repeat([FARFIELD[0], FARFIELD[2], FARFIELD[1]],
+                                                        [n, n, n + 1]))
 
 
 def apply_farfield(state: State, grid: Grid) -> State:

@@ -21,7 +21,7 @@ from typing import ClassVar, Dict, List, Optional
 
 import numpy as np
 
-from .constitutive import GasModel, HProfile, AdmissibilityReport, _all_above, validate_h
+from .constitutive import GasModel, HProfile, AdmissibilityReport, validate_h
 from .diagnostics import (DiagnosticsCollector, DiagnosticsRecord,
                           decay_metrics, initial_data_report, theta_floor_fit)
 from .errors import ArgumentError, ConfigError, DomainError, Ns1dError
@@ -159,8 +159,9 @@ def plan(config: RunConfig) -> Plan:
     if config.profile_every < 0 or 0 < config.profile_every < tol:
         raise ConfigError(f"profile_every must be 0 (first and last snapshots) or at least "
                           f"the landing tolerance 1e-12 * t_end, got {config.profile_every}")
-    if config.t_end < 0 or config.mms_t_end < 0:
-        raise ConfigError("t_end must be nonnegative")
+    for key, t_end in (("time.t_end", config.t_end), ("mms.t_end", config.mms_t_end)):
+        if t_end < 0:
+            raise ConfigError(f"{key} must be nonnegative, got {t_end}")
     formats = output_formats(config)
     if config.preset == "mms" and "json" not in formats:
         raise ConfigError("the mms preset writes only summary.json, so output.formats "
@@ -297,13 +298,14 @@ def _u_bump(config: RunConfig, xn: np.ndarray) -> np.ndarray:
 
 
 def make_initial_data(config: RunConfig, grid: Grid) -> State:
-    """Preset initial data with far-field ghosts; positivity validated."""
+    """Preset initial data with far-field ghosts.  The amplitude rule refuses NaN, so every
+    preset keeps v >= 1 and theta >= 0.4; `plan` stages the start and checks it."""
     a, w = config.amplitude, config.width
     if config.preset not in PRESETS:
         raise ConfigError(f"unknown preset {config.preset!r}; choose from {PRESETS}")
     if config.preset == "mms":
         raise ConfigError("the mms preset has no initial data here: its study builds its own")
-    if a < 0 or (a >= 1.0 and config.preset != "constant"):
+    if not (a >= 0.0 and (a < 1.0 or config.preset == "constant")):
         raise ConfigError(f"amplitude must lie in [0, 1), got {a}")
     parts = set(parse_list(config.perturb))
     unknown = parts - {"v", "u", "theta"}
@@ -332,8 +334,6 @@ def make_initial_data(config: RunConfig, grid: Grid) -> State:
         if "u" in parts:
             state.u += _u_bump(config, xn)
     apply_farfield(state, grid)
-    if not (_all_above(state.v, 0.0) and _all_above(state.theta, 0.0)):
-        raise ConfigError("initial data violate positivity")
     return state
 
 
@@ -355,9 +355,6 @@ class RunSummary:
     max_energy_drift: Optional[float] = None
     order_report: Optional[dict] = None
     steps: int = 0
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
     def record_failure(self, exc: Ns1dError):
         self.exit_status = "error"
@@ -424,7 +421,7 @@ def _execute(plan: Plan, out_dir: Optional[Path]) -> RunSummary:
     else:
         _run_pulse(plan, out, summary)
     if "json" in plan.formats:
-        _json_dump(summary.to_dict(), out / "summary.json")
+        _json_dump(dataclasses.asdict(summary), out / "summary.json")
     return summary
 
 
@@ -461,7 +458,7 @@ def _run_pulse(plan: Plan, out: Path, summary: RunSummary):
         _write_timeseries(records, out / "timeseries.csv")
     if records:
         rec0 = records[0]
-        summary.initial_report = initial_data_report(rec0).to_dict()
+        summary.initial_report = dataclasses.asdict(initial_data_report(rec0))
         summary.final_record = dataclasses.asdict(records[-1])
         for name, attr in (("mass", "mass_dev"), ("momentum", "momentum"),
                            ("energy", "energy_dev")):
@@ -471,7 +468,7 @@ def _run_pulse(plan: Plan, out: Path, summary: RunSummary):
         if len(records) >= 3:
             summary.c4_fit = theta_floor_fit(records)
         if len(records) >= 2:
-            summary.decay = decay_metrics(records).to_dict()
+            summary.decay = dataclasses.asdict(decay_metrics(records))
 
 
 def _run_mms(plan: Plan, summary: RunSummary):
@@ -513,7 +510,7 @@ def sweep(base_config: RunConfig, parameter: str, values: List[float],
             raise ConfigError(f"{parameter}={_name(value)}: {exc}") from exc
     root = _out_dir(base_config, out_dir)
     summaries = [_execute(p, out_dir=root / name) for name, p in zip(names, plans)]
-    _json_dump([s.to_dict() for s in summaries], root / "sweep_summary.json")
+    _json_dump([dataclasses.asdict(s) for s in summaries], root / "sweep_summary.json")
     return summaries
 
 
@@ -523,5 +520,5 @@ def validate_h_config(config: RunConfig) -> AdmissibilityReport:
         report = validate_h(model.h)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-    _json_dump(report.to_dict(), _out_dir(config) / "admissibility.json")
+    _json_dump(dataclasses.asdict(report), _out_dir(config) / "admissibility.json")
     return report

@@ -19,10 +19,11 @@ from ns1d.constitutive import (
     validate_h,
 )
 from ns1d.diagnostics import kanel_bound_pair
-from ns1d.errors import ArgumentError, ConfigError, DomainError, PositivityError
+from ns1d.errors import (ArgumentError, ConfigError, DomainError, PositivityError,
+                         QuadratureError)
 from ns1d.grid import State, build_grid
 import ns1d.harness
-from ns1d.harness import RunConfig, make_initial_data
+from ns1d.harness import RunConfig, plan
 
 positive = st.floats(min_value=1e-3, max_value=1e3)
 
@@ -97,7 +98,7 @@ def refuse_initial_data(entry, monkeypatch):
         pin(state, grid)
         state.theta = with_entry(state.theta, entry)
     monkeypatch.setattr(ns1d.harness, "apply_farfield", pin_then_spoil)
-    make_initial_data(dataclasses.replace(RunConfig(), grid_N=GRID.N), GRID)
+    plan(dataclasses.replace(RunConfig(), grid_N=GRID.N))
 
 
 def refuse_h_values(entry, monkeypatch):
@@ -107,7 +108,7 @@ def refuse_h_values(entry, monkeypatch):
 # each check, with the exception class and message it raised before
 REFUSALS = [
     (refuse_kanel_pair, PositivityError, "z must be positive"),
-    (refuse_initial_data, ConfigError, "initial data violate positivity"),
+    (refuse_initial_data, ConfigError, "theta must be positive"),
     (refuse_h_values, DomainError, "h\\(v\\) must be positive"),
 ]
 
@@ -280,6 +281,11 @@ class TestKanelPotential:
         val = adaptive_simpson(math.sin, 0.0, math.pi, tol=1e-12)
         assert val == pytest.approx(2.0, abs=1e-10)
 
+    def test_adaptive_simpson_refuses_a_singular_integrand(self):
+        # 1/sqrt(x) never meets tol on the piece at 0: 60 halvings, then QuadratureError
+        with pytest.raises(QuadratureError, match=r"max depth 60 on \[0\.0, 8\.67"):
+            adaptive_simpson(lambda x: math.inf if x == 0.0 else x ** -0.5, 0.0, 1.0)
+
 
 EXPONENTS = [0, 0.25, 0.5, 0.75, 1, 1.5, 2, 3, 5]
 
@@ -333,7 +339,7 @@ class TestValidateH:
 
     def test_report_serializes(self):
         rep = validate_h(HProfile.power_sum(1, 1))
-        d = rep.to_dict()
+        d = dataclasses.asdict(rep)
         assert isinstance(d["admissible"], bool)
         assert d["ell1"] == 1.0
 

@@ -145,11 +145,12 @@ class TestValidation:
 
     @pytest.mark.parametrize("setting, message", [
         (dict(t_end=-1.0), "t_end must be nonnegative"),
+        (dict(mms_t_end=-1.0), "mms.t_end must be nonnegative, got -1.0"),
         (dict(profile_every=-0.5), "profile_every must be 0"),
         (dict(output_every=math.nan), "non-finite value for time.output_every"),
         (dict(grid_N=4), "N must be at least 8"),
         (dict(preset="mms", mms_levels="16,32"), "needs at least 3 levels"),
-    ], ids=["t_end", "profile_every", "output_every", "grid_N", "mms_levels"])
+    ], ids=["t_end", "mms_t_end", "profile_every", "output_every", "grid_N", "mms_levels"])
     def test_run_refuses_what_plan_refuses(self, setting, message, tmp_path):
         # run plans its config before it writes anything
         config = fast_config(**setting)
@@ -236,6 +237,11 @@ class TestInitialData:
     def test_amplitude_range(self):
         with pytest.raises(ConfigError, match="amplitude"):
             make_initial_data(fast_config(amplitude=1.2), self.g)
+
+    @pytest.mark.parametrize("preset", ["gauss-pulse", "two-bump"])
+    def test_nan_amplitude_is_refused_by_the_amplitude_rule(self, preset):
+        with pytest.raises(ConfigError, match=r"amplitude must lie in \[0, 1\), got nan"):
+            make_initial_data(fast_config(preset=preset, amplitude=math.nan), self.g)
 
     def test_two_bump_structure(self):
         s = make_initial_data(fast_config(preset="two-bump", amplitude=0.3), self.g)
@@ -437,7 +443,7 @@ class TestRun:
         data = json.loads((tmp_path / "summary.json").read_text())
         assert data["exit_status"] == "error"
         assert data["error"].startswith("PositivityExhaustedError: ")
-        assert data == s.to_dict()
+        assert data == dataclasses.asdict(s)
 
     def test_each_profile_written_once(self, tmp_path, monkeypatch):
         # t_end is a multiple of profile_every, so the last periodic profile
@@ -595,7 +601,7 @@ class TestReportedNumbers:
         summaries = sweep(fast_config(t_end=0.1), "alpha", [0.0], out_dir=tmp_path / "sweep")
         entry, = json.loads((tmp_path / "sweep" / "sweep_summary.json").read_text())
         assert set(entry) == run_keys
-        assert "wall_time" not in summaries[0].to_dict()
+        assert "wall_time" not in dataclasses.asdict(summaries[0])
 
         monkeypatch.setenv("NS1D_OUT", str(tmp_path / "h"))
         validate_h_config(fast_config())

@@ -140,9 +140,10 @@ def test_no_module_keeps_an_unreferenced_helper():
 
 
 CONFIG_CLASSES = ("SolverConfig", "RunConfig")
-# and the Stage, each of whose fields is work done once per state, and the
-# Plan, each of whose fields is built once per run
-CHECKED_CLASSES = CONFIG_CLASSES + ("Stage", "Plan")
+# and the Stage, each of whose fields is work done once per state, the Plan,
+# each of whose fields is built once per run, and the gas model, the profile h
+# and the manufactured case, each of whose fields some formula reads
+CHECKED_CLASSES = CONFIG_CLASSES + ("Stage", "Plan", "GasModel", "HProfile", "ManufacturedCase")
 
 
 def unread_fields(sources: dict, classes=CONFIG_CLASSES) -> list:
