@@ -1,9 +1,9 @@
 """Command-line entry point: ns1d {run, sweep, mms, validate-h}.
 
 The config is the defaults or a --config file, with the --set overrides on
-top; the preset is one more key (--set preset=two-bump).  It is planned once,
-by run, sweep or validate-h, before anything is written: a sweep plans each
-of its values, and the base config only with a value, before its first run.
+top; the preset is one more key (--set preset=two-bump).  A run plans it once,
+before anything is written, and a sweep each of its values (the base config
+only with a value) before its first run; validate-h builds only the gas model.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error or
 memory exhausted (an input too large to allocate).

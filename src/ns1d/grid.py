@@ -168,7 +168,7 @@ class Grid:
 
 
 def build_grid(L: float, N: int, ghost_depth: int = 2) -> Grid:
-    if L <= 0:
+    if not L > 0:                  # NaN fails it too
         raise ArgumentError(f"L must be positive, got {L}")
     if N < 8:
         raise ArgumentError(f"N must be at least 8, got {N}")

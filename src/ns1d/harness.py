@@ -125,8 +125,8 @@ def output_formats(config: RunConfig) -> frozenset:
 
 @dataclass(frozen=True)
 class Plan:
-    """A checked config and what its run builds from it, each once: the grid and
-    initial Stage of a pulse preset, or the case and levels of an MMS study."""
+    """A checked config and what its run builds from it: a pulse preset's grid and initial
+    Stage, or an MMS study's case and levels (the study rebuilds level 0's start, checked here)."""
     config: RunConfig
     model: GasModel
     solver_config: SolverConfig
@@ -146,7 +146,7 @@ def plan(config: RunConfig) -> Plan:
     the initial data otherwise, staged here for `advance` to reuse.  The start,
     an MMS study's at its first level, is refused if it cannot be stepped (see
     `_check_start`).  An MMS study writes only summary.json, so its formats must
-    include json.
+    include json.  `validate_h_config` plans no run: it builds only the gas model.
     """
     non_finite = [key for key, attr in KEYMAP.items()
                   if _FIELD_TYPES[attr] == "float" and not math.isfinite(getattr(config, attr))]
@@ -184,11 +184,6 @@ def plan(config: RunConfig) -> Plan:
             data = dict(grid=grid, state=start)
     except (ArgumentError, DomainError) as exc:
         raise ConfigError(str(exc)) from exc
-    if config.h_kind == "power-sum" and (config.h_ell1 < 1.0 or config.h_ell2 < 1.0):
-        warnings.warn(
-            "the global-existence regime assumes ell1 >= 1 and ell2 >= 1; "
-            f"got ell1={config.h_ell1}, ell2={config.h_ell2}; proceeding",
-            stacklevel=2)
     return Plan(config, model, solver_config, formats, **data)
 
 
@@ -268,8 +263,12 @@ def make_model(config: RunConfig) -> GasModel:
         h = HProfile.power_sum(config.h_ell1, config.h_ell2)
     else:
         raise ConfigError(f"unknown h kind {config.h_kind!r}")
-    return GasModel(gamma=config.gas_gamma, mu_tilde=config.gas_mu_tilde,
-                    kappa_tilde=config.gas_kappa_tilde, alpha=config.gas_alpha, h=h)
+    model = GasModel(gamma=config.gas_gamma, mu_tilde=config.gas_mu_tilde,
+                     kappa_tilde=config.gas_kappa_tilde, alpha=config.gas_alpha, h=h)
+    if h.kind == "power-sum" and min(h.ell1, h.ell2) < 1.0:
+        warnings.warn("the global-existence regime assumes ell1 >= 1 and ell2 >= 1; "
+                      f"got ell1={h.ell1}, ell2={h.ell2}; proceeding", stacklevel=2)
+    return model
 
 
 def make_solver_config(config: RunConfig) -> SolverConfig:
@@ -413,7 +412,7 @@ def run(config: RunConfig, out_dir: Optional[Path] = None) -> RunSummary:
 
 
 def _execute(plan: Plan, out_dir: Optional[Path]) -> RunSummary:
-    """Run a plan, building nothing again."""
+    """Run a plan: a pulse run builds nothing again, an MMS study only its level-0 start."""
     out = _out_dir(plan.config, out_dir)
     summary = RunSummary(config=config_to_flat(plan.config), exit_status="ok")
     if plan.case is not None:
@@ -515,10 +514,11 @@ def sweep(base_config: RunConfig, parameter: str, values: List[float],
 
 
 def validate_h_config(config: RunConfig) -> AdmissibilityReport:
-    model = plan(config).model
+    """The admissibility of config's h, into admissibility.json.  It reads only the gas.*
+    keys, which `make_model` checks, and output.directory: no run is planned or stepped."""
     try:
-        report = validate_h(model.h)
-    except DomainError as exc:
+        report = validate_h(make_model(config).h)
+    except (ArgumentError, DomainError) as exc:
         raise ConfigError(str(exc)) from exc
     _json_dump(dataclasses.asdict(report), _out_dir(config) / "admissibility.json")
     return report

@@ -1,5 +1,6 @@
 import collections
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -16,6 +17,7 @@ import ns1d.solver
 import ns1d.verification
 from ns1d import cli
 from ns1d.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
+from ns1d.constitutive import HProfile, validate_h
 from ns1d.harness import KEYMAP, PRESETS
 
 
@@ -143,6 +145,24 @@ def test_warning_is_one_stderr_line(out_dir, capsys):
     report = json.loads(captured.out)
     assert report["admissible"] is False and report["C"] is None
     assert "without bound" in report["note"]
+
+
+UNREAD_BY_VALIDATE_H = ["grid.L=2", "grid.N=4", "time.t_end=-1", "init.amplitude=2",
+                        "solver.cfl_parabolic=1.5", "gas.mu_tilde=1e300", "output.formats=xml"]
+
+
+@pytest.mark.parametrize("setting", UNREAD_BY_VALIDATE_H + ["gas.h.ell1=5000"])
+def test_validate_h_plans_no_run(setting, out_dir, monkeypatch):
+    # only the gas model is built: a run's keys, or a start too stiff to step, are not refused
+    assert main(["validate-h", "--set", setting]) == EXIT_OK
+    written = (out_dir / "admissibility.json").read_bytes()
+    if setting == "gas.h.ell1=5000":
+        want = dataclasses.asdict(validate_h(HProfile.power_sum(5000.0, 1.0)))
+        assert json.loads(written) == want and want["admissible"]
+    else:
+        monkeypatch.setenv("NS1D_OUT", str(out_dir / "default"))
+        assert main(["validate-h"]) == EXIT_OK
+        assert (out_dir / "default" / "admissibility.json").read_bytes() == written
 
 
 def test_newton_max_iter_is_an_unknown_key(tmp_path, out_dir, capsys):
@@ -274,6 +294,7 @@ MMS_FAST = ["--set", "mms.levels=16,32,64", "--set", "mms.t_end=0.05"]
     ["sweep", "--set", "preset=constant", "--param", "amplitude", "--values=0.05,0.5"],
     ["validate-h", "--set", "gas.h.kind=constant", "--set", "gas.h.c=1e-320"],
     ["validate-h", "--set", "gas.h.ell1=1e308"],
+    ["validate-h", "--set", "gas.gamma=1"],
     # finite viscosities whose first step is below the landing tolerance: the explicit
     # run would step near 1e-302, the MMS study's level-16 start near 2e-121
     ["run", "--set", "gas.mu_tilde=1e300"],
@@ -291,7 +312,6 @@ def test_refused_input_exits_2(argv, out_dir, capsys):
 @pytest.mark.parametrize("argv, name", [
     (["run", "--set", "gas.h.ell1=5000", "--set", "solver.integrator=imex"], "mu"),
     (["run", "--set", "gas.kappa_tilde=1e308"], "kappa"),
-    (["validate-h", "--set", "gas.h.ell1=5000"], "mu"),
 ], ids=lambda x: " ".join(x) if isinstance(x, list) else x)
 def test_start_that_cannot_be_stepped_is_one_config_error(argv, name, out_dir, capsys):
     # h(1.3) = 1.3**5000 and 1e308 * h(v), h >= 2, overflow: no step could follow
@@ -323,7 +343,7 @@ def test_preset_flag_is_gone(capsys):
 
 
 PLAN_BUILDERS = ("plan", "make_model", "make_solver_config", "output_formats", "build_grid",
-                 "make_initial_data", "default_case")
+                 "make_initial_data", "default_case", "_check_start")
 PULSE_BUILDERS = set(PLAN_BUILDERS) - {"default_case"}
 MMS_BUILDERS = set(PLAN_BUILDERS) - {"make_initial_data"}
 
@@ -333,10 +353,10 @@ MMS_BUILDERS = set(PLAN_BUILDERS) - {"make_initial_data"}
     (["run"] + FAST, PULSE_BUILDERS, 1),
     (["sweep", "--param", "alpha", "--values=-0.05,0,0.05"] + FAST, PULSE_BUILDERS, 3),
     (["mms"] + MMS_FAST, MMS_BUILDERS, 1),
-    (["validate-h"], PULSE_BUILDERS, 1),
+    (["validate-h"], {"make_model"}, 1),
 ], ids=["run-config", "run", "sweep", "mms", "validate-h"])
 def test_each_builder_runs_once_per_run(argv, builders, runs, tmp_path, monkeypatch):
-    # the config is planned once per run, and the run builds nothing again
+    # the config is planned, and its start staged, once per run; validate-h plans no run
     calls = collections.Counter()
 
     def counted(name, real):

@@ -280,6 +280,8 @@ class TestKanelPotential:
         assert val == pytest.approx(0.0, abs=1e-12)
         val = adaptive_simpson(math.sin, 0.0, math.pi, tol=1e-12)
         assert val == pytest.approx(2.0, abs=1e-10)
+        # an empty interval is 0.0 without evaluating f, here undefined at -1
+        assert adaptive_simpson(math.log, -1.0, -1.0) == 0.0
 
     def test_adaptive_simpson_refuses_a_singular_integrand(self):
         # 1/sqrt(x) never meets tol on the piece at 0: 60 halvings, then QuadratureError

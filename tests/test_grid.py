@@ -20,6 +20,8 @@ def test_build_grid_preconditions():
         build_grid(-1.0, 16)
     with pytest.raises(ArgumentError):
         build_grid(1.0, 16, ghost_depth=1)
+    with pytest.raises(ArgumentError, match="L must be positive, got nan"):
+        build_grid(float("nan"), 64)
 
 
 def test_layout_counts():
@@ -74,6 +76,8 @@ class TestOperators:
             self.g.cell_diff(np.zeros(self.g.ncells))
         with pytest.raises(ArgumentError):
             self.g.face_average(np.zeros(3))
+        with pytest.raises(ArgumentError):
+            self.g.cell_average_of_nodes(np.zeros(self.g.ncells))
 
     def test_telescoping_divergence(self):
         rng = np.random.default_rng(7)
