@@ -125,8 +125,9 @@ def output_formats(config: RunConfig) -> frozenset:
 
 @dataclass(frozen=True)
 class Plan:
-    """A checked config and what its run builds from it: a pulse preset's grid and initial
-    Stage, or an MMS study's case and levels (the study rebuilds level 0's start, checked here)."""
+    """A checked config and what its run builds from it: the grid and the checked initial
+    Stage of a pulse run, or of an MMS study's first level, which the study steps as it
+    is; for an MMS study also its case and levels."""
     config: RunConfig
     model: GasModel
     solver_config: SolverConfig
@@ -142,11 +143,12 @@ def plan(config: RunConfig) -> Plan:
 
     Each object is made by the one builder that owns its rules, so each rule
     lives there; their ArgumentError and DomainError become ConfigError.  The
-    preset picks the data: the MMS case and its levels for "mms", the grid and
-    the initial data otherwise, staged here for `advance` to reuse.  The start,
-    an MMS study's at its first level, is refused if it cannot be stepped (see
-    `_check_start`).  An MMS study writes only summary.json, so its formats must
-    include json.  `validate_h_config` plans no run: it builds only the gas model.
+    preset picks the data: the MMS case, its levels and the exact start on the
+    first level's grid for "mms", the grid and the initial data otherwise.  The
+    start is staged here, for the run to step as it is, and refused if it cannot
+    be stepped (see `_check_start`).  An MMS study writes only summary.json, so its
+    formats must include json.  `validate_h_config` plans no run: it builds only the
+    gas model.
     """
     non_finite = [key for key, attr in KEYMAP.items()
                   if _FIELD_TYPES[attr] == "float" and not math.isfinite(getattr(config, attr))]
@@ -174,17 +176,16 @@ def plan(config: RunConfig) -> Plan:
             check_levels(levels)
             grid = build_grid(MMS_HALF_WIDTH, levels[0])
             case = default_case(amplitude=config.mms_amplitude)
-            _check_start(exact_state(case, grid, 0.0), model, grid, solver_config,
-                         config.mms_t_end)
-            data = dict(case=case, levels=levels)
+            start = _check_start(exact_state(case, grid, 0.0), model, grid, solver_config,
+                                 config.mms_t_end)
         else:
+            case = levels = None
             grid = build_grid(config.grid_L, config.grid_N, config.grid_ghost_depth)
             start = _check_start(make_initial_data(config, grid), model, grid, solver_config,
                                  config.t_end)
-            data = dict(grid=grid, state=start)
     except (ArgumentError, DomainError) as exc:
         raise ConfigError(str(exc)) from exc
-    return Plan(config, model, solver_config, formats, **data)
+    return Plan(config, model, solver_config, formats, grid, start, case, levels)
 
 
 def _check_start(state: State, model: GasModel, grid: Grid, solver_config: SolverConfig,
@@ -412,7 +413,7 @@ def run(config: RunConfig, out_dir: Optional[Path] = None) -> RunSummary:
 
 
 def _execute(plan: Plan, out_dir: Optional[Path]) -> RunSummary:
-    """Run a plan: a pulse run builds nothing again, an MMS study only its level-0 start."""
+    """Run a plan: neither a pulse run nor an MMS study builds its checked start again."""
     out = _out_dir(plan.config, out_dir)
     summary = RunSummary(config=config_to_flat(plan.config), exit_status="ok")
     if plan.case is not None:
@@ -474,7 +475,7 @@ def _run_mms(plan: Plan, summary: RunSummary):
     """The convergence study of the manufactured case, into summary."""
     try:
         report = convergence_study(plan.case, plan.model, plan.levels, plan.config.mms_t_end,
-                                   config=plan.solver_config)
+                                   config=plan.solver_config, start=plan.state)
         summary.order_report = report.to_dict()
         summary.steps = report.steps
     except Ns1dError as exc:

@@ -3,9 +3,11 @@
 
 Both take one two-stage step: the predictor, or half state, is forward Euler on the
 step's explicit rates k0 (sources included); a corrector then gives the new state, Heun's
-from rhs at the predictor, IMEX's from the two implicit solves at its stage.  Each trial
-state is refused unless every entry is finite and v, theta > POSITIVITY_FLOOR; a refused
-attempt is retried with dt/2.
+from rhs at the predictor, IMEX's as one copy of the predictor's vector, whose u and theta
+the two implicit solves at its stage correct in place.  Each trial state is refused unless
+every entry is finite and v, theta > POSITIVITY_FLOOR; a refused attempt is retried with
+dt/2.  Heun steps under the diffusion limit plus, at alpha < 0, the viscous heating's
+theta-rate; IMEX under the advective limit and that heating limit (see SolverConfig).
 
 The semidiscrete system on the staggered grid is
 
@@ -88,9 +90,11 @@ class SolverConfig:
     mode. The default is 0.7, not 0.9, while IMEX is backward Euler: acceptance
     criterion 10 steps IMEX at 4 x the default explicit step, and its gap to the
     explicit run (bound 1.14e-3) is 5.90e-4 at 0.4, 1.03e-3 at 0.7 and 1.33e-3 at 0.9.
-    stable_dt's D bounds only the diffusion part: on large multiplicative data at
-    alpha = -2 (a = 5, L = 24, N = 64) the linearised rhs has a mode near z = -38 that
-    D does not see."""
+    At alpha < 0 the viscous heating mu/v*u_x^2/cv (mu ~ theta^alpha) decays in theta at
+    the rate H = -alpha*mu/v*u_x^2/(cv*theta), and the theta row's Gershgorin disc adds it to
+    the diffusion's, so the bound is dt <= cfl_parabolic*2/(4*max D/dx^2 + max H); IMEX,
+    which takes the heating explicitly, is capped at cfl_parabolic*2/max H.  Without H, the
+    default step on large data (alpha = -2, a = 5, L = 24, N = 64) reached z = -38."""
     integrator: str = "explicit"          # "explicit" | "imex"
     cfl_advective: float = 0.4
     cfl_parabolic: float = 0.7
@@ -140,9 +144,15 @@ class Stage(State):
     def __init__(self, t: float, y: np.ndarray, model: GasModel, grid: Grid, floor: float = 0.0):
         """The stage at t of y itself, a vector of grid; PositivityError unless v, theta > floor."""
         self.wrap(t, y)
-        v, u, theta = self._v, self._u, self._theta
+        v, theta = self._v, self._theta
         mu, kappa = transport(model, v, theta, floor)
-        self.ux, self.theta_x = grid.cell_diff(u), grid.node_diff(theta)
+        # node_diff(theta) and cell_diff(u) by one pass over y's [theta | u] and the v entry
+        # before it; the two differences across a field boundary are node_diff's edge zeros
+        n = v.size
+        diff = np.subtract(y[n:], y[n - 1:-1])
+        diff /= grid.dx
+        diff[0] = diff[n] = 0.0
+        self.theta_x, self.ux = diff[:n + 1], diff[n + 1:]
         self.mu_v, self.kappa_v = np.divide(mu, v, out=mu), np.divide(kappa, v, out=kappa)
         self.model, self.grid = model, grid
 
@@ -203,29 +213,40 @@ def _dt(state: State, model: GasModel, grid: Grid, config: SolverConfig,
     np.sqrt(c, out=c)
     c /= s.v
     dt = config.cfl_advective * grid.dx / float(np.maximum.reduce(c))
+    heating = 0.0                 # max of the heating's theta-rate, a decay only at alpha < 0
+    if model.alpha < 0.0:
+        rate = np.multiply(s.ux, s.ux)
+        rate *= s.mu_v
+        rate /= s.theta
+        heating = -model.alpha * float(np.maximum.reduce(rate)) / model.cv
     if parabolic:
-        diff_rate = s.kappa_v / model.cv
-        diff_max = float(np.maximum.reduce(np.maximum(s.mu_v, diff_rate, out=diff_rate)))
-        dt = min(dt, config.cfl_parabolic * grid.dx ** 2 / (2.0 * diff_max))
+        diff_max = max(float(np.maximum.reduce(s.mu_v)),
+                       float(np.maximum.reduce(s.kappa_v)) / model.cv)
+        dt = min(dt, config.cfl_parabolic * grid.dx ** 2
+                 / (2.0 * diff_max + 0.5 * grid.dx ** 2 * heating))
+    elif heating > 0.0:
+        dt = min(dt, 2.0 * config.cfl_parabolic / heating)
     if config.dt_max > 0.0:
         dt = min(dt, config.dt_max)
     return dt
 
 
 def stable_dt(state: State, model: GasModel, grid: Grid, config: SolverConfig) -> float:
-    """min(cfl_a*dx/max(c), cfl_p*dx^2/(2*max(D))) with c = sqrt(gamma*theta)/v
-    and D = max(mu/v, kappa/(cv*v)) per cell."""
+    """min(cfl_a*dx/max(c), cfl_p*2/(4*max(D)/dx^2 + H)) with c = sqrt(gamma*theta)/v,
+    D = max(mu/v, kappa/(cv*v)) per cell and H = max(-alpha*mu/v*u_x^2/(cv*theta)), the
+    heating's theta-rate, counted only at alpha < 0 (H = 0 gives cfl_p*dx^2/(2*max(D)))."""
     return _dt(state, model, grid, config, parabolic=True)
 
 
 def advective_dt(state: State, model: GasModel, grid: Grid, config: SolverConfig) -> float:
-    """Advective CFL limit only; the IMEX integrator is free of the parabolic one."""
+    """The advective CFL limit, and at alpha < 0 also cfl_p*2/H, H as in stable_dt: IMEX
+    is free of the diffusion limit, but takes the heating explicitly."""
     return _dt(state, model, grid, config, parabolic=False)
 
 
 def _integrator(config: SolverConfig):
     """(step, dt) of config's integrator: Heun under the full stable_dt, or IMEX
-    under the advective limit alone."""
+    under advective_dt, free of the diffusion limit."""
     if config.integrator == "imex":
         return step_imex, advective_dt
     return step_explicit, stable_dt
@@ -279,77 +300,99 @@ def step_explicit(state: State, model: GasModel, grid: Grid, dt: float, sources:
 # ---------------------------------------------------------------------------
 
 
-def _implicit_diffusion(x_star, grad_star, a, c: float, dt: float, grid: Grid, name: str):
+def _implicit_diffusion(x, x_star, grad_star, a, c: float, dt: float, grid: Grid, name: str):
     """Solve c*(x - x*) = dt*D_a x for the interior unknowns x[lo:hi], lo the ghost
     depth, their neighbours held at x*.  a[k] and grad_star[k] are the coefficient
     and x*'s divided difference on the link into unknown lo+k (k = 0 .. hi-lo), and
     D_a x differences a times x's divided differences across each unknown, over dx.
 
-    One symmetric tridiagonal ptsv solve for the correction to x*, on fresh arrays it may
-    overwrite: c + r*(a[k] + a[k+1]) on the diagonal, -r*a[k+1] beside it, r = dt/dx**2.
-    With c, a > 0 it is a diagonally dominant M-matrix, so positive definite (LDL^T needs no
-    pivoting) and x stays between the extremes of x* (maximum principle): ||A||*||x|| <= B =
-    (c + 4*r*max a)*max|x*|.  Returns (x, 1, max|residual|/B), the normwise backward error;
-    NewtonDivergenceError on a non-positive pivot or unless it is <= BACKWARD_ERROR_TOL.
+    In place: x is the destination, equal to x* on entry; the correction is added into
+    x[lo:hi], and no other entry of x, and nothing of x*, grad_star or a, is written.
+
+    One symmetric tridiagonal ptsv solve for the correction: c + r*(a[k] + a[k+1]) on the
+    diagonal, -r*a[k+1] beside it, r = dt/dx**2, each formed in place on a fresh array that
+    ptsv may overwrite, as is the right side.  With c, a > 0 it is a diagonally dominant
+    M-matrix, so positive definite (LDL^T needs no pivoting) and x stays between the extremes
+    of x* (maximum principle): ||A||*||x|| <= B = (c + 4*r*max a)*max|x*|.  The residual
+    c*(x - x*) - dt*D_a x is formed in place on those arrays once the solve is done.  Returns
+    (x, 1, max|residual|/B), the normwise backward error; NewtonDivergenceError on a
+    non-positive pivot or unless it is <= BACKWARD_ERROR_TOL.
     """
     dx, lo = grid.dx, grid.ghost_depth
     hi = lo + len(a) - 1
     r = dt / dx ** 2
-    flux = a * grad_star
-    correction, info = solve_banded(c + r * (a[:-1] + a[1:]), -r * a[1:-1],
-                                    dt * ((flux[1:] - flux[:-1]) / dx),
+    flux = np.multiply(a, grad_star)
+    b = np.subtract(flux[1:], flux[:-1])
+    b /= dx
+    b *= dt
+    d = np.add(a[:-1], a[1:])
+    d *= r
+    d += c
+    correction, info = solve_banded(d, np.multiply(a[1:-1], -r), b,
                                     overwrite_d=1, overwrite_e=1, overwrite_b=1)[2:]
     if info > 0:
         raise NewtonDivergenceError(f"{name} system is not positive definite: pivot {info}")
-    x = x_star.copy()
     x[lo:hi] += correction
-    flux = a * ((x[lo:hi + 1] - x[lo - 1:hi]) / dx)
-    res = float(np.max(np.abs(c * (x[lo:hi] - x_star[lo:hi]) - dt * ((flux[1:] - flux[:-1]) / dx))))
-    bound = (c + 4.0 * r * float(np.max(a))) * float(np.max(np.abs(x_star)))
+    np.subtract(x[lo:hi + 1], x[lo - 1:hi], out=flux)
+    flux /= dx
+    flux *= a
+    np.subtract(flux[1:], flux[:-1], out=d)
+    d /= dx
+    d *= dt
+    np.subtract(x[lo:hi], x_star[lo:hi], out=b)
+    b *= c
+    b -= d
+    res = float(np.maximum.reduce(np.abs(b, out=b)))
+    bound = (c + 4.0 * r * float(np.maximum.reduce(a))) * float(np.maximum.reduce(np.abs(x_star)))
     if not res <= BACKWARD_ERROR_TOL * bound < np.inf:   # a product: x* = 0 passes, NaN, inf fail
         raise NewtonDivergenceError(f"{name} diffusion solve left residual {res:.3e}: backward "
                                     f"error above {BACKWARD_ERROR_TOL:.0e} (B = {bound:.3e})")
     return x, 1, res / bound if res else 0.0
 
 
-def backward_euler_velocity(half: Stage, dt: float):
+def backward_euler_velocity(half: Stage, dt: float, u: Optional[np.ndarray] = None):
     """Solve u = u* + dt*node_diff(mu/v*cell_diff(u)) on the interior nodes, with
-    mu/v and ux read from half, the Stage of the half state (v, u*, theta*).
+    mu/v and ux read from half, the Stage of the half state (v, u*, theta*), into u,
+    which holds u* on entry (a copy of half.u if not given).
     Ghost nodes stay at u*, so momentum sums stay exact to round-off.
     Returns (u, 1, backward error) from _implicit_diffusion."""
     g = half.grid.ghost_depth
     links = slice(g - 1, g + half.grid.N + 1)   # cell j joins nodes j and j+1
-    return _implicit_diffusion(half.u, half.ux[links], half.mu_v[links], 1.0, dt, half.grid,
-                               "velocity")
+    return _implicit_diffusion(half.u.copy() if u is None else u, half.u, half.ux[links],
+                               half.mu_v[links], 1.0, dt, half.grid, "velocity")
 
 
-def backward_euler_theta(half: Stage, dt: float):
+def backward_euler_theta(half: Stage, dt: float, theta: Optional[np.ndarray] = None):
     """Solve cv*(theta - theta*) = dt*cell_diff(face(kappa/v)*node_diff(theta)) on the
     interior cells, with kappa/v and theta_x read from half, the Stage of the half
-    state: kappa is frozen there, so the solve is linear for every alpha.
+    state: kappa is frozen there, so the solve is linear for every alpha.  Into theta,
+    which holds theta* on entry (a copy of half.theta if not given).
     Returns (theta, 1, backward error) from _implicit_diffusion."""
     grid = half.grid
     links = grid.node_interior                  # node i joins cells i-1 and i
-    return _implicit_diffusion(half.theta, half.theta_x[links],
-                               grid.face_average(half.kappa_v)[links], half.model.cv,
-                               dt, grid, "temperature")
+    return _implicit_diffusion(half.theta.copy() if theta is None else theta, half.theta,
+                               half.theta_x[links], grid.face_average(half.kappa_v)[links],
+                               half.model.cv, dt, grid, "temperature")
 
 
 def step_imex(state: State, model: GasModel, grid: Grid, dt: float, sources: Sources = None):
     """One IMEX step: the explicit rates k0 = (u_x, node_diff(-P), sigma*u_x/cv),
     plus the sources, all at t_n, give the predictor s0 + h*k0 = (v*, u*, theta*),
     whose Stage both implicit diffusion solves read: mu/v and kappa/v are frozen
-    there, so each is one linear tridiagonal solve.  An attempt makes 2
-    transport calls (predictor, new state), so h runs on arrays twice.
-    Returns (new_state, StepStats) like step_explicit.
+    there, so each is one linear tridiagonal solve.  The new state is one copy of
+    the predictor's y: v stays v*, and each solve adds its correction into the u or
+    theta view.  An attempt makes 2 transport calls (predictor, new state), so h
+    runs on arrays twice.  Returns (new_state, StepStats) like step_explicit.
     """
     s0 = make_stage(state, model, grid)
     k0 = _rates(s0, sources, False)
 
     def backward_euler(half, h):
-        u_new, _, res_u = backward_euler_velocity(half, h)
-        theta_new, _, res_th = backward_euler_theta(half, h)
-        return State(half.t, half.v, u_new, theta_new).y, max(res_u, res_th)
+        y = half.y.copy()
+        _, u, theta = Grid.views(y)
+        res_u = backward_euler_velocity(half, h, u)[2]
+        res_th = backward_euler_theta(half, h, theta)[2]
+        return y, max(res_u, res_th)
 
     return _step(s0, dt, k0, backward_euler)
 

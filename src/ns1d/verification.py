@@ -11,7 +11,7 @@ import numpy as np
 from .constitutive import GasModel, _theta_pow
 from .errors import ArgumentError, Ns1dError
 from .grid import Grid, State, build_grid, apply_farfield
-from .solver import SolverConfig, advance
+from .solver import SolverConfig, Stage, advance
 
 __all__ = [
     "ClosedForm", "ManufacturedCase", "OrderReport", "default_case", "check_support",
@@ -242,21 +242,30 @@ def check_levels(levels: List[int]):
 
 
 def convergence_study(case: ManufacturedCase, model: GasModel, levels: List[int],
-                      t_end: float, config: Optional[SolverConfig] = None) -> OrderReport:
+                      t_end: float, config: Optional[SolverConfig] = None, *,
+                      start: Optional[Stage] = None) -> OrderReport:
     """Run the source-augmented system on |x| <= MMS_HALF_WIDTH at each level; fit error orders.
 
     dt is tied to dx^2 for the explicit integrator (through the parabolic CFL)
-    and to dx for IMEX, so a single error order dominates.  An Ns1dError from
-    a level carries the steps of every level up to the failure.
+    and to dx for IMEX, so a single error order dominates.  start, if given, is the
+    first level's exact start, staged on its grid (as `plan` checks it), and is not
+    built again.  An Ns1dError from a level carries the steps of every level up to
+    the failure.
     """
     check_levels(levels)
+    if start is not None and (start.grid.L, start.grid.N) != (MMS_HALF_WIDTH, levels[0]):
+        raise ArgumentError(f"the start's grid (L = {start.grid.L}, N = {start.grid.N}) is not "
+                            f"the first level's (L = {MMS_HALF_WIDTH}, N = {levels[0]})")
     config = config or SolverConfig()
     errors_l2 = {"v": [], "u": [], "theta": []}
     errors_linf = {"v": [], "u": [], "theta": []}
     steps = 0
     for N in levels:
-        grid = build_grid(MMS_HALF_WIDTH, N)
-        state = exact_state(case, grid, 0.0)
+        if start is not None and N == levels[0]:
+            grid, state = start.grid, start
+        else:
+            grid = build_grid(MMS_HALF_WIDTH, N)
+            state = exact_state(case, grid, 0.0)
         sources = make_source_fn(case, model, grid)
         try:
             state, stats = advance(state, model, grid, config, t_end, sources=sources)

@@ -345,7 +345,8 @@ def test_preset_flag_is_gone(capsys):
 PLAN_BUILDERS = ("plan", "make_model", "make_solver_config", "output_formats", "build_grid",
                  "make_initial_data", "default_case", "_check_start")
 PULSE_BUILDERS = set(PLAN_BUILDERS) - {"default_case"}
-MMS_BUILDERS = set(PLAN_BUILDERS) - {"make_initial_data"}
+MMS_BUILDERS = set(PLAN_BUILDERS) - {"make_initial_data"} | {"level-0 exact_state"}
+MMS_LEVEL0 = 16                             # the first of MMS_FAST's levels
 
 
 @pytest.mark.parametrize("argv, builders, runs", [
@@ -365,8 +366,17 @@ def test_each_builder_runs_once_per_run(argv, builders, runs, tmp_path, monkeypa
             return real(*args, **kwargs)
         return wrapper
 
+    real_exact_state = ns1d.verification.exact_state
+
+    def exact_state(case, grid, t):             # an MMS study's level-0 start, built anywhere
+        if t == 0.0 and grid.N == MMS_LEVEL0:
+            calls["level-0 exact_state"] += 1
+        return real_exact_state(case, grid, t)
+
     for name in PLAN_BUILDERS:
         monkeypatch.setattr(ns1d.harness, name, counted(name, getattr(ns1d.harness, name)))
+    for module in (ns1d.harness, ns1d.verification):
+        monkeypatch.setattr(module, "exact_state", exact_state)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.cfg").write_text("preset = two-bump\ngas.gamma = 1.4\n")
     assert main(argv) == EXIT_OK

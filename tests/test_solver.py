@@ -123,17 +123,53 @@ def interior_jacobian(state, model, grid, eps=1e-7):
     return jac
 
 
-@pytest.mark.parametrize("preset, alpha", [("gauss-pulse", 0.0), ("gauss-pulse", 0.1),
-                                           ("two-bump", 0.0)])
-def test_default_step_is_inside_heuns_stability_region(preset, alpha):
-    # Heun's amplification R(z) = 1 + z + z^2/2 at z = lambda*dt, for every decaying mode
-    rc = dataclasses.replace(RunConfig(), preset=preset, gas_alpha=alpha, grid_N=64)
-    model, g = make_model(rc), build_grid(rc.grid_L, rc.grid_N, rc.grid_ghost_depth)
-    s = make_initial_data(rc, g)
+def large_start(N, alpha, a=5.0):
+    """(model, grid, state) of large multiplicative data, positive at any amplitude a:
+    v = exp(a*G(x+2)), theta = exp(-a*G(x-2)), u = a*x*G(x), G = exp(-x^2), on
+    |x| <= 24, gamma = 5/3, h power-sum(1, 1).  v spans [1, 148], theta [0.0067, 1]."""
+    g = build_grid(24.0, N)
+    x, xn = g.all_cell_centers(), g.all_node_positions()
+    s = State(0.0, np.exp(a * np.exp(-(x + 2) ** 2)), a * xn * np.exp(-xn ** 2),
+              np.exp(-a * np.exp(-(x - 2) ** 2)))
+    return GasModel(5 / 3, alpha=alpha, h=HProfile.power_sum(1, 1)), g, apply_farfield(s, g)
+
+
+@pytest.mark.parametrize("preset, alpha, N", [
+    pytest.param(preset, alpha, N, id=f"{preset}-{alpha}" + (f"-N{N}" if preset == "large" else ""))
+    for preset, alpha, N in [("gauss-pulse", 0.0, 64), ("gauss-pulse", 0.1, 64),
+                             ("two-bump", 0.0, 64), ("large", -2.0, 64), ("large", -2.0, 128),
+                             ("large", -0.5, 64), ("large", -0.5, 128)]])
+def test_default_step_is_inside_heuns_stability_region(preset, alpha, N):
+    # Heun's amplification R(z) = 1 + z + z^2/2 at z = lambda*dt, for every decaying mode;
+    # the large data also have growing modes, which no step size removes.  At alpha < 0
+    # the heating's theta-rate is a decay that the diffusion bound alone does not see
+    if preset == "large":
+        model, g, s = large_start(N, alpha)
+    else:
+        rc = dataclasses.replace(RunConfig(), preset=preset, gas_alpha=alpha, grid_N=N)
+        model, g = make_model(rc), build_grid(rc.grid_L, rc.grid_N, rc.grid_ghost_depth)
+        s = make_initial_data(rc, g)
     lam = np.linalg.eigvals(interior_jacobian(s, model, g))
     z = lam[lam.real <= 0.0] * stable_dt(s, model, g, SolverConfig())
     assert np.abs(1.0 + z + 0.5 * z * z).max() <= 1.0 + 1e-8
     assert z.real.min() >= -2.0
+
+
+def test_imex_first_step_is_inside_the_heating_limit():
+    # IMEX takes the heating explicitly: on the large data at alpha = -2 its theta-rate
+    # -alpha*mu/v*u_x^2/(cv*theta) sizes the step, far below the advective limit
+    config = SolverConfig(integrator="imex")
+    model, g, s = large_start(64, -2.0)
+    mu, _ = transport(model, s.v, s.theta)
+    rate = -model.alpha * mu / s.v * (np.diff(s.u) / g.dx) ** 2 / (model.cv * s.theta)
+    limit = 2.0 * config.cfl_parabolic / rate.max()
+    advective = config.cfl_advective * g.dx / np.max(np.sqrt(model.gamma * s.theta) / s.v)
+    assert limit < 1e-3 * advective
+    assert step_size(s, model, g, config) == pytest.approx(limit, rel=1e-12)
+    taken = []
+    advance(s, model, g, config, 3.0 * limit,
+            on_step=lambda state, stats: taken.append(stats.dt_used))
+    assert len(taken) >= 2 and taken[0] <= limit * (1.0 + 1e-12)
 
 
 class TestExplicitStep:
@@ -504,6 +540,27 @@ class TestImexStep:
         assert stats.max_residual == max(errors)
         assert 0.0 < stats.max_residual <= 1e-15
 
+    def test_new_state_keeps_the_predictors_v(self, monkeypatch):
+        # the new state is one copy of the predictor's y, whose u and theta the solves
+        # correct in place: v has no implicit part, so its block keeps the predictor's bits
+        g = build_grid(8.0, 64)
+        m = GasModel(5 / 3, alpha=0.1, h=HProfile.power_sum(1, 1))
+        s0 = make_stage(gauss_state(g, a=0.4, with_u=True), m, g)
+        real, trials = ns1d.solver._trial, []
+
+        def recorded(*args):
+            trials.append(real(*args))
+            return trials[-1]
+
+        monkeypatch.setattr(ns1d.solver, "_trial", recorded)
+        new, stats = step_imex(s0, m, g, 50.0 * stable_dt(s0, m, g, CFG))
+        predictor = trials[0]
+        assert stats.rejected_substeps == 0 and len(trials) == 2 and new is trials[1]
+        assert new.v.tobytes() == predictor.v.tobytes()
+        assert not np.shares_memory(new.y, predictor.y)
+        assert not np.array_equal(new.u, predictor.u)
+        assert not np.array_equal(new.theta, predictor.theta)
+
     def test_sources_evaluated_once_per_step_across_rejections(self):
         g = build_grid(4.0, 64)
         m = GasModel(5 / 3, alpha=0.1, h=HProfile.power_sum(1, 1))
@@ -640,9 +697,9 @@ def velocity_system(n=65):
 
 
 def diffuse(x_star, grad_star, a, c=1.0, dt=0.5):
-    """_implicit_diffusion on a grid of ghost depth 2 and dx = 0.1."""
+    """_implicit_diffusion on a grid of ghost depth 2 and dx = 0.1, into a copy of x*."""
     grid = build_grid(0.05 * (len(x_star) - 5), len(x_star) - 5)
-    return _implicit_diffusion(x_star, grad_star, a, c, dt, grid, "velocity")
+    return _implicit_diffusion(x_star.copy(), x_star, grad_star, a, c, dt, grid, "velocity")
 
 
 class TestSolveTridiag:
@@ -721,6 +778,21 @@ class TestSolveTridiag:
         array[{"first": 0, "interior": len(array) // 2, "last": -1}[position]] = value
         with np.errstate(all="ignore"), pytest.raises(NewtonDivergenceError):
             diffuse(**inputs)
+
+    def test_writes_only_the_unknowns_of_its_destination(self):
+        # the correction is added into x[lo:hi]; x*, grad*, a and the ghosts keep their bits
+        x_star, grad_star, a = velocity_system(65)
+        inputs = [array.tobytes() for array in (x_star, grad_star, a)]
+        grid = build_grid(0.05 * (len(x_star) - 5), len(x_star) - 5)
+        x = x_star.copy()
+        out, iters, _ = _implicit_diffusion(x, x_star, grad_star, a, 1.0, 0.5, grid, "velocity")
+        assert out is x and iters == 1
+        assert [array.tobytes() for array in (x_star, grad_star, a)] == inputs
+        lo, hi = grid.ghost_depth, len(x) - grid.ghost_depth
+        assert x[:lo].tobytes() == x_star[:lo].tobytes()
+        assert x[hi:].tobytes() == x_star[hi:].tobytes()
+        assert np.all(x[lo:hi] != x_star[lo:hi])
+        assert x.tobytes() == diffuse(x_star, grad_star, a)[0].tobytes()
 
     def test_half_stage_unwritten(self):
         g, model = build_grid(8.0, 64), GasModel(5 / 3, alpha=0.2, h=HProfile.power_sum(1, 1))

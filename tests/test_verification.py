@@ -8,8 +8,9 @@ import ns1d.verification
 from ns1d.constitutive import GasModel, HProfile
 from ns1d.errors import ArgumentError, NewtonDivergenceError
 from ns1d.grid import State, apply_farfield, build_grid
-from ns1d.solver import SolverConfig, advance, step_explicit, step_imex
+from ns1d.solver import SolverConfig, advance, make_stage, step_explicit, step_imex
 from ns1d.verification import (
+    MMS_HALF_WIDTH,
     check_support,
     convergence_study,
     default_case,
@@ -380,6 +381,17 @@ class TestConvergence:
         with pytest.raises(NewtonDivergenceError) as info:
             convergence_study(default_case(0.1), MODEL, [8, 16, 32], 0.01)
         assert finished[0] > 0 and info.value.steps == finished[0] + 5
+
+    def test_given_start_is_stepped_as_it_is(self):
+        # the level-0 start a plan has staged: the same report, and one of another
+        # grid is refused
+        case, levels = default_case(0.1), [8, 16, 32]
+        grid = build_grid(MMS_HALF_WIDTH, levels[0])
+        start = make_stage(exact_state(case, grid, 0.0), MODEL, grid)
+        want = convergence_study(case, MODEL, levels, 0.01)
+        assert convergence_study(case, MODEL, levels, 0.01, start=start) == want
+        with pytest.raises(ArgumentError, match="is not the first level's"):
+            convergence_study(case, MODEL, [16, 32, 64], 0.01, start=start)
 
     def test_report_serializes(self):
         rep = convergence_study(default_case(0.0), MODEL, [8, 16, 32], 0.01)
