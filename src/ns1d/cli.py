@@ -87,7 +87,7 @@ def main(argv=None) -> int:
                     print(f"run finished: status=ok steps={summary.steps}")
                 return EXIT_OK
             if args.command == "sweep":
-                summaries = sweep(config, args.param, parse_list(args.values, float))
+                summaries = sweep(config, args.param, parse_list("--values", args.values, float))
                 bad = [s for s in summaries if s.exit_status != "ok"]
                 print(f"sweep finished: {len(summaries) - len(bad)}/{len(summaries)} runs ok")
                 return EXIT_NUMERICAL if bad else EXIT_OK

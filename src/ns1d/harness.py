@@ -36,7 +36,14 @@ __all__ = [
     "make_model", "make_initial_data", "Plan", "plan", "run", "sweep", "validate_h_config",
 ]
 
-PRESETS = ("constant", "gauss-pulse", "two-bump", "mms")
+# pulse preset -> ({field: (centre in widths, signed scale)}, the fields it perturbs when
+# init.perturb is empty): each v or theta bump is scale a exp(-((x - centre w) / w)^2),
+# and every pulse preset's u bump is the one term a (x/w) exp(-(x/w)^2)
+PULSES = {
+    "gauss-pulse": ({"v": (0.0, 1.0), "theta": (0.0, 1.0)}, ("v", "theta")),
+    "two-bump": ({"v": (-2.0, 1.0), "theta": (2.0, -0.6)}, ("v", "theta", "u")),
+}
+PRESETS = ("constant", *PULSES, "mms")
 OUTPUT_FORMATS = ("csv", "json")
 # sweep parameter -> RunConfig attribute
 SWEEP_PARAMETERS = {"alpha": "gas_alpha", "gamma": "gas_gamma", "amplitude": "amplitude"}
@@ -74,7 +81,7 @@ class RunConfig:
     # initial data
     amplitude: float = _key("init.amplitude", 0.3)
     width: float = _key("init.width", 1.0)
-    perturb: str = _key("init.perturb", "v,theta")
+    perturb: str = _key("init.perturb", "")  # empty: the preset's own fields
     # mms
     mms_levels: str = _key("mms.levels", "64,128,256")
     mms_t_end: float = _key("mms.t_end", 0.25)
@@ -103,20 +110,21 @@ def parse_value(attr: str, raw: str):
         raise ConfigError(f"cannot parse {raw!r} for key of type {ftype}: {exc}") from exc
 
 
-def parse_list(raw: str, kind=str) -> list:
-    """Items of a comma list, stripped, empty ones dropped, each made by kind;
-    a list with no item is refused."""
+def parse_list(key: str, raw: str, kind=str) -> list:
+    """Items of raw, the comma list given for key, stripped, empty ones dropped, each made
+    by kind; a list with no item is refused, naming key."""
     items = [item.strip() for item in raw.split(",") if item.strip()]
     if not items:
-        raise ConfigError(f"expected a comma list of {kind.__name__}, got {raw!r}")
+        raise ConfigError(f"{key}: expected a comma list of {kind.__name__}, got {raw!r}")
     try:
         return [kind(item) for item in items]
     except ValueError as exc:
-        raise ConfigError(f"cannot parse {raw!r} as a list of {kind.__name__}: {exc}") from exc
+        raise ConfigError(f"{key}: cannot parse {raw!r} as a list of {kind.__name__}: "
+                          f"{exc}") from exc
 
 
 def output_formats(config: RunConfig) -> frozenset:
-    formats = frozenset(parse_list(config.out_formats))
+    formats = frozenset(parse_list("output.formats", config.out_formats))
     unknown = formats - set(OUTPUT_FORMATS)
     if unknown:
         raise ConfigError(f"unknown output formats {sorted(unknown)}; choose from {OUTPUT_FORMATS}")
@@ -172,7 +180,7 @@ def plan(config: RunConfig) -> Plan:
         model = make_model(config)
         solver_config = make_solver_config(config)
         if config.preset == "mms":
-            levels = parse_list(config.mms_levels, int)
+            levels = parse_list("mms.levels", config.mms_levels, int)
             check_levels(levels)
             grid = build_grid(MMS_HALF_WIDTH, levels[0])
             case = default_case(amplitude=config.mms_amplitude)
@@ -276,63 +284,54 @@ def make_solver_config(config: RunConfig) -> SolverConfig:
     return SolverConfig(**{f.name: getattr(config, f.name) for f in fields(SolverConfig)})
 
 
-def _check_support(config: RunConfig, offset: float = 0.0):
-    """A Gaussian pulse bump, centred at +-offset, must fall to 1e-8 by |x| = L."""
+def _check_support(config: RunConfig, centre: float = 0.0, velocity: bool = False):
+    """A pulse bump must fall to 1e-8 by |x| = L: a Gaussian a exp(-((x - centre)/w)^2) there,
+    the velocity bump a (x/w) exp(-(x/w)^2) there and at its edge value a (L/w) exp(-(L/w)^2)."""
+    a, w, L = config.amplitude, config.width, config.grid_L
     try:
-        check_support(config.grid_L, config.amplitude, config.width, offset, tol=1e-8)
+        check_support(L, a, w, centre, tol=1e-8)
     except ArgumentError as exc:
         raise ConfigError(f"initial perturbation: {exc}") from exc
-
-
-def _u_bump(config: RunConfig, xn: np.ndarray) -> np.ndarray:
-    """The velocity bump a (x/w) exp(-(x/w)^2), which must fall to 1e-8 by |x| = L:
-    there it is the Gaussian's value times L/w, a (L/w) exp(-(L/w)^2)."""
-    a, w = config.amplitude, config.width
-    try:
-        check_support(config.grid_L, a * config.grid_L / w, w, tol=1e-8)
-    except ArgumentError:
-        raise ConfigError(f"initial perturbation: the velocity bump a (x/w) exp(-(x/w)^2) "
-                          f"(a={a}, w={w}) is not supported inside |x| <= grid.L: its edge "
-                          "value a (L/w) exp(-(L/w)^2) must fall to 1e-08") from None
-    return a * (xn / w) * np.exp(-((xn / w) ** 2))
+    if velocity:
+        try:
+            check_support(L, a * L / w, w, tol=1e-8)
+        except ArgumentError:
+            raise ConfigError(f"initial perturbation: the velocity bump a (x/w) exp(-(x/w)^2) "
+                              f"(a={a}, w={w}) is not supported inside |x| <= grid.L: its edge "
+                              "value a (L/w) exp(-(L/w)^2) must fall to 1e-08") from None
 
 
 def make_initial_data(config: RunConfig, grid: Grid) -> State:
-    """Preset initial data with far-field ghosts.  The amplitude rule refuses NaN, so every
-    preset keeps v >= 1 and theta >= 0.4; `plan` stages the start and checks it."""
+    """Preset initial data with far-field ghosts: (1, 0, 1) plus the bumps of the preset's
+    PULSES row that init.perturb names (empty: the row's own fields), each held to
+    `_check_support`.  The amplitude rule refuses NaN, so every preset keeps v >= 1 and
+    theta >= 0.4; `plan` stages the start and checks it."""
     a, w = config.amplitude, config.width
     if config.preset not in PRESETS:
         raise ConfigError(f"unknown preset {config.preset!r}; choose from {PRESETS}")
     if config.preset == "mms":
         raise ConfigError("the mms preset has no initial data here: its study builds its own")
-    if not (a >= 0.0 and (a < 1.0 or config.preset == "constant")):
+    bumps, own = PULSES.get(config.preset, ({}, ()))
+    if not (a >= 0.0 and (a < 1.0 or not bumps)):
         raise ConfigError(f"amplitude must lie in [0, 1), got {a}")
-    parts = set(parse_list(config.perturb))
+    parts = set(parse_list("init.perturb", config.perturb) if config.perturb else own)
     unknown = parts - {"v", "u", "theta"}
     if unknown:
         raise ConfigError(f"unknown perturb fields {sorted(unknown)}")
     state = State.equilibrium(grid)
-    if config.preset == "constant" or a == 0.0:
+    if not bumps or a == 0.0:
         return state
     if not w >= grid.dx:
         raise ConfigError(f"width must be at least one cell (dx = {grid.dx:g}), got {w}")
     x = grid.all_cell_centers()
-    xn = grid.all_node_positions()
-    if config.preset == "two-bump":
-        x0 = 2.0 * w
-        _check_support(config, offset=x0)
-        state.v += a * np.exp(-(((x + x0) / w) ** 2))
-        state.theta -= 0.6 * a * np.exp(-(((x - x0) / w) ** 2))
-        state.u += _u_bump(config, xn)
-    else:  # gauss-pulse
-        _check_support(config)
-        bump = a * np.exp(-((x / w) ** 2))
-        if "v" in parts:
-            state.v += bump
-        if "theta" in parts:
-            state.theta += bump
-        if "u" in parts:
-            state.u += _u_bump(config, xn)
+    for name, (centre, scale) in bumps.items():
+        if name in parts:
+            _check_support(config, centre * w)
+            getattr(state, name)[:] += scale * a * np.exp(-(((x - centre * w) / w) ** 2))
+    if "u" in parts:
+        _check_support(config, velocity=True)
+        xn = grid.all_node_positions()
+        state.u += a * (xn / w) * np.exp(-((xn / w) ** 2))
     apply_farfield(state, grid)
     return state
 
@@ -489,16 +488,16 @@ def sweep(base_config: RunConfig, parameter: str, values: List[float],
     Every value is planned, and the base config only with a value, before the first run: a
     refused value, or two sharing a directory, raise a ConfigError with nothing written.  The
     summaries are what `run` returns, failed runs included, so each sweep_summary.json entry
-    equals its run's summary.json.  Only the pulse presets read init.amplitude, so an
-    amplitude sweep of another preset is refused.
+    equals its run's summary.json.  Only the presets with a PULSES row read init.amplitude,
+    so an amplitude sweep of another known preset is refused.
     """
     attr = SWEEP_PARAMETERS.get(parameter)
     if attr is None:
         raise ConfigError(f"sweep parameter must be one of {', '.join(SWEEP_PARAMETERS)}, "
                           f"got {parameter!r}")
-    if attr == "amplitude" and base_config.preset in ("constant", "mms"):
+    if attr == "amplitude" and base_config.preset in set(PRESETS) - set(PULSES):
         raise ConfigError(f"the {base_config.preset} preset ignores init.amplitude; "
-                          "sweep it on gauss-pulse or two-bump")
+                          f"sweep it on {' or '.join(PULSES)}")
     names = [f"{parameter}_{_name(value)}" for value in values]
     if len(set(names)) < len(names):
         raise ConfigError(f"{parameter} values share the directory {max(names, key=names.count)}/")

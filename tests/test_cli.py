@@ -18,7 +18,7 @@ import ns1d.verification
 from ns1d import cli
 from ns1d.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main
 from ns1d.constitutive import HProfile, validate_h
-from ns1d.harness import KEYMAP, PRESETS
+from ns1d.harness import KEYMAP, PRESETS, PULSES
 
 
 @pytest.fixture(autouse=True)
@@ -307,6 +307,37 @@ def test_refused_input_exits_2(argv, out_dir, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Traceback" not in err
     assert not out_dir.exists()       # planned before anything is written
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["run", "--set", "output.formats="], "output.formats"),
+    (["mms", "--set", "mms.levels="], "mms.levels"),
+    (["mms", "--set", "mms.levels=16,32,x"], "mms.levels"),
+    (["sweep", "--param", "alpha", "--values=,"], "--values"),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else x)
+def test_comma_list_refusal_names_its_key(argv, key, out_dir, capsys):
+    command, rest = argv[0], argv[1:]
+    fast = {"run": FAST, "sweep": FAST, "mms": MMS_FAST}[command]
+    assert main([command] + fast + rest) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: ") and "list of" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_amplitude_sweep_runs_exactly_on_the_pulse_presets(preset, out_dir, capsys):
+    # the presets with no PULSES row read no init.amplitude, so a sweep of it is refused
+    assert set(PRESETS) - set(PULSES) == {"constant", "mms"}
+    argv = ["sweep", "--set", f"preset={preset}", "--param", "amplitude", "--values=0.05,0.1"]
+    code = main(argv + FAST)
+    err = capsys.readouterr().err
+    if preset in PULSES:
+        assert code == EXIT_OK and err == ""
+    else:
+        assert code == EXIT_CONFIG
+        assert err == (f"config error: the {preset} preset ignores init.amplitude; "
+                       "sweep it on gauss-pulse or two-bump\n")
+        assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("argv, name", [

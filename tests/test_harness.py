@@ -14,7 +14,7 @@ import ns1d.harness
 import ns1d.solver
 from ns1d.diagnostics import DiagnosticsRecord, energy_identity_residual
 from ns1d.errors import ConfigError
-from ns1d.grid import State, build_grid
+from ns1d.grid import State, apply_farfield, build_grid
 from ns1d.harness import (
     KEYMAP,
     RunConfig,
@@ -80,10 +80,10 @@ class TestParsing:
             parse_value("grid_N", "12.5")
 
     def test_empty_list_refused(self):
-        assert parse_list(" 1, ,2", int) == [1, 2]
+        assert parse_list("mms.levels", " 1, ,2", int) == [1, 2]
         for raw in ("", " , "):
-            with pytest.raises(ConfigError, match="comma list"):
-                parse_list(raw)
+            with pytest.raises(ConfigError, match="^output.formats: expected a comma list"):
+                parse_list("output.formats", raw)
 
     def test_minimal_file(self, tmp_path):
         cfg = load_config(write_config(tmp_path, "preset = constant\n"))
@@ -251,6 +251,44 @@ class TestInitialData:
         assert s.v[left] == pytest.approx(1.3, abs=1e-2)
         assert s.theta[right] == pytest.approx(1.0 - 0.18, abs=1e-2)
         assert np.max(np.abs(s.u)) > 0.0
+
+    def _data(self, v=None, theta=None, u=None):
+        """The bytes of (1, 0, 1) plus the given terms, ghosts pinned: the data written out."""
+        s = State.equilibrium(self.g)
+        for view, term in ((s.v, v), (s.theta, theta), (s.u, u)):
+            if term is not None:
+                view += term
+        return apply_farfield(s, self.g).y.tobytes()
+
+    @pytest.mark.parametrize("a, w", [(0.3, 1.0), (0.2827, 1.0527)])  # defaults, a bench draw
+    def test_pulse_presets_keep_their_bits(self, a, w):
+        x, xn = self.g.all_cell_centers(), self.g.all_node_positions()
+        gauss = a * np.exp(-((x / w) ** 2))
+        s = make_initial_data(fast_config(amplitude=a, width=w), self.g)
+        assert s.y.tobytes() == self._data(v=gauss, theta=gauss)
+        x0 = 2.0 * w
+        s = make_initial_data(fast_config(preset="two-bump", amplitude=a, width=w), self.g)
+        assert s.y.tobytes() == self._data(v=a * np.exp(-(((x + x0) / w) ** 2)),
+                                           theta=-(0.6 * a * np.exp(-(((x - x0) / w) ** 2))),
+                                           u=a * (xn / w) * np.exp(-((xn / w) ** 2)))
+
+    @pytest.mark.parametrize("preset, own", [("gauss-pulse", "v,theta"),
+                                             ("two-bump", "v,theta,u")])
+    def test_empty_perturb_is_the_presets_own_fields(self, preset, own):
+        assert RunConfig().perturb == ""
+        empty = make_initial_data(fast_config(preset=preset, perturb=""), self.g)
+        named = make_initial_data(fast_config(preset=preset, perturb=own), self.g)
+        assert empty.y.tobytes() == named.y.tobytes()
+
+    def test_two_bump_reads_perturb(self):
+        a, w = 0.2, 1.0                     # fast_config's amplitude, the default width
+        x, xn = self.g.all_cell_centers(), self.g.all_node_positions()
+        s = make_initial_data(fast_config(preset="two-bump", perturb="u"), self.g)
+        assert np.all(s.v == 1.0) and np.all(s.theta == 1.0)
+        assert s.y.tobytes() == self._data(u=a * (xn / w) * np.exp(-((xn / w) ** 2)))
+        s = make_initial_data(fast_config(preset="two-bump", perturb="theta"), self.g)
+        dip = -(0.6 * a * np.exp(-(((x - 2.0 * w) / w) ** 2)))
+        assert s.y.tobytes() == self._data(theta=dip)
 
     def test_support_check(self):
         # wide bump on a short domain leaks past |x| = L/2
