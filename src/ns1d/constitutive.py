@@ -90,10 +90,13 @@ class GasModel:
         return 1.0 / (self.gamma - 1.0)
 
 
-def _all_above(arr: np.ndarray, floor: float) -> bool:
-    """np.all(arr > floor) as one min-reduction, which propagates NaN, so a NaN
-    entry fails; an empty array passes."""
-    return arr.size == 0 or np.minimum.reduce(arr, axis=None) > floor
+def _all_above(arr, floor: float) -> bool:
+    """np.all(arr > floor) of an array or a scalar as one min-reduction, which
+    propagates NaN, so a NaN entry fails; an empty array passes."""
+    try:
+        return np.minimum.reduce(arr, axis=None) > floor
+    except ValueError:                  # of the inputs numpy takes, only an empty one has no min
+        return np.size(arr) == 0
 
 
 def _check_positive(floor: float = 0.0, **kwargs):
@@ -109,16 +112,27 @@ def _check_positive(floor: float = 0.0, **kwargs):
 def _theta_pow(theta, alpha):
     # exp(alpha*log) is valid for every real alpha and reduces to exactly 1
     # at alpha = 0, which keeps the alpha=0 branch bitwise equal to h alone.
-    return np.exp(alpha * np.log(theta))
+    # An array's power is formed in place on its own log (log*alpha is alpha*log bitwise).
+    power = np.log(theta)
+    if type(power) is not np.ndarray:
+        return np.exp(alpha * power)
+    power *= alpha
+    return np.exp(power, out=power)
 
 
 def transport(model: GasModel, v, theta, floor: float = 0.0):
     """(mu, kappa) = (mu_tilde, kappa_tilde) * h(v) * theta^alpha, after the one
-    positivity check of the state: PositivityError unless v, theta > floor."""
-    _check_positive(floor, v=v, theta=theta)
+    positivity check of the state: PositivityError unless v, theta > floor.  Each
+    coefficient is formed in place on its (tilde * h) product, in that operand order."""
+    if not (_all_above(v, floor) and _all_above(theta, floor)):
+        _check_positive(floor, v=v, theta=theta)
     hv = model.h(v)
     ta = _theta_pow(theta, model.alpha)
-    return model.mu_tilde * hv * ta, model.kappa_tilde * hv * ta
+    mu = model.mu_tilde * hv
+    mu *= ta
+    kappa = model.kappa_tilde * hv
+    kappa *= ta
+    return mu, kappa
 
 
 def transport_derivatives(model: GasModel, v, theta):

@@ -284,10 +284,12 @@ def make_solver_config(config: RunConfig) -> SolverConfig:
     return SolverConfig(**{f.name: getattr(config, f.name) for f in fields(SolverConfig)})
 
 
-def _check_support(config: RunConfig, centre: float = 0.0, velocity: bool = False):
+def _check_support(config: RunConfig, centre: float = 0.0, scale: float = 1.0,
+                   velocity: bool = False):
     """A pulse bump must fall to 1e-8 by |x| = L: a Gaussian a exp(-((x - centre)/w)^2) there,
-    the velocity bump a (x/w) exp(-(x/w)^2) there and at its edge value a (L/w) exp(-(L/w)^2)."""
-    a, w, L = config.amplitude, config.width, config.grid_L
+    a = scale * amplitude, the velocity bump a (x/w) exp(-(x/w)^2) there and at its edge
+    value a (L/w) exp(-(L/w)^2)."""
+    a, w, L = scale * config.amplitude, config.width, config.grid_L
     try:
         check_support(L, a, w, centre, tol=1e-8)
     except ArgumentError as exc:
@@ -326,7 +328,7 @@ def make_initial_data(config: RunConfig, grid: Grid) -> State:
     x = grid.all_cell_centers()
     for name, (centre, scale) in bumps.items():
         if name in parts:
-            _check_support(config, centre * w)
+            _check_support(config, centre * w, abs(scale))
             getattr(state, name)[:] += scale * a * np.exp(-(((x - centre * w) / w) ** 2))
     if "u" in parts:
         _check_support(config, velocity=True)

@@ -144,7 +144,11 @@ class Stage(State):
     def __init__(self, t: float, y: np.ndarray, model: GasModel, grid: Grid, floor: float = 0.0):
         """The stage at t of y itself, a vector of grid; PositivityError unless v, theta > floor."""
         self.wrap(t, y)
-        v, theta = self._v, self._theta
+        self.build(model, grid, floor)
+
+    def build(self, model: GasModel, grid: Grid, floor: float) -> "Stage":
+        """self, wrapped on y, with its fields computed; PositivityError unless v, theta > floor."""
+        y, v, theta = self.y, self._v, self._theta
         mu, kappa = transport(model, v, theta, floor)
         # node_diff(theta) and cell_diff(u) by one pass over y's [theta | u] and the v entry
         # before it; the two differences across a field boundary are node_diff's edge zeros
@@ -155,6 +159,7 @@ class Stage(State):
         self.theta_x, self.ux = diff[:n + 1], diff[n + 1:]
         self.mu_v, self.kappa_v = np.divide(mu, v, out=mu), np.divide(kappa, v, out=kappa)
         self.model, self.grid = model, grid
+        return self
 
 
 def make_stage(state: State, model: GasModel, grid: Grid) -> Stage:
@@ -168,11 +173,12 @@ def make_stage(state: State, model: GasModel, grid: Grid) -> Stage:
 def _trial(t: float, y: np.ndarray, model: GasModel, grid: Grid) -> Stage:
     """Stage of a trial state y, ghosts pinned; PositivityError if an entry is not
     finite or v, theta are at or below the floor."""
-    apply_farfield(State.__new__(State).wrap(t, y), grid)
+    stage = Stage.__new__(Stage).wrap(t, y)
+    apply_farfield(stage, grid)
     # an inf passes a min-reduction and would warn later: one dot refuses it, or overflows
     if not math.isfinite(y.dot(y)):
         raise PositivityError(f"trial state at t={t} has a non-finite entry")
-    return Stage(t, y, model, grid, POSITIVITY_FLOOR)
+    return stage.build(model, grid, POSITIVITY_FLOOR)
 
 
 def _rates(s: Stage, sources: Sources, explicit_diffusion: bool) -> np.ndarray:

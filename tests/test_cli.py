@@ -61,6 +61,19 @@ def test_printed_domain_bound_is_accepted(preset, refused, capsys):
     assert main(argv + ["--set", f"grid.L={bound}"]) == EXIT_OK
 
 
+def test_two_bump_dip_is_held_to_its_own_amplitude(capsys):
+    # the theta dip is 0.6 a = 0.18 at centre 2: 0.18 exp(-4.12^2) ~ 7.6e-9 fits L = 6.12,
+    # which the v bump's amplitude a = 0.3 would refuse (it needs L >= 6.14931)
+    argv = ["run", "--set", "preset=two-bump", "--set", "init.perturb=theta",
+            "--set", "time.t_end=0.001"]
+    assert main(argv + ["--set", "grid.L=6.12"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(argv + ["--set", "grid.L=6.08"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Gaussian (amplitude=0.18, width=1.0, centre=2.0)" in err
+    assert "L must be at least 6.08729 " in err
+
+
 def test_run_with_config_file(tmp_path, out_dir):
     cfg = write_config(tmp_path, "preset = constant\ngrid.N = 64\ntime.t_end = 0.05\n"
                                  "time.output_every = 0.05\n")

@@ -24,6 +24,7 @@ from ns1d.errors import (ArgumentError, ConfigError, DomainError, PositivityErro
 from ns1d.grid import State, build_grid
 import ns1d.harness
 from ns1d.harness import RunConfig, plan
+from ns1d.solver import POSITIVITY_FLOOR
 
 positive = st.floats(min_value=1e-3, max_value=1e3)
 
@@ -222,6 +223,74 @@ class TestTransport:
         if alpha != 0.0:
             assert dmu_dth == pytest.approx((mu_p - mu_m) / (2 * hth), rel=1e-6)
             assert dk_dth == pytest.approx((k_p - k_m) / (2 * hth), rel=1e-6)
+
+
+@st.composite
+def transport_inputs(draw):
+    """(v, theta): scalars, or float or int arrays of one shape, empty included."""
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=1, min_side=0, max_side=6))
+
+    def one():
+        return draw(st.one_of(
+            edge_floats, st.integers(-3, 3),
+            hnp.arrays(np.float64, shape, elements=edge_floats),
+            hnp.arrays(np.int64, shape, elements=st.integers(-3, 3))))
+    return one(), one()
+
+
+class TestTransportRefusal:
+    """transport accepts a state by one min-reduction per field and refuses it with
+    exactly _check_positive's message: the first refused field, v before theta."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(fields=transport_inputs(), floor=st.sampled_from([0.0, POSITIVITY_FLOOR]))
+    @example(fields=(np.array([]), np.array([], dtype=np.int64)), floor=POSITIVITY_FLOOR)
+    @example(fields=(np.array([2, 1]), 3), floor=0.0)
+    @example(fields=(np.array([1.0, math.nan]), -1.0), floor=0.0)
+    @example(fields=(math.inf, np.array([1.0, -0.0])), floor=POSITIVITY_FLOOR)
+    @example(fields=(-math.inf, math.inf), floor=0.0)
+    def test_refuses_with_check_positives_message(self, fields, floor):
+        v, theta = fields
+        m = model(h=HProfile.constant(1.0), alpha=0.1)   # h of an int array is defined
+        with np.errstate(all="ignore"):                  # theta**alpha of inf is NaN at 0
+            got = outcome(lambda **kw: transport(m, floor=floor, **kw), v=v, theta=theta)
+        assert got == outcome(lambda **kw: _check_positive(floor, **kw), v=v, theta=theta)
+
+    @pytest.mark.parametrize("v, theta, floor, message", [
+        (np.array([1.0, math.nan]), np.array([-1.0, 2.0]), 0.0, "v must be positive, got min nan"),
+        (1.0, np.array([2.0, -0.0]), 0.0, "theta must be positive, got min -0.0"),
+        (np.array([2, 0]), 1, POSITIVITY_FLOOR, "v must exceed 1.0e-08, got min 0"),
+        (2.0, -math.inf, POSITIVITY_FLOOR, "theta must exceed 1.0e-08, got min -inf"),
+        (np.array([1.0, 1e-8]), math.nan, POSITIVITY_FLOOR, "v must exceed 1.0e-08, got min 1e-08"),
+    ])
+    def test_message_names_the_first_refused_field(self, v, theta, floor, message):
+        with pytest.raises(PositivityError) as info:
+            transport(model(), v, theta, floor)
+        assert str(info.value) == message
+
+
+class TestTransportBits:
+    """transport forms mu and kappa in place, to the bits of the expression written out,
+    and writes neither v nor theta."""
+
+    @pytest.mark.parametrize("alpha", [-0.7, 0.0, 0.1])
+    @pytest.mark.parametrize("h", [HProfile.power_sum(1.5, 0.5), HProfile.constant(1.7)],
+                             ids=["power-sum", "constant"])
+    @pytest.mark.parametrize("scalar", [False, True], ids=["array", "scalar"])
+    def test_bitwise_equal_to_the_expression(self, alpha, h, scalar):
+        m = model(1.4, mu_tilde=0.7, kappa_tilde=1.3, alpha=alpha, h=h)
+        rng = np.random.default_rng(11)
+        v, theta = rng.uniform(0.2, 5.0, 257), rng.uniform(0.2, 5.0, 257)
+        if scalar:
+            v, theta = float(v[0]), float(theta[0])
+        v_bits, theta_bits = np.asarray(v).tobytes(), np.asarray(theta).tobytes()
+        ta = np.exp(m.alpha * np.log(theta))
+        want = (m.mu_tilde * m.h(v) * ta, m.kappa_tilde * m.h(v) * ta)
+        got = transport(m, v, theta)
+        for x, y in zip(got, want):
+            assert np.shape(x) == np.shape(y)
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+        assert np.asarray(v).tobytes() == v_bits and np.asarray(theta).tobytes() == theta_bits
 
 
 class TestEntropyPair:

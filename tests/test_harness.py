@@ -342,6 +342,29 @@ class TestInitialData:
         make_initial_data(fast_config(grid_L=4.3221, amplitude=0.3, perturb="u"),
                           build_grid(4.3221, 512))
 
+    @pytest.mark.parametrize("preset", ["gauss-pulse", "two-bump"])
+    def test_own_fields_keep_the_verdicts_and_data_of_the_amplitude_rule(self, preset,
+                                                                          monkeypatch):
+        # each preset's own fields hold a bump of amplitude a at the row's largest |centre|,
+        # so holding the two-bump dip to its own 0.6 a changes no verdict of them
+        def outcomes():
+            found = []
+            for L in np.arange(3.5, 7.0, 0.02):
+                cfg = fast_config(preset=preset, amplitude=0.3, grid_L=float(L))
+                try:
+                    found.append(make_initial_data(cfg, build_grid(float(L), 64)).y.tobytes())
+                except ConfigError as exc:
+                    found.append(str(exc))
+            return found
+
+        got = outcomes()
+        assert {type(o) for o in got} == {bytes, str}
+        real = ns1d.harness._check_support
+        monkeypatch.setattr(ns1d.harness, "_check_support",    # every bump held to a
+                            lambda config, centre=0.0, scale=1.0, velocity=False:
+                            real(config, centre, velocity=velocity))
+        assert outcomes() == got
+
     def test_support_check_narrow_width_does_not_overflow(self):
         _check_support(fast_config(width=1e-200))
 

@@ -1427,6 +1427,30 @@ class TestStage:
             assert np.array_equal(getattr(out, name), getattr(ref, name)), name
 
     @pytest.mark.parametrize("step", [step_explicit, step_imex], ids=["explicit", "imex"])
+    def test_one_wrap_per_trial_stage(self, step, monkeypatch):
+        # _trial wraps the stage it returns once, and pins the ghosts of that stage itself
+        g, m = build_grid(8.0, 64), self.MODEL
+        s0 = make_stage(gauss_state(g, with_u=True), m, g)
+        dt = 0.5 * stable_dt(s0, m, g, CFG)
+        real_wrap, real_pin, wrapped, pinned = State.wrap, ns1d.solver.apply_farfield, [], []
+
+        def counted_wrap(state, t, y):
+            wrapped.append(state)
+            return real_wrap(state, t, y)
+
+        def recorded_pin(state, grid):
+            pinned.append(state)
+            return real_pin(state, grid)
+
+        monkeypatch.setattr(State, "wrap", counted_wrap)
+        monkeypatch.setattr(ns1d.solver, "apply_farfield", recorded_pin)
+        out, stats = step(s0, m, g, dt)
+        assert stats.rejected_substeps == 0
+        assert len(wrapped) == len(pinned) == 2
+        assert all(type(s) is Stage and s is w for s, w in zip(pinned, wrapped))
+        assert out is pinned[-1]
+
+    @pytest.mark.parametrize("step", [step_explicit, step_imex], ids=["explicit", "imex"])
     def test_one_fit_check_per_trial_state(self, step, monkeypatch):
         # a state meets its grid's check where it enters: on the step path each trial
         # state once, in apply_farfield, and no vector the step has built itself
