@@ -78,16 +78,6 @@ class Grid:
         g = self.ghost_depth
         return slice(g, g + self.N + 1)
 
-    @property
-    def cell_centers(self) -> np.ndarray:
-        """Interior cell centers, length N."""
-        return self.all_cell_centers()[self.cell_interior]
-
-    @property
-    def node_positions(self) -> np.ndarray:
-        """Interior node positions, length N+1."""
-        return self.all_node_positions()[self.node_interior]
-
     def all_cell_centers(self) -> np.ndarray:
         """Cell centers including ghosts."""
         g = self.ghost_depth

@@ -94,20 +94,15 @@ class RunConfig:
 
 # flat config key -> RunConfig attribute, in canonical emission order
 KEYMAP: Dict[str, str] = {f.metadata["key"]: f.name for f in fields(RunConfig)}
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def parse_value(attr: str, raw: str):
-    ftype = _FIELD_TYPES[attr]
-    raw = raw.strip()
+    """raw, stripped, as a value of the type of attr's default."""
+    kind, raw = type(getattr(RunConfig, attr)), raw.strip()
     try:
-        if ftype == "int":
-            return int(raw)
-        if ftype == "float":
-            return float(raw)
-        return raw
+        return kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"cannot parse {raw!r} for key of type {ftype}: {exc}") from exc
+        raise ConfigError(f"cannot parse {raw!r} for key of type {kind.__name__}: {exc}") from exc
 
 
 def parse_list(key: str, raw: str, kind=str) -> list:
@@ -158,8 +153,8 @@ def plan(config: RunConfig) -> Plan:
     formats must include json.  `validate_h_config` plans no run: it builds only the
     gas model.
     """
-    non_finite = [key for key, attr in KEYMAP.items()
-                  if _FIELD_TYPES[attr] == "float" and not math.isfinite(getattr(config, attr))]
+    non_finite = [f.metadata["key"] for f in fields(RunConfig)
+                  if type(f.default) is float and not math.isfinite(getattr(config, f.name))]
     if non_finite:
         raise ConfigError(f"non-finite value for {', '.join(non_finite)}")
     tol = landing_tolerance(0.0, config.t_end)
@@ -181,9 +176,15 @@ def plan(config: RunConfig) -> Plan:
         solver_config = make_solver_config(config)
         if config.preset == "mms":
             levels = parse_list("mms.levels", config.mms_levels, int)
-            check_levels(levels)
-            grid = build_grid(MMS_HALF_WIDTH, levels[0])
-            case = default_case(amplitude=config.mms_amplitude)
+            try:
+                check_levels(levels)
+                grid = build_grid(MMS_HALF_WIDTH, levels[0])
+            except ArgumentError as exc:
+                raise ConfigError(f"mms.levels: {exc}") from exc
+            try:
+                case = default_case(amplitude=config.mms_amplitude)
+            except ArgumentError as exc:
+                raise ConfigError(f"mms.amplitude: {exc}") from exc
             start = _check_start(exact_state(case, grid, 0.0), model, grid, solver_config,
                                  config.mms_t_end)
         else:
@@ -315,7 +316,7 @@ def make_initial_data(config: RunConfig, grid: Grid) -> State:
         raise ConfigError("the mms preset has no initial data here: its study builds its own")
     bumps, own = PULSES.get(config.preset, ({}, ()))
     if not (a >= 0.0 and (a < 1.0 or not bumps)):
-        raise ConfigError(f"amplitude must lie in [0, 1), got {a}")
+        raise ConfigError(f"init.amplitude must lie in [0, 1), got {a}")
     parts = set(parse_list("init.perturb", config.perturb) if config.perturb else own)
     unknown = parts - {"v", "u", "theta"}
     if unknown:
@@ -385,7 +386,7 @@ def _write_timeseries(records: List[DiagnosticsRecord], path: Path):
 @lru_cache(maxsize=1)
 def _x_text(grid: Grid) -> tuple:
     """The x column of grid's profiles as text, formatted once per grid."""
-    return tuple(map(str, grid.cell_centers.tolist()))
+    return tuple(map(str, grid.all_cell_centers()[grid.cell_interior].tolist()))
 
 
 def _write_profile(state: State, grid: Grid, path: Path):

@@ -356,29 +356,28 @@ def _implicit_diffusion(x, x_star, grad_star, a, c: float, dt: float, grid: Grid
     return x, 1, res / bound if res else 0.0
 
 
-def backward_euler_velocity(half: Stage, dt: float, u: Optional[np.ndarray] = None):
+def backward_euler_velocity(half: Stage, dt: float, u: np.ndarray):
     """Solve u = u* + dt*node_diff(mu/v*cell_diff(u)) on the interior nodes, with
     mu/v and ux read from half, the Stage of the half state (v, u*, theta*), into u,
-    which holds u* on entry (a copy of half.u if not given).
-    Ghost nodes stay at u*, so momentum sums stay exact to round-off.
-    Returns (u, 1, backward error) from _implicit_diffusion."""
+    which holds u* on entry.  Ghost nodes stay at u*, so momentum sums stay exact to
+    round-off.  Returns (u, 1, backward error) from _implicit_diffusion."""
     g = half.grid.ghost_depth
     links = slice(g - 1, g + half.grid.N + 1)   # cell j joins nodes j and j+1
-    return _implicit_diffusion(half.u.copy() if u is None else u, half.u, half.ux[links],
-                               half.mu_v[links], 1.0, dt, half.grid, "velocity")
+    return _implicit_diffusion(u, half.u, half.ux[links], half.mu_v[links], 1.0, dt,
+                               half.grid, "velocity")
 
 
-def backward_euler_theta(half: Stage, dt: float, theta: Optional[np.ndarray] = None):
+def backward_euler_theta(half: Stage, dt: float, theta: np.ndarray):
     """Solve cv*(theta - theta*) = dt*cell_diff(face(kappa/v)*node_diff(theta)) on the
     interior cells, with kappa/v and theta_x read from half, the Stage of the half
     state: kappa is frozen there, so the solve is linear for every alpha.  Into theta,
-    which holds theta* on entry (a copy of half.theta if not given).
-    Returns (theta, 1, backward error) from _implicit_diffusion."""
+    which holds theta* on entry.  Returns (theta, 1, backward error) from
+    _implicit_diffusion."""
     grid = half.grid
     links = grid.node_interior                  # node i joins cells i-1 and i
-    return _implicit_diffusion(half.theta.copy() if theta is None else theta, half.theta,
-                               half.theta_x[links], grid.face_average(half.kappa_v)[links],
-                               half.model.cv, dt, grid, "temperature")
+    return _implicit_diffusion(theta, half.theta, half.theta_x[links],
+                               grid.face_average(half.kappa_v)[links], half.model.cv, dt,
+                               grid, "temperature")
 
 
 def step_imex(state: State, model: GasModel, grid: Grid, dt: float, sources: Sources = None):

@@ -337,6 +337,21 @@ def test_comma_list_refusal_names_its_key(argv, key, out_dir, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("argv, key, value", [
+    (["mms", "--set", "mms.levels=16,32"], "mms.levels", "[16, 32]"),
+    (["mms", "--set", "mms.levels=16,32,48"], "mms.levels", "[16, 32, 48]"),
+    (["mms", "--set", "mms.levels=4,8,16"], "mms.levels", "got 4"),
+    (["mms", "--set", "mms.amplitude=1.5"], "mms.amplitude", "got 1.5"),
+    (["run", "--set", "init.amplitude=1.5"], "init.amplitude", "got 1.5"),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else x)
+def test_mms_and_amplitude_refusals_name_their_key_and_value(argv, key, value, out_dir,
+                                                             capsys):
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}") and value in err and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("preset", PRESETS)
 def test_amplitude_sweep_runs_exactly_on_the_pulse_presets(preset, out_dir, capsys):
     # the presets with no PULSES row read no init.amplitude, so a sweep of it is refused

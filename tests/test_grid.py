@@ -28,12 +28,13 @@ def test_layout_counts():
     g = build_grid(2.0, 16, ghost_depth=3)
     assert g.ncells == 16 + 6
     assert g.nnodes == g.ncells + 1
-    assert g.cell_centers.shape == (16,)
-    assert g.node_positions.shape == (17,)
-    assert np.all(np.diff(g.cell_centers) > 0)
+    xc, xn = g.all_cell_centers()[g.cell_interior], g.all_node_positions()[g.node_interior]
+    assert xc.shape == (16,)
+    assert xn.shape == (17,)
+    assert np.all(np.diff(xc) > 0)
     # nodes interleave cells
-    assert np.all(g.node_positions[:-1] < g.cell_centers)
-    assert np.all(g.cell_centers < g.node_positions[1:])
+    assert np.all(xn[:-1] < xc)
+    assert np.all(xc < xn[1:])
 
 
 class TestOperators:

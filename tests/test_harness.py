@@ -53,7 +53,7 @@ def fast_config(**kw):
 def csv_writer_profile(state, grid, path):
     """The bytes csv.writer writes for the profile of state: the reference."""
     ci = grid.cell_interior
-    columns = [c.tolist() for c in (grid.cell_centers, state.v[ci],
+    columns = [c.tolist() for c in (grid.all_cell_centers()[ci], state.v[ci],
                                     (0.5 * (state.u[:-1] + state.u[1:]))[ci],
                                     state.theta[ci])]
     with path.open("w", newline="") as fh:
@@ -76,8 +76,13 @@ class TestParsing:
         assert parse_value("preset", " two-bump ") == "two-bump"
 
     def test_parse_value_errors(self):
-        with pytest.raises(ConfigError):
-            parse_value("grid_N", "12.5")
+        with pytest.raises(ConfigError, match="^cannot parse '12.5' for key of type int: "):
+            parse_value("grid_N", " 12.5")
+
+    def test_each_default_has_its_annotated_type(self):
+        # parse_value and plan's non-finite check take a key's type from its default
+        for f in dataclasses.fields(RunConfig):
+            assert type(f.default).__name__ == f.type, f.name
 
     def test_empty_list_refused(self):
         assert parse_list("mms.levels", " 1, ,2", int) == [1, 2]
@@ -328,7 +333,8 @@ class TestInitialData:
             make_initial_data(fast_config(grid_L=4.2, perturb="u"), build_grid(4.2, 256))
         grid = build_grid(4.6, 256)
         s = make_initial_data(fast_config(grid_L=4.6, amplitude=0.3, perturb="u"), grid)
-        assert np.allclose(grid.node_positions[[0, -1]], [-4.6, 4.6], rtol=1e-15, atol=0)
+        assert np.allclose(grid.all_node_positions()[grid.node_interior][[0, -1]], [-4.6, 4.6],
+                           rtol=1e-15, atol=0)
         assert 0.0 < np.max(np.abs(s.u[grid.node_interior][[0, -1]])) <= 1e-8
 
     def test_u_bump_refusal_names_the_velocity_bump(self):
@@ -399,7 +405,7 @@ class TestRun:
         t, x, v, u, theta = np.array([[float(cell) for cell in row] for row in rows]).T
         ci = grid.cell_interior
         assert t.tobytes() == np.full(grid.N, state.t).tobytes()
-        assert x.tobytes() == grid.cell_centers.tobytes()
+        assert x.tobytes() == grid.all_cell_centers()[ci].tobytes()
         assert v.tobytes() == state.v[ci].tobytes()
         assert u.tobytes() == (0.5 * (state.u[:-1] + state.u[1:]))[ci].tobytes()
         assert theta.tobytes() == state.theta[ci].tobytes()
@@ -444,7 +450,7 @@ class TestRun:
             u = grid.cell_average_of_nodes(state.u)
         lines = (tmp_path / "p.csv").read_bytes().decode().split("\r\n")
         ci = grid.cell_interior
-        columns = (grid.cell_centers, state.v[ci], u[ci], state.theta[ci])
+        columns = (grid.all_cell_centers()[ci], state.v[ci], u[ci], state.theta[ci])
         want = [",".join("{}".format(cell) for cell in (t, *row))
                 for row in zip(*(c.tolist() for c in columns))]
         assert lines == ["t,x,v,u,theta", *want, ""]

@@ -588,7 +588,7 @@ class TestImexStep:
         nsteps = 50
         for _ in range(nsteps):
             half = make_stage(State(0.0, v, np.zeros(g.nnodes), theta), m, g)
-            theta, _, _ = backward_euler_theta(half, t_end / nsteps)
+            theta, _, _ = backward_euler_theta(half, t_end / nsteps, half.theta.copy())
 
         # oracle: fine-dt forward Euler for cv*theta_t = theta_xx
         fine = build_grid(8.0, 512)
@@ -629,7 +629,8 @@ class TestBackwardEulerVelocity:
         self.dt = 50.0 * stable_dt(self.s, self.MODEL, self.g, CFG)
 
     def solve(self):
-        return backward_euler_velocity(make_stage(self.s, self.MODEL, self.g), self.dt)
+        half = make_stage(self.s, self.MODEL, self.g)
+        return backward_euler_velocity(half, self.dt, half.u.copy())
 
     def test_one_solve_one_iteration(self, monkeypatch):
         real, calls = ns1d.solver.solve_banded, []
@@ -758,7 +759,8 @@ class TestSolveTridiag:
         s.u[g.ghost_depth + 10] = np.nan
         with np.errstate(invalid="ignore"), \
                 pytest.raises(NewtonDivergenceError, match="residual nan"):
-            backward_euler_velocity(make_stage(s, model, g), 1e-2)
+            half = make_stage(s, model, g)
+            backward_euler_velocity(half, 1e-2, half.u.copy())
 
     def test_non_finite_theta_system_refused(self):
         g = build_grid(8.0, 64)
@@ -767,7 +769,8 @@ class TestSolveTridiag:
         s.theta[g.ghost_depth + 10] = np.inf
         with np.errstate(invalid="ignore"), \
                 pytest.raises(NewtonDivergenceError, match="residual nan"):
-            backward_euler_theta(make_stage(s, model, g), 1e-2)
+            half = make_stage(s, model, g)
+            backward_euler_theta(half, 1e-2, half.theta.copy())
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("position", ["first", "interior", "last"])
@@ -799,8 +802,8 @@ class TestSolveTridiag:
         half = make_stage(gauss_state(g, a=0.4, with_u=True), model, g)
         names = ("v", "u", "theta", "ux", "mu_v", "kappa_v", "theta_x")
         before = {name: getattr(half, name).copy() for name in names}
-        for solve in (backward_euler_velocity, backward_euler_theta):
-            solve(half, 50.0 * stable_dt(half, model, g, CFG))
+        for solve, x in ((backward_euler_velocity, half.u), (backward_euler_theta, half.theta)):
+            solve(half, 50.0 * stable_dt(half, model, g, CFG), x.copy())
         for name in names:
             assert getattr(half, name).tobytes() == before[name].tobytes(), name
 
@@ -905,7 +908,7 @@ class TestBackwardEulerTheta:
             return real(*args)
 
         monkeypatch.setattr(ns1d.constitutive, "_theta_pow", counted)
-        _, iters, _ = backward_euler_theta(half, dt)
+        _, iters, _ = backward_euler_theta(half, dt, half.theta.copy())
         assert iters == 1 and calls == []
         for name, old in before.items():
             assert np.array_equal(getattr(half, name), old), name
@@ -978,7 +981,8 @@ class TestImplicitSolves:
                                      rng.standard_normal(g.nnodes),
                                      rng.uniform(0.5, 2.0, g.ncells)), g)
             half = make_stage(s, self.MODEL, g)
-            got, iters, residual = SOLVES[name](half, r * g.dx ** 2)
+            x = half.u.copy() if name == "velocity" else half.theta.copy()
+            got, iters, residual = SOLVES[name](half, r * g.dx ** 2, x)
             x_star, want = dense_correction(half, r * g.dx ** 2, name)
             assert iters == 1 and residual <= BACKWARD_ERROR_TOL
             assert np.max(np.abs(got - x_star - want)) <= 1e-12 * np.max(np.abs(want))
@@ -1002,8 +1006,8 @@ class TestImplicitSolves:
         # each result stays between the extremes of its x* and the far field
         half, dt = self.dip_stage()
         theta, u = half.theta, half.u
-        theta_new, _, _ = backward_euler_theta(half, dt)
-        u_new, _, _ = backward_euler_velocity(half, dt)
+        theta_new, _, _ = backward_euler_theta(half, dt, theta.copy())
+        u_new, _, _ = backward_euler_velocity(half, dt, u.copy())
         assert min(theta.min(), 1.0) <= theta_new.min() and theta_new.max() <= max(theta.max(), 1.0)
         assert min(u.min(), 0.0) <= u_new.min() and u_new.max() <= max(u.max(), 0.0)
         assert theta_new[half.grid.ghost_depth + 20] > 1.0    # the dip is filled from its neighbours
@@ -1013,7 +1017,8 @@ class TestImplicitSolves:
         # residual near 5e-10; relative to ||A||*||x|| it is round-off
         half, dt = self.dip_stage()
         for name, solve in SOLVES.items():
-            got, _, backward_error = solve(half, dt)
+            x = half.u.copy() if name == "velocity" else half.theta.copy()
+            got, _, backward_error = solve(half, dt, x)
             x_star, want = dense_correction(half, dt, name)
             assert 0.0 < backward_error <= BACKWARD_ERROR_TOL
             assert np.max(np.abs(got - x_star - want)) <= 1e-12 * np.max(np.abs(want))

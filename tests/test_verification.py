@@ -82,7 +82,7 @@ class TestCaseDefinition:
             check_support(bound, a, w, centre, tol=1e-8)
 
     def test_amplitude_bounds(self):
-        with pytest.raises(ArgumentError):
+        with pytest.raises(ArgumentError, match=r"must lie in \[0, 1\) .*, got 1\.0$"):
             default_case(1.0)
         with pytest.raises(ArgumentError):
             default_case(-0.1)
