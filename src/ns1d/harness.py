@@ -27,7 +27,7 @@ from .diagnostics import (DiagnosticsCollector, DiagnosticsRecord,
 from .errors import ArgumentError, ConfigError, DomainError, Ns1dError
 from .grid import Grid, State, apply_farfield, build_grid
 from .solver import SolverConfig, Stage, advance, landing_tolerance, make_stage, step_size
-from .verification import (MMS_HALF_WIDTH, ManufacturedCase, check_levels, check_support,
+from .verification import (MMS_HALF_WIDTH, ManufacturedCase, check_levels,
                            convergence_study, default_case, exact_state)
 
 __all__ = [
@@ -287,21 +287,32 @@ def make_solver_config(config: RunConfig) -> SolverConfig:
 
 def _check_support(config: RunConfig, centre: float = 0.0, scale: float = 1.0,
                    velocity: bool = False):
-    """A pulse bump must fall to 1e-8 by |x| = L: a Gaussian a exp(-((x - centre)/w)^2) there,
-    a = scale * amplitude, the velocity bump a (x/w) exp(-(x/w)^2) there and at its edge
-    value a (L/w) exp(-(L/w)^2)."""
+    """A pulse bump must fall to 1e-8 by |x| = L, past which the ghosts hold (1, 0, 1): a
+    Gaussian a exp(-((x - centre)/w)^2), a = scale * amplitude, and with velocity the u bump
+    a (x/w) exp(-(x/w)^2), whose edge value a (L/w) exp(-(L/w)^2) is a Gaussian's of peak
+    a L/w.  A peak p falls to 1e-8 once reach = (L - |centre|)/w is at least
+    sqrt(ln(p / 1e-8)): p exp(-reach^2) <= 1e-8 solved for reach, so nothing squares it."""
     a, w, L = scale * config.amplitude, config.width, config.grid_L
-    try:
-        check_support(L, a, w, centre, tol=1e-8)
-    except ArgumentError as exc:
-        raise ConfigError(f"initial perturbation: {exc}") from exc
-    if velocity:
-        try:
-            check_support(L, a * L / w, w, tol=1e-8)
-        except ArgumentError:
-            raise ConfigError(f"initial perturbation: the velocity bump a (x/w) exp(-(x/w)^2) "
-                              f"(a={a}, w={w}) is not supported inside |x| <= grid.L: its edge "
-                              "value a (L/w) exp(-(L/w)^2) must fall to 1e-08") from None
+    reach = (L - abs(centre)) / w
+    need = lambda p: math.sqrt(math.log(p / 1e-8)) if p > 1e-8 else 0.0
+    if reach <= 0 or reach < need(a):
+        raise ConfigError(
+            f"initial perturbation: Gaussian (amplitude={a}, width={w}, centre={centre}) is not "
+            f"supported inside |x| <= L = {L}: L must be at least "
+            f"{_ceil_6g(abs(centre) + need(a) * w)} for it to fall to 1e-08 there")
+    if velocity and L / w < need(a * L / w):
+        raise ConfigError("initial perturbation: the velocity bump a (x/w) exp(-(x/w)^2) "
+                          f"(a={a}, w={w}) is not supported inside |x| <= grid.L: its edge "
+                          "value a (L/w) exp(-(L/w)^2) must fall to 1e-08")
+
+
+def _ceil_6g(x: float) -> str:
+    """x >= 0 at 6 significant figures, rounded up: a printed lower bound
+    that is itself accepted."""
+    s = f"{x:.6g}"
+    if float(s) < x:                        # .6g rounded down: add one unit in the last figure
+        s = f"{float(s) + 10.0 ** (math.floor(math.log10(float(s))) - 5):.6g}"
+    return s
 
 
 def make_initial_data(config: RunConfig, grid: Grid) -> State:

@@ -14,7 +14,7 @@ from .grid import Grid, State, build_grid, apply_farfield
 from .solver import SolverConfig, Stage, advance
 
 __all__ = [
-    "ClosedForm", "ManufacturedCase", "OrderReport", "default_case", "check_support",
+    "ClosedForm", "ManufacturedCase", "OrderReport", "default_case",
     "mms_sources", "make_source_fn", "exact_state", "check_levels", "convergence_study",
     "fine_grid_reference", "restrict_cells", "restrict_nodes",
 ]
@@ -106,31 +106,6 @@ def default_case(amplitude: float = 0.1, omega: float = 1.0) -> ManufacturedCase
         theta_x=ClosedForm(lambda x: -2.0 * x * a * g(x), cos4),
         theta_xx=ClosedForm(lambda x: a * (4.0 * x ** 2 - 2.0) * g(x), cos4),
     )
-
-
-def check_support(L: float, amplitude: float, width: float = 1.0, centre: float = 0.0,
-                  tol: float = 1e-12):
-    """A Gaussian amplitude * exp(-((x - centre) / width)^2) must fall to tol by
-    |x| = L: amplitude * exp(-reach^2) <= tol with reach = (L - |centre|) / width,
-    solved for reach so nothing squares it.  Beyond |x| = L the ghosts hold
-    (1, 0, 1), so a narrower domain cuts the data off.  The defaults are the MMS
-    case's envelope, which MMS_HALF_WIDTH holds at every amplitude, so no study checks it."""
-    reach = (L - abs(centre)) / width
-    need = math.sqrt(math.log(amplitude / tol)) if amplitude > tol else 0.0
-    if reach <= 0 or reach < need:
-        raise ArgumentError(
-            f"Gaussian (amplitude={amplitude}, width={width}, centre={centre}) is not supported "
-            f"inside |x| <= L = {L}: L must be at least {_ceil_6g(abs(centre) + need * width)} "
-            f"for it to fall to {tol:g} there")
-
-
-def _ceil_6g(x: float) -> str:
-    """x >= 0 at 6 significant figures, rounded up: a printed lower bound
-    that is itself accepted."""
-    s = f"{x:.6g}"
-    if float(s) < x:                        # .6g rounded down: add one unit in the last figure
-        s = f"{float(s) + 10.0 ** (math.floor(math.log10(float(s))) - 5):.6g}"
-    return s
 
 
 def mms_sources(case: ManufacturedCase, model: GasModel, t: float, x):

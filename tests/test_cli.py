@@ -98,13 +98,13 @@ def test_readme_cli_examples_load(tmp_path, monkeypatch):
         ns1d.harness.plan(cli._load(cli.build_parser().parse_args(argv[1:])))
 
 
-def test_readme_config_table_names_only_keys():
-    # every backticked key in the first column of the README's config table is a key
+def test_readme_config_table_names_each_key_once():
+    # the backticked keys in the first column of the README's config table are the keys
     table = README.read_text().split("| key | default | meaning |", 1)[1].split("\n\n", 1)[0]
     rows = [line for line in table.splitlines() if line.startswith("| `")]
     keys = [key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
     assert len(keys) >= len(rows) >= 10
-    assert set(keys) <= set(KEYMAP), set(keys) - set(KEYMAP)
+    assert sorted(keys) == sorted(KEYMAP), (set(keys) ^ set(KEYMAP), len(keys), len(KEYMAP))
 
 
 def test_config_error_exit_code(capsys):

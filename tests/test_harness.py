@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -318,6 +319,25 @@ class TestInitialData:
                 assert refused
             else:
                 assert not refused
+
+    def test_support_rule(self):
+        # a bump of amplitude a needs L >= sqrt(ln(a / 1e-8)) at width 1: 4.015 at a = 0.1,
+        # 4.291 at a = 0.99, and nothing at a <= 1e-8
+        for L, a in ((12.0, 0.99), (6.0, 0.99), (5.0, 0.1), (0.1, 1e-9), (0.1, 0.0)):
+            _check_support(fast_config(grid_L=L, amplitude=a, width=1.0))
+        for L, a in ((4.0, 0.1), (3.0, 0.1), (0.5, 0.1), (4.2, 0.99)):
+            with pytest.raises(ConfigError, match="not supported"):
+                _check_support(fast_config(grid_L=L, amplitude=a, width=1.0))
+
+    def test_printed_bound_holds(self):
+        rng = np.random.default_rng(3)
+        for _ in range(2000):
+            a, w = float(10 ** rng.uniform(-6, 0)), float(10 ** rng.uniform(-2, 1))
+            centre = float(rng.choice([0.0, 2.0 * w]))
+            with pytest.raises(ConfigError) as info:
+                _check_support(fast_config(grid_L=centre, amplitude=a, width=w), centre)
+            bound = float(re.search(r"at least (\S+) ", str(info.value)).group(1))
+            _check_support(fast_config(grid_L=bound, amplitude=a, width=w), centre)
 
     def test_width_below_one_cell_refused_without_warning(self):
         with warnings.catch_warnings():

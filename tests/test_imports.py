@@ -150,19 +150,24 @@ def unread_fields(sources: dict, classes=CONFIG_CLASSES) -> list:
     """Fields of the dataclasses named in classes whose name no attribute read in
     sources (file name -> text) takes, outside the class bodies (defaults and
     validation) and make_solver_config (which copies every field by name): a
-    knob whose last reader is gone, or a stage field computed for nothing."""
-    fields, read = {}, set()
+    knob whose last reader is gone, or a stage field computed for nothing.  A
+    read through a name ending in `config` counts only for CONFIG_CLASSES, so
+    `config.amplitude` hides no other class's `amplitude`."""
+    fields, read, config_read = {}, set(), set()
     for tree in (ast.parse(text) for text in sources.values()):
         for node in tree.body:
             if isinstance(node, ast.ClassDef) and node.name in classes:
                 fields[node.name] = [stmt.target.id for stmt in node.body
                                      if isinstance(stmt, ast.AnnAssign)]
             elif not (isinstance(node, ast.FunctionDef) and node.name == "make_solver_config"):
-                read |= {sub.attr for sub in ast.walk(node)
-                         if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+                for sub in ast.walk(node):
+                    if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                        # the receiver's name: `x` of `x.a`, `b` of `x.b.a`
+                        owner = getattr(sub.value, "id", getattr(sub.value, "attr", ""))
+                        (config_read if owner.endswith("config") else read).add(sub.attr)
     assert set(fields) == set(classes), f"classes not found: {set(classes) - set(fields)}"
     return [f"{cls}.{name}" for cls, names in fields.items() for name in names
-            if name not in read]
+            if name not in read and (cls not in CONFIG_CLASSES or name not in config_read)]
 
 
 def test_unread_field_guard_sees_a_knob_without_a_reader():
@@ -180,6 +185,16 @@ def test_unread_field_guard_sees_a_stage_field_without_a_reader():
     assert sources["solver.py"].count(field) == 1
     sources["solver.py"] = sources["solver.py"].replace(field, field + "    spare: np.ndarray\n")
     assert unread_fields(sources, CHECKED_CLASSES) == ["Stage.spare"]
+
+
+def test_unread_field_guard_does_not_count_a_config_read_for_another_class():
+    # harness reads config.amplitude; that read must not keep a case field of that name
+    sources = {path.name: path.read_text() for path in sorted((SRC / "ns1d").glob("*.py"))}
+    field = "    v: ClosedForm\n"
+    assert sources["verification.py"].count(field) == 1
+    sources["verification.py"] = sources["verification.py"].replace(
+        field, field + "    amplitude: float = 0.0\n")
+    assert unread_fields(sources, CHECKED_CLASSES) == ["ManufacturedCase.amplitude"]
 
 
 def test_no_configuration_field_outlives_its_last_reader():

@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from ns1d.grid import State, apply_farfield, build_grid
 from ns1d.solver import SolverConfig, advance, make_stage, step_explicit, step_imex
 from ns1d.verification import (
     MMS_HALF_WIDTH,
-    check_support,
     convergence_study,
     default_case,
     exact_state,
@@ -61,25 +59,6 @@ class TestCaseDefinition:
         for name, form in literal.items():
             for t in (0.0, 0.41, 3.3):
                 assert np.all(getattr(c, name)(t, x) == form(t, x)), (name, t)
-
-    def test_support_rule(self):
-        check_support(12.0, 0.99)
-        check_support(6.0, 0.99)
-        check_support(0.1, 1e-12)            # nothing to hold
-        check_support(0.1, 0.0)
-        for L, a in ((5.0, 0.1), (2.0, 0.1), (0.5, 0.1), (5.2, 0.99)):
-            with pytest.raises(ArgumentError):
-                check_support(L, a)
-
-    def test_printed_bound_holds(self):
-        rng = np.random.default_rng(3)
-        for _ in range(2000):
-            a, w = float(10 ** rng.uniform(-6, 0)), float(10 ** rng.uniform(-2, 1))
-            centre = float(rng.choice([0.0, 2.0 * w]))
-            with pytest.raises(ArgumentError) as info:
-                check_support(centre, a, w, centre, tol=1e-8)
-            bound = float(re.search(r"at least (\S+) ", str(info.value)).group(1))
-            check_support(bound, a, w, centre, tol=1e-8)
 
     def test_amplitude_bounds(self):
         with pytest.raises(ArgumentError, match=r"must lie in \[0, 1\) .*, got 1\.0$"):
