@@ -32,34 +32,23 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
-def _add_common(parser):
-    parser.add_argument("--config", help="path to a flat key=value config file")
-    parser.add_argument("--set", dest="overrides", action="append", default=[],
-                        metavar="KEY=VALUE", help="override a config key")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ns1d",
         description="1D viscous heat-conducting gas in Lagrangian coordinates")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="single simulation run")
-    _add_common(p_run)
-
-    p_sweep = sub.add_parser("sweep", help="parameter sweep of independent runs")
-    _add_common(p_sweep)
-    p_sweep.add_argument("--param", required=True, choices=tuple(SWEEP_PARAMETERS))
-    p_sweep.add_argument("--values", required=True,
-                         help="comma-separated list of parameter values")
-
-    p_mms = sub.add_parser("mms", help="manufactured-solution convergence study")
-    _add_common(p_mms)
-
-    p_val = sub.add_parser("validate-h",
-                           help="exact admissibility check of h, a sup over all v > 0")
-    _add_common(p_val)
-
+    for name, summary in (("run", "single simulation run"),
+                          ("sweep", "parameter sweep of independent runs"),
+                          ("mms", "manufactured-solution convergence study"),
+                          ("validate-h", "exact admissibility check of h, a sup over all v > 0")):
+        command = sub.add_parser(name, help=summary)
+        command.add_argument("--config", help="path to a flat key=value config file")
+        command.add_argument("--set", dest="overrides", action="append", default=[],
+                             metavar="KEY=VALUE", help="override a config key")
+        if name == "sweep":
+            command.add_argument("--param", required=True, choices=tuple(SWEEP_PARAMETERS))
+            command.add_argument("--values", required=True,
+                                 help="comma-separated list of parameter values")
     return parser
 
 

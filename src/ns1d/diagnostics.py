@@ -154,7 +154,7 @@ def energy_identity_residual(record_now: DiagnosticsRecord,
 
 # a class, not a function, because the benchmark's tracer patches __init__ and __call__
 class KanelEvaluator:
-    """max_x |Phi(v(x))| over an array of v, by two exact quadratures.
+    """max_x |Phi(v(x))| over an array of v, by two kanel_potential calls.
 
     The integrand sqrt(phi(z))*h(z)/z of Phi is >= 0, so Phi is nondecreasing,
     and Phi(1) = 0: |Phi| is nonincreasing below 1 and nondecreasing above, and
@@ -172,8 +172,8 @@ class KanelEvaluator:
 def kanel_bound_pair(state: State, model: GasModel, grid: Grid):
     """(max_x |Phi(v)|, ||sqrt(phi(v))|| * ||h(v)*v_x/v||), the Cauchy-Schwarz pair.
 
-    phi refuses v <= 0 and NaN with PositivityError before either quadrature;
-    theta is not read."""
+    phi refuses v <= 0 and NaN with PositivityError before either kanel_potential
+    call; theta is not read."""
     ci = grid.cell_interior
     v = state.v
     sqrt_phi = np.sqrt(phi(v[ci]))

@@ -17,7 +17,7 @@ class ArgumentError(Ns1dError, ValueError):
 
 
 class QuadratureError(Ns1dError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """Raised only by adaptive_simpson, unused by ns1d and kept for the benchmark's tracer."""
 
 
 class PositivityError(DomainError):

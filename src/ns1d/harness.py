@@ -97,12 +97,13 @@ KEYMAP: Dict[str, str] = {f.metadata["key"]: f.name for f in fields(RunConfig)}
 
 
 def parse_value(attr: str, raw: str):
-    """raw, stripped, as a value of the type of attr's default."""
+    """raw, stripped, as a value of the type of attr's default; a refusal names attr's key."""
     kind, raw = type(getattr(RunConfig, attr)), raw.strip()
     try:
         return kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"cannot parse {raw!r} for key of type {kind.__name__}: {exc}") from exc
+        key = RunConfig.__dataclass_fields__[attr].metadata["key"]
+        raise ConfigError(f"{key}: cannot parse {raw!r} as {kind.__name__}: {exc}") from exc
 
 
 def parse_list(key: str, raw: str, kind=str) -> list:
@@ -267,12 +268,18 @@ def config_to_flat(config: RunConfig) -> Dict[str, object]:
 # ---------------------------------------------------------------------------
 
 def make_model(config: RunConfig) -> GasModel:
+    """The gas model; a gas.h.* key that the chosen kind never reads must keep its default."""
     if config.h_kind == "constant":
-        h = HProfile.constant(config.h_c)
+        h, unread = HProfile.constant(config.h_c), ("gas.h.ell1", "gas.h.ell2")
     elif config.h_kind == "power-sum":
-        h = HProfile.power_sum(config.h_ell1, config.h_ell2)
+        h, unread = HProfile.power_sum(config.h_ell1, config.h_ell2), ("gas.h.c",)
     else:
         raise ConfigError(f"unknown h kind {config.h_kind!r}")
+    for key in unread:
+        value, default = getattr(config, KEYMAP[key]), getattr(RunConfig, KEYMAP[key])
+        if value != default:
+            raise ConfigError(f"{key}: gas.h.kind={config.h_kind} never reads it, so it must "
+                              f"keep its default {default}, got {value}")
     model = GasModel(gamma=config.gas_gamma, mu_tilde=config.gas_mu_tilde,
                      kappa_tilde=config.gas_kappa_tilde, alpha=config.gas_alpha, h=h)
     if h.kind == "power-sum" and min(h.ell1, h.ell2) < 1.0:

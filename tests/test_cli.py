@@ -352,6 +352,26 @@ def test_mms_and_amplitude_refusals_name_their_key_and_value(argv, key, value, o
     assert not out_dir.exists()
 
 
+def test_parse_refusal_names_its_key(out_dir, capsys):
+    assert main(["run", "--set", "grid.N=8.5"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: grid.N: cannot parse '8.5' as int: ")
+
+
+@pytest.mark.parametrize("command", ["run", "validate-h"])
+@pytest.mark.parametrize("kind, setting", [("constant", "gas.h.ell1=2"),
+                                           ("constant", "gas.h.ell2=0.5"),
+                                           ("power-sum", "gas.h.c=5")])
+def test_h_key_the_kind_never_reads_is_refused(command, kind, setting, out_dir, capsys):
+    # run and validate-h build the model alike; a key left at its default passes
+    key, value = setting.split("=")
+    fast = FAST if command == "run" else []
+    assert main([command, "--set", f"gas.h.kind={kind}", "--set", setting] + fast) == EXIT_CONFIG
+    assert capsys.readouterr().err == (f"config error: {key}: gas.h.kind={kind} never reads "
+                                       f"it, so it must keep its default 1.0, got {float(value)}\n")
+    assert not out_dir.exists()
+    assert main([command, "--set", f"gas.h.kind={kind}", "--set", f"{key}=1"] + fast) == EXIT_OK
+
+
 @pytest.mark.parametrize("preset", PRESETS)
 def test_amplitude_sweep_runs_exactly_on_the_pulse_presets(preset, out_dir, capsys):
     # the presets with no PULSES row read no init.amplitude, so a sweep of it is refused

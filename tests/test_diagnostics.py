@@ -26,6 +26,7 @@ from ns1d.diagnostics import (
 from ns1d.errors import ArgumentError, PositivityError
 from ns1d.grid import State, apply_farfield, build_grid
 from ns1d.solver import SolverConfig, advance
+from test_constitutive import KANEL_TABLE
 
 
 def make_record(t=0.0, min_theta=1.0, sup_dev=0.0, **kw):
@@ -156,6 +157,16 @@ class TestKanel:
         s.v[ci] = v
         lhs, _ = kanel_bound_pair(s, GasModel(5 / 3, h=h), self.g)
         assert lhs == pytest.approx(brute, rel=1e-12)
+
+    def test_large_v_pair_is_phi_at_the_worse_end(self):
+        # v spans [1e-3, 3e3] with power-sum(2,3): |Phi| is 7.9e8 at 1e-3, 2.0e8 at 3e3
+        table = dict(KANEL_TABLE["power-sum(2,3)"])
+        ci = self.g.cell_interior
+        s = State(0.0, np.ones(self.g.ncells), np.zeros(self.g.nnodes), np.ones(self.g.ncells))
+        s.v[ci] = np.geomspace(1e-3, 3e3, self.g.N)        # its ends are exact
+        lhs, rhs = kanel_bound_pair(s, GasModel(5 / 3, h=HProfile.power_sum(2, 3)), self.g)
+        assert lhs == pytest.approx(-float(table[1e-3]), rel=1e-13, abs=0.0)
+        assert lhs > float(table[3000.0]) and 0.0 < rhs < np.inf
 
 
 class TestThetaFloorFit:

@@ -77,7 +77,7 @@ class TestParsing:
         assert parse_value("preset", " two-bump ") == "two-bump"
 
     def test_parse_value_errors(self):
-        with pytest.raises(ConfigError, match="^cannot parse '12.5' for key of type int: "):
+        with pytest.raises(ConfigError, match="^grid.N: cannot parse '12.5' as int: "):
             parse_value("grid_N", " 12.5")
 
     def test_each_default_has_its_annotated_type(self):

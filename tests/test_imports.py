@@ -1,9 +1,11 @@
 """Guards on the package's imports: that `import ns1d`, and an IMEX run, load
 no scipy module but LAPACK's extension `scipy.linalg._flapack` (the
 scipy.linalg package would cost most of the package's import time and is not
-used), that `ns1d.solver.solve_banded` is scipy's own `dptsv`, that every
-`__all__` entry resolves, that no module imports a name it does not use, that
-no private helper outlives its last reader, and that no configuration field
+used), that `import ns1d` loads no numpy.polynomial, that
+`ns1d.solver.solve_banded` is scipy's own `dptsv`, that every `__all__` entry
+resolves, that no module imports a name it does not use, that every import is
+of the standard library, ns1d, a test module or a package the CI workflow pins,
+that no private helper outlives its last reader, and that no configuration field
 outlives its last reader."""
 
 import ast
@@ -13,6 +15,7 @@ import importlib.util
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +26,11 @@ import ns1d
 import ns1d.solver
 
 SRC = Path(ns1d.__file__).resolve().parents[1]
+TESTS = Path(__file__).resolve().parent
+WORKFLOW = TESTS.parent / ".github" / "workflows" / "tier1.yml"
 SCIPY_MODULES = "sorted(m for m in sys.modules if m.startswith('scipy'))"
+# the same, and numpy.polynomial, whose Gauss-Legendre rule kanel_potential forms on first use
+IMPORT_MODULES = "sorted(m for m in sys.modules if m.startswith(('scipy', 'numpy.polynomial')))"
 
 
 def in_fresh_process(code: str, **env) -> str:
@@ -34,10 +41,11 @@ def in_fresh_process(code: str, **env) -> str:
 
 
 def test_import_loads_no_interpolate_or_optimize(tmp_path):
-    # nor any scipy module but the LAPACK extension, before and after an IMEX run
+    # nor any scipy module but the LAPACK extension, before and after an IMEX run, nor,
+    # before it, numpy.polynomial
     run = ["run", "--set", "solver.integrator=imex", "--set", "grid.N=64", "--set",
            "time.t_end=0.1", "--set", "output.formats=json"]
-    code = (f"import json, sys, ns1d; before = {SCIPY_MODULES}; from ns1d.cli import main; "
+    code = (f"import json, sys, ns1d; before = {IMPORT_MODULES}; from ns1d.cli import main; "
             f"code = main({run!r}); print(json.dumps([before, code, {SCIPY_MODULES}]))")
     out = in_fresh_process(code, NS1D_OUT=str(tmp_path))
     assert json.loads(out.splitlines()[-1]) == [["scipy.linalg._flapack"], 0,
@@ -107,6 +115,49 @@ def test_no_module_imports_an_unused_name():
     found = {path.name: unused_imports(path.read_text())
              for path in sorted((SRC / "ns1d").glob("*.py"))}
     assert not {name: names for name, names in found.items() if names}, found
+
+
+def imported_packages(sources: dict) -> set:
+    """The top-level package of each absolute import in sources (file name -> text),
+    function-level imports included."""
+    packages = set()
+    for tree in map(ast.parse, sources.values()):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                packages |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                packages.add(node.module.split(".")[0])
+    return packages
+
+
+def workflow_pins(text: str) -> dict:
+    """package -> version of the one `pip install name==version ...` line of a workflow;
+    a package given without `==version` is not pinned, and refused."""
+    (line,) = re.findall(r"pip install (.+)", text)
+    pins = [pin.partition("==") for pin in line.split()]
+    assert all(eq and version for _, eq, version in pins), f"unpinned: {line}"
+    return {name: version for name, _, version in pins}
+
+
+def test_import_guards_see_every_package_and_pin():
+    sources = {"a.py": "import os.path, numpy as np\nfrom . import grid\n",
+               "b.py": "def f():\n    from scipy.linalg import lapack\n    from .a import f\n"}
+    assert imported_packages(sources) == {"os", "numpy", "scipy"}
+    assert workflow_pins("  run: python -m pip install numpy==2.4.6 pytest==9.0.3\n") == {
+        "numpy": "2.4.6", "pytest": "9.0.3"}
+    with pytest.raises(AssertionError, match="unpinned"):
+        workflow_pins("run: pip install numpy==2.4.6 pytest\n")
+
+
+def test_every_import_is_stdlib_ns1d_a_test_module_or_pinned():
+    # so that CI installs what the tests import, and nothing else: mpmath, used to
+    # compute reference values, stays out of the tests, which hold them as literals
+    paths = [*(SRC / "ns1d").glob("*.py"), *TESTS.glob("*.py")]
+    imported = imported_packages({path.name: path.read_text() for path in paths})
+    local = {"ns1d"} | {path.stem for path in TESTS.glob("*.py")}
+    third_party = imported - set(sys.stdlib_module_names) - local
+    assert third_party == set(workflow_pins(WORKFLOW.read_text()))  # hypothesis, numpy,
+    # pytest and scipy
 
 
 def unreferenced_helpers(sources: dict) -> list:
