@@ -8,7 +8,6 @@ and the entropy zero point is fixed there.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -46,7 +45,15 @@ class HProfile:
     def power_sum(ell1: float, ell2: float) -> "HProfile":
         if not (0 <= ell1 < math.inf and 0 <= ell2 < math.inf):
             raise ArgumentError("power-sum exponents must be finite and nonnegative")
-        return HProfile("power-sum", ell1, ell2, lambda v: v ** ell1 + v ** -ell2,
+
+        def h(v):
+            # numpy's array power at exponents 1 and -1 returns v and 1/v bit for bit, by a
+            # slower loop; a scalar keeps **, whose pow can differ from 1/v in the last bit
+            if type(v) is not np.ndarray:
+                return v ** ell1 + v ** -ell2
+            return (v if ell1 == 1 else v ** ell1) + (1.0 / v if ell2 == 1 else v ** -ell2)
+
+        return HProfile("power-sum", ell1, ell2, h,
                         lambda v: ell1 * v ** (ell1 - 1) - ell2 * v ** (-ell2 - 1))
 
     @staticmethod
@@ -202,12 +209,20 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10) -> float:
     return recurse(a, b, fa, fm, fb, whole, tol, 0)
 
 
-@functools.cache
-def _gauss_legendre():
-    """The 32-node Gauss-Legendre rule on [0, 1], formed on first use, not at import."""
-    from numpy.polynomial.legendre import leggauss
-    nodes, weights = leggauss(32)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
+# numpy's leggauss(32), moved to [0, 1] below: its 16 non-negative nodes, ascending, then
+# their weights, as float.hex; the rule is symmetric, so the other 16 are their mirror images
+_GL32_HALF = np.array([float.fromhex(t) for t in """
+    0x1.8bbc8488cc49ap-5 0x1.27e0ea717f237p-3 0x1.ea0f7e19c094bp-3 0x1.53d55ce57bdf6p-2
+    0x1.af76b57c6f8f1p-2 0x1.038862866b29dp-1 0x1.2ce9146962ca4p-1 0x1.537a89c487f8ap-1
+    0x1.76e0931d693bap-1 0x1.96c69481c4bc5p-1 0x1.b2e04fd686a13p-1 0x1.caea9b4574cb9p-1
+    0x1.deac0259f7f42p-1 0x1.edf5518053baap-1 0x1.f8a212714bcdcp-1 0x1.fe995e70409b6p-1
+    0x1.8b6d9eaec77a3p-4 0x1.87bc776f8c6ccp-4 0x1.8062fc0f6fef5p-4 0x1.7572bdb3f6e49p-4
+    0x1.6705e18e13ecfp-4 0x1.553ee25ebebc3p-4 0x1.40483e126fd0ep-4 0x1.2854103b35e00p-4
+    0x1.0d9b9a62cac04p-4 0x1.e0bd76c924984p-5 0x1.a1c6ae961fbeep-5 0x1.5ee963a3354abp-5
+    0x1.18c5800a35609p-5 0x1.a0060a8531ff0p-6 0x1.0aa3c248696dep-6 0x1.cbf8bc743ce34p-8
+    """.split()]).reshape(2, 16)
+_GL_NODES = 0.5 * (np.concatenate((-_GL32_HALF[0, ::-1], _GL32_HALF[0])) + 1.0)
+_GL_WEIGHTS = 0.5 * np.concatenate((_GL32_HALF[1, ::-1], _GL32_HALF[1]))
 
 
 def kanel_potential(h: HProfile, v: float) -> float:
@@ -219,11 +234,10 @@ def kanel_potential(h: HProfile, v: float) -> float:
     """
     if not v > 0:
         raise DomainError(f"kanel_potential requires v > 0, got {v}")
-    nodes, weights = _gauss_legendre()
     log_v = math.log(v)
-    s = log_v * nodes
+    s = log_v * _GL_NODES
     with np.errstate(all="ignore"):      # an h that overflows gives inf, refused below
-        value = log_v * float((weights * np.sqrt(np.expm1(s) - s) * h.h(np.exp(s))).sum())
+        value = log_v * float((_GL_WEIGHTS * np.sqrt(np.expm1(s) - s) * h.h(np.exp(s))).sum())
     if abs(value) < math.inf:               # so that NaN fails too
         return value
     raise DomainError(f"the Kanel' integral to v = {v} is not finite in float64")

@@ -320,9 +320,9 @@ def _implicit_diffusion(x, x_star, grad_star, a, c: float, dt: float, grid: Grid
     ptsv may overwrite, as is the right side.  With c, a > 0 it is a diagonally dominant
     M-matrix, so positive definite (LDL^T needs no pivoting) and x stays between the extremes
     of x* (maximum principle): ||A||*||x|| <= B = (c + 4*r*max a)*max|x*|.  The residual
-    c*(x - x*) - dt*D_a x is formed in place on those arrays once the solve is done.  Returns
-    (x, 1, max|residual|/B), the normwise backward error; NewtonDivergenceError on a
-    non-positive pivot or unless it is <= BACKWARD_ERROR_TOL.
+    c*(x - x*) - dt*D_a x, as c*(x - x*) - r*diff(a*diff(x)), is formed in place on those
+    arrays once the solve is done.  Returns (x, 1, max|residual|/B), the normwise backward
+    error; NewtonDivergenceError on a non-positive pivot or unless it is <= BACKWARD_ERROR_TOL.
     """
     dx, lo = grid.dx, grid.ghost_depth
     hi = lo + len(a) - 1
@@ -340,16 +340,16 @@ def _implicit_diffusion(x, x_star, grad_star, a, c: float, dt: float, grid: Grid
         raise NewtonDivergenceError(f"{name} system is not positive definite: pivot {info}")
     x[lo:hi] += correction
     np.subtract(x[lo:hi + 1], x[lo - 1:hi], out=flux)
-    flux /= dx
     flux *= a
     np.subtract(flux[1:], flux[:-1], out=d)
-    d /= dx
-    d *= dt
+    d *= r
     np.subtract(x[lo:hi], x_star[lo:hi], out=b)
     b *= c
     b -= d
     res = float(np.maximum.reduce(np.abs(b, out=b)))
-    bound = (c + 4.0 * r * float(np.maximum.reduce(a))) * float(np.maximum.reduce(np.abs(x_star)))
+    # max|x*| without an |x*| temporary; both reductions propagate NaN
+    x_max = max(float(np.maximum.reduce(x_star)), -float(np.minimum.reduce(x_star)))
+    bound = (c + 4.0 * r * float(np.maximum.reduce(a))) * x_max
     if not res <= BACKWARD_ERROR_TOL * bound < np.inf:   # a product: x* = 0 passes, NaN, inf fail
         raise NewtonDivergenceError(f"{name} diffusion solve left residual {res:.3e}: backward "
                                     f"error above {BACKWARD_ERROR_TOL:.0e} (B = {bound:.3e})")

@@ -22,6 +22,7 @@ from ns1d.diagnostics import kanel_bound_pair
 from ns1d.errors import (ArgumentError, ConfigError, DomainError, PositivityError,
                          QuadratureError)
 from ns1d.grid import State, build_grid
+import ns1d.constitutive
 import ns1d.harness
 from ns1d.harness import RunConfig, plan
 from ns1d.solver import POSITIVITY_FLOOR
@@ -293,6 +294,50 @@ class TestTransportBits:
         assert np.asarray(v).tobytes() == v_bits and np.asarray(theta).tobytes() == theta_bits
 
 
+# 0.5 and 1.5 have no int form
+H_EXPONENTS = [0, 0.0, 0.5, 1, 1.0, 1.5, 2, 2.0, 3, 3.0]
+
+
+def power_outcome(expression, v):
+    """The bits of expression(v), or the type of the exception it raises."""
+    try:
+        return np.asarray(expression(v)).tobytes()
+    except ArithmeticError as error:         # a Python float's ** overflows by raising
+        return type(error)
+
+
+class TestPowerSumBits:
+    """HProfile.power_sum's h, which takes exponents 1 and -1 of an array as v and 1/v,
+    gives the bits of v**ell1 + v**-ell2 on arrays and on scalars."""
+
+    @staticmethod
+    def draws():
+        rng = np.random.default_rng(42)
+        logs = rng.uniform(math.log(1e-300), math.log(1e300), 20000)
+        extremes = [5e-324, 1e-320, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308]
+        return np.concatenate((np.exp(logs), extremes))
+
+    @pytest.mark.parametrize("ell1", H_EXPONENTS)
+    def test_array_bitwise_equal_to_the_expression(self, ell1):
+        v = self.draws()
+        with np.errstate(all="ignore"):
+            for ell2 in H_EXPONENTS:
+                got = HProfile.power_sum(ell1, ell2).h(v)
+                assert got.dtype == np.float64
+                assert np.array_equal(got, v ** ell1 + v ** -ell2), (ell1, ell2)
+
+    @pytest.mark.parametrize("ell1", H_EXPONENTS)
+    def test_scalars_equal_to_the_expression(self, ell1):
+        # Python's and numpy's scalar pow at -1 differ from 1/v in about 1 of 1000 draws
+        draws = self.draws()[::10]
+        with np.errstate(all="ignore"):
+            for ell2 in H_EXPONENTS:
+                h = HProfile.power_sum(ell1, ell2).h
+                for v in [*map(float, draws), *draws]:
+                    want = power_outcome(lambda x: x ** ell1 + x ** -ell2, v)
+                    assert power_outcome(h, v) == want, (ell1, ell2, v)
+
+
 class TestEntropyPair:
     def test_phi_examples(self):
         assert phi(1.0) == 0.0
@@ -379,6 +424,12 @@ class TestKanelPotential:
         # from v = 1e-6 to 3e4, where Phi spans 1e-7 to 1e18 in size, one relative bound
         got = kanel_potential(KANEL_PROFILES[name], v)
         assert got == pytest.approx(float(value), rel=1e-13, abs=0.0)
+
+    def test_rule_is_numpys_leggauss_bitwise(self):
+        from numpy.polynomial.legendre import leggauss
+        nodes, weights = leggauss(32)
+        assert ns1d.constitutive._GL_NODES.tobytes() == (0.5 * (nodes + 1.0)).tobytes()
+        assert ns1d.constitutive._GL_WEIGHTS.tobytes() == (0.5 * weights).tobytes()
 
     def test_sign_matches_v_minus_one(self):
         h = HProfile.power_sum(1, 1)

@@ -1,7 +1,7 @@
 """Guards on the package's imports: that `import ns1d`, and an IMEX run, load
 no scipy module but LAPACK's extension `scipy.linalg._flapack` (the
 scipy.linalg package would cost most of the package's import time and is not
-used), that `import ns1d` loads no numpy.polynomial, that
+used), that `import ns1d`, and a pulse run, load no numpy.polynomial, that
 `ns1d.solver.solve_banded` is scipy's own `dptsv`, that every `__all__` entry
 resolves, that no module imports a name it does not use, that every import is
 of the standard library, ns1d, a test module or a package the CI workflow pins,
@@ -29,7 +29,7 @@ SRC = Path(ns1d.__file__).resolve().parents[1]
 TESTS = Path(__file__).resolve().parent
 WORKFLOW = TESTS.parent / ".github" / "workflows" / "tier1.yml"
 SCIPY_MODULES = "sorted(m for m in sys.modules if m.startswith('scipy'))"
-# the same, and numpy.polynomial, whose Gauss-Legendre rule kanel_potential forms on first use
+# the same, and numpy.polynomial, which kanel_potential's Gauss-Legendre rule does without
 IMPORT_MODULES = "sorted(m for m in sys.modules if m.startswith(('scipy', 'numpy.polynomial')))"
 
 
@@ -50,6 +50,17 @@ def test_import_loads_no_interpolate_or_optimize(tmp_path):
     out = in_fresh_process(code, NS1D_OUT=str(tmp_path))
     assert json.loads(out.splitlines()[-1]) == [["scipy.linalg._flapack"], 0,
                                                 ["scipy.linalg._flapack"]]
+
+
+def test_run_loads_no_numpy_polynomial(tmp_path):
+    # a pulse run records the Kanel' pair, whose Gauss-Legendre rule is held as literals
+    run = ["run", "--set", "grid.N=32", "--set", "time.t_end=0.01", "--set",
+           "output.formats=json"]
+    code = (f"import json, sys; from ns1d.cli import main; code = main({run!r}); "
+            "print(json.dumps([code, [m for m in sys.modules if m.startswith('numpy.polynomial')]]))")
+    out = in_fresh_process(code, NS1D_OUT=str(tmp_path))
+    assert json.loads(out.splitlines()[-1]) == [0, []]
+    assert json.loads((tmp_path / "summary.json").read_text())["final_record"]["kanel_lhs"] > 0
 
 
 @pytest.mark.parametrize("first, second", [("ns1d.solver", "scipy.linalg.lapack"),

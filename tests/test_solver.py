@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -1078,6 +1079,146 @@ class TestImplicitSolves:
             "solve_banded": 4, "transport": 4, "h": 4, "theta_pow": 4, "refused": 1}
         assert not any(in_solve for name, in_solve in events
                        if name in ("h", "theta_pow", "transport"))
+
+
+def longhand_implicit_diffusion(x, x_star, grad_star, a, c, dt, grid, name):
+    """_implicit_diffusion with its backward-error check written the long way: the
+    residual's r = dt/dx**2 applied as /dx, /dx and *dt, and max|x*| over an |x*|
+    temporary.  The same system and solve; the reference for the check."""
+    dx, lo = grid.dx, grid.ghost_depth
+    hi = lo + len(a) - 1
+    r = dt / dx ** 2
+    flux = np.multiply(a, grad_star)
+    b = np.subtract(flux[1:], flux[:-1])
+    b /= dx
+    b *= dt
+    d = np.add(a[:-1], a[1:])
+    d *= r
+    d += c
+    correction, info = ns1d.solver.solve_banded(d, np.multiply(a[1:-1], -r), b, overwrite_d=1,
+                                                overwrite_e=1, overwrite_b=1)[2:]
+    if info > 0:
+        raise NewtonDivergenceError(f"{name} system is not positive definite: pivot {info}")
+    x[lo:hi] += correction
+    np.subtract(x[lo:hi + 1], x[lo - 1:hi], out=flux)
+    flux /= dx
+    flux *= a
+    np.subtract(flux[1:], flux[:-1], out=d)
+    d /= dx
+    d *= dt
+    np.subtract(x[lo:hi], x_star[lo:hi], out=b)
+    b *= c
+    b -= d
+    res = float(np.maximum.reduce(np.abs(b, out=b)))
+    bound = (c + 4.0 * r * float(np.maximum.reduce(a))) * float(np.maximum.reduce(np.abs(x_star)))
+    if not res <= BACKWARD_ERROR_TOL * bound < np.inf:
+        raise NewtonDivergenceError(f"{name} diffusion solve left residual {res:.3e}: backward "
+                                    f"error above {BACKWARD_ERROR_TOL:.0e} (B = {bound:.3e})")
+    return x, 1, res / bound if res else 0.0
+
+
+def diffusion_outcome(solve, x, *args):
+    """('accepted', bits of x, backward error) or ('refused', exception type, message
+    with its residual masked, B kept) of solve(x, *args), run on a copy of x."""
+    try:
+        out, _, backward_error = solve(x.copy(), *args)
+    except NewtonDivergenceError as error:
+        return "refused", type(error), re.sub(r"residual \S+:", "residual #:", str(error))
+    return "accepted", out.tobytes(), backward_error
+
+
+class TestLeanBackwardErrorCheck:
+    """The backward error of _implicit_diffusion, with the residual scaled by r once and
+    max|x*| taken as two signed reductions, against the check written the long way:
+    the same bits of x, the same verdicts and the backward error to a few ulp."""
+
+    MODEL = TestImplicitSolves.MODEL
+
+    @staticmethod
+    def captured_calls(half, dt, monkeypatch):
+        """The arguments of the _implicit_diffusion calls the two solves make on half."""
+        calls = []
+        monkeypatch.setattr(ns1d.solver, "_implicit_diffusion",
+                            lambda *args: calls.append(args) or (args[0], 1, 0.0))
+        for name, solve in SOLVES.items():
+            solve(half, dt, (half.u if name == "velocity" else half.theta).copy())
+        monkeypatch.undo()
+        return calls
+
+    def assert_same_outcome(self, args):
+        got = diffusion_outcome(_implicit_diffusion, *args)
+        want = diffusion_outcome(longhand_implicit_diffusion, *args)
+        assert got[:2] == want[:2]
+        if got[0] == "refused":
+            assert got[2] == want[2]
+        else:
+            # both are residuals over the same B, so this is 4 ulp of B
+            assert abs(got[2] - want[2]) <= 4 * np.finfo(float).eps
+        return got[0]
+
+    def seeded_stages(self, alpha):
+        g = build_grid(7.3, 61)             # dx = 0.2393...: dividing by it is not exact
+        rng = np.random.default_rng(7)
+        model = dataclasses.replace(self.MODEL, alpha=alpha)
+        for _ in range(3):
+            # u reaches further below 0 than above it, so max|u*| is -min u*
+            s = apply_farfield(State(0.0, rng.uniform(0.5, 2.0, g.ncells),
+                                     rng.uniform(-2.0, 1.0, g.nnodes),
+                                     rng.uniform(0.5, 2.0, g.ncells)), g)
+            yield make_stage(s, model, g)
+
+    @pytest.mark.parametrize("alpha", [-0.2, 0.0, 0.3])
+    @pytest.mark.parametrize("r", [1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3, 1e4])
+    def test_agrees_with_the_longhand_check(self, alpha, r, monkeypatch):
+        # both solves, so c = 1 (velocity) and c = cv (theta)
+        for half in self.seeded_stages(alpha):
+            calls = self.captured_calls(half, r * half.grid.dx ** 2, monkeypatch)
+            assert [args[4] for args in calls] == [1.0, half.model.cv]
+            for args in calls:
+                assert self.assert_same_outcome(args) == "accepted"
+
+    @pytest.mark.parametrize("alpha", [-0.2, 0.0, 0.3])
+    def test_same_verdict_on_perturbed_solves(self, alpha, monkeypatch):
+        # the solve's correction scaled by 1 + delta: backward errors from round-off up to
+        # far above the tolerance, accepted and refused alike by both checks
+        real, half = ns1d.solver.solve_banded, next(self.seeded_stages(alpha))
+        verdicts = set()
+        for r in [1e-2, 1.0, 1e4]:
+            calls = self.captured_calls(half, r * half.grid.dx ** 2, monkeypatch)
+            for delta in np.logspace(-16, -6, 21):
+
+                def scaled(*arrays, **flags):
+                    out = real(*arrays, **flags)
+                    return (*out[:2], out[2] * (1.0 + delta), out[3])
+
+                monkeypatch.setattr(ns1d.solver, "solve_banded", scaled)
+                verdicts |= {self.assert_same_outcome(args) for args in calls}
+                monkeypatch.undo()
+        assert verdicts == {"accepted", "refused"}
+
+    def test_large_r_exact_solve(self, monkeypatch):
+        # test_large_r_exact_solve_accepted's dip at r = 1e4, where round-off alone
+        # leaves an absolute residual near 5e-10
+        half, dt = TestImplicitSolves().dip_stage()
+        for args in self.captured_calls(half, dt, monkeypatch):
+            assert self.assert_same_outcome(args) == "accepted"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", [1, 2, 3])     # x*, grad*, a
+    def test_non_finite_system(self, field, value, monkeypatch):
+        half = next(self.seeded_stages(0.3))
+        for args in self.captured_calls(half, half.grid.dx ** 2, monkeypatch):
+            args = [arg.copy() if isinstance(arg, np.ndarray) else arg for arg in args]
+            args[field][len(args[field]) // 2] = value
+            with np.errstate(all="ignore"):
+                assert self.assert_same_outcome(args) == "refused"
+
+    def test_singular_system(self):
+        # c = 0 and a = 0: both refuse at the first pivot, before the check
+        x_star, grad_star, a = velocity_system(9)
+        grid = build_grid(0.05 * (len(x_star) - 5), len(x_star) - 5)
+        args = (x_star, x_star, grad_star, np.zeros_like(a), 0.0, 0.5, grid, "velocity")
+        assert self.assert_same_outcome(args) == "refused"
 
 
 class TestSolverConfig:
